@@ -24,7 +24,6 @@ __all__ = [
     "annulus_point_bound",
     "bound_report",
     "cover_transfer",
-    "differential_basis_indices",
     "disc_point_bound",
     "minimal_width_differential",
     "mu_factor",
@@ -47,16 +46,6 @@ def rank_hypothesis(degree: int, m: int, r: int) -> bool:
     if r < 0:
         raise ValueError("rank must be nonnegative")
     return r <= degree // m - 4
-
-
-def differential_basis_indices(curve: SuperellipticCurve) -> range:
-    """Indices i of the holomorphic differentials x^i dx/y: 0 <= i <= floor(deg/m) - 2.
-
-    An empty range means the basis below degree floor(deg/m) - 1 is empty and
-    the bound machinery built on it is vacuous for this curve.
-    """
-    top = curve.degree // curve.m - 2
-    return range(0, top + 1)
 
 
 def pullback_exponent(i: int, a: ResidueAnnulus, m: int) -> int:
@@ -85,14 +74,6 @@ class DifferentialVector:
 
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coefficients)
-
-    def check_holomorphy(self, degree: int, m: int) -> None:
-        top = degree // m - 2
-        if len(self.coefficients) - 1 > top:
-            raise ValueError(
-                f"index {len(self.coefficients) - 1} exceeds the holomorphy "
-                f"range [0, {top}]"
-            )
 
 
 def _kernel_vector(

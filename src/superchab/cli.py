@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +29,7 @@ from .geometry import (
     parameterize_annulus,
 )
 from .padic import PadicContext, chabauty_prime, is_prime
-from .search import enumerate_points, verify_bound
+from .search import _frac_str, enumerate_points, verify_bound
 
 __all__ = ["CurveInput", "CurveParseError", "main", "parse_curve_input", "run"]
 
@@ -184,10 +183,6 @@ def parse_curve_input(text: str) -> CurveInput:
     return CurveInput(m=m, coefficients=coeffs)
 
 
-def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _run_genus(curve: SuperellipticCurve) -> dict:
     return {
         "schema": 1,
@@ -264,7 +259,7 @@ def _run_search(curve: SuperellipticCurve, cin: CurveInput) -> dict:
         "schema": 1,
         "command": "search",
         "m": curve.m,
-        "f": [_frac(c) for c in curve.f],
+        "f": [_frac_str(c) for c in curve.f],
     }
     payload.update(report.to_json_dict())
     return payload
@@ -416,12 +411,9 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        with ThreadPoolExecutor(max_workers=min(8, max(1, len(lines)))) as pool:
-            results = list(
-                pool.map(lambda line: _process(args.command, line, args), lines)
-            )
         code = EXIT_OK
-        for payload, line_code in results:
+        for line in lines:
+            payload, line_code = _process(args.command, line, args)
             print(_dump(payload))
             if not args.json:
                 print(_summary(args.command, payload), file=sys.stderr)
@@ -436,9 +428,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     payload, code = _process(args.command, text, args)
     print(_dump(payload))
-    if "error" in payload:
-        print(_summary(args.command, payload), file=sys.stderr)
-    elif not args.json:
+    if "error" in payload or not args.json:
         print(_summary(args.command, payload), file=sys.stderr)
     return code
 

@@ -7,18 +7,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratpoly
-from .padic import PadicContext, PadicNumber, primitive_root_of_unity
 
 __all__ = [
-    "CurvePoint",
     "CurveStats",
     "HypothesisViolation",
     "SuperellipticCurve",
-    "apply_automorphism",
-    "branch_count_cap",
     "genus",
     "move_branch_from_infinity",
-    "satisfies_curve",
     "validate",
 ]
 
@@ -36,15 +31,6 @@ class CurveStats:
     s: int
     degree: int
     genus: int
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y) or a marker for the places above x = infinity."""
-
-    x: Fraction | PadicNumber | None
-    y: Fraction | PadicNumber | None
-    at_infinity: bool = False
 
 
 class SuperellipticCurve:
@@ -71,14 +57,7 @@ class SuperellipticCurve:
         self.f = coeffs
         self.branch_data = None
         if branch_data is not None:
-            rebuilt = [Fraction(self.leading_coefficient)]
-            for theta, mult in branch_data:
-                if mult < 1:
-                    raise ValueError("branch multiplicities must be positive")
-                factor = [-Fraction(theta), Fraction(1)]
-                for _ in range(mult):
-                    rebuilt = ratpoly.mul(rebuilt, factor)
-            if rebuilt != coeffs:
+            if _branch_product(self.leading_coefficient, branch_data) != coeffs:
                 raise ValueError("branch data does not reproduce f")
             self.branch_data = [(Fraction(t), int(n)) for t, n in branch_data]
 
@@ -91,12 +70,11 @@ class SuperellipticCurve:
             if Fraction(theta) in seen:
                 raise ValueError("repeated branch point; merge multiplicities")
             seen.add(Fraction(theta))
-        f = [Fraction(c)]
-        for theta, mult in roots:
-            factor = [-Fraction(theta), Fraction(1)]
-            for _ in range(mult):
-                f = ratpoly.mul(f, factor)
-        return SuperellipticCurve(m, f, [(Fraction(t), int(n)) for t, n in roots])
+        # f is expanded from the branch data itself, so the data reproduces
+        # f by construction and __init__ need not check it
+        curve = SuperellipticCurve(m, _branch_product(c, roots))
+        curve.branch_data = [(Fraction(t), int(n)) for t, n in roots]
+        return curve
 
     @property
     def degree(self) -> int:
@@ -130,6 +108,20 @@ class SuperellipticCurve:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SuperellipticCurve(m={self.m}, deg={self.degree})"
+
+
+def _branch_product(
+    c: Fraction | int, roots: list[tuple[Fraction | int, int]]
+) -> ratpoly.Poly:
+    """c * prod (x - theta)^n over the branch data (theta, n), n >= 1."""
+    f = [Fraction(c)]
+    for theta, mult in roots:
+        if mult < 1:
+            raise ValueError("branch multiplicities must be positive")
+        factor = [-Fraction(theta), Fraction(1)]
+        for _ in range(mult):
+            f = ratpoly.mul(f, factor)
+    return f
 
 
 def genus(curve: SuperellipticCurve) -> int:
@@ -166,19 +158,6 @@ def validate(curve: SuperellipticCurve) -> CurveStats:
     return CurveStats(s=curve.branch_point_count, degree=curve.degree, genus=g)
 
 
-def branch_count_cap(curve: SuperellipticCurve) -> int:
-    """s is at most floor((4g-4)/m) + 4; the cap is returned, the bound
-    asserted."""
-    g = genus(curve)
-    cap = (4 * g - 4) // curve.m + 4
-    s = curve.branch_point_count
-    if s > cap:
-        raise AssertionError(
-            f"branch count {s} exceeds cap {cap}: inconsistent input data"
-        )
-    return cap
-
-
 def move_branch_from_infinity(curve: SuperellipticCurve) -> SuperellipticCurve:
     """Invert the x-coordinate so no branch point hides above infinity.
 
@@ -190,7 +169,7 @@ def move_branch_from_infinity(curve: SuperellipticCurve) -> SuperellipticCurve:
     t = 0
     while ratpoly.evaluate(curve.f, Fraction(t)) == 0:
         t += 1
-    shifted = ratpoly.shift(curve.f, Fraction(t)) if t else curve.f
+    shifted = ratpoly.compose_linear(curve.f, Fraction(t), Fraction(1))
     d = curve.degree
     m = curve.m
     target = m * ((d + m - 1) // m)
@@ -206,45 +185,3 @@ def move_branch_from_infinity(curve: SuperellipticCurve) -> SuperellipticCurve:
         if extra:
             new_data.append((Fraction(0), extra))
     return SuperellipticCurve(m, flipped, new_data)
-
-
-def satisfies_curve(
-    point: CurvePoint, curve: SuperellipticCurve, abs_digits: int | None = None
-) -> bool:
-    """Exact check for rational coordinates, to-precision for p-adic ones."""
-    if point.at_infinity:
-        return True
-    x, y = point.x, point.y
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return y**curve.m == ratpoly.evaluate(curve.f, x)
-    if not isinstance(x, PadicNumber) or not isinstance(y, PadicNumber):
-        raise TypeError("mixed exact/p-adic coordinates")
-    ctx = x.context
-    fx = PadicNumber.zero(ctx)
-    for k in reversed(range(len(curve.f))):
-        fx = fx * x + PadicNumber.from_fraction(curve.f[k], ctx)
-    diff = y**curve.m - fx
-    if diff.is_zero:
-        return True
-    digits = abs_digits if abs_digits is not None else ctx.precision // 2
-    return diff.valuation >= digits
-
-
-def apply_automorphism(
-    point: CurvePoint, curve: SuperellipticCurve, ctx: PadicContext, k: int
-) -> CurvePoint:
-    """The order-m deck transformation (x, y) -> (x, zeta_m^k y)."""
-    if point.at_infinity:
-        return point
-    k = k % curve.m
-    if k == 0:
-        return point
-    if isinstance(point.y, Fraction):
-        if curve.m % 2 == 0 and k == curve.m // 2:
-            return CurvePoint(point.x, -point.y)
-        zeta = primitive_root_of_unity(curve.m, ctx)
-        x = PadicNumber.from_fraction(Fraction(point.x), ctx)
-        y = PadicNumber.from_fraction(Fraction(point.y), ctx) * zeta**k
-        return CurvePoint(x, y)
-    zeta = primitive_root_of_unity(curve.m, ctx)
-    return CurvePoint(point.x, point.y * zeta**k)

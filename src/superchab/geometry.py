@@ -18,6 +18,10 @@ from .curve import SuperellipticCurve, genus
 from .padic import (
     PadicContext,
     PadicNumber,
+    _hensel_lift,
+    _poly_derivative_int,
+    _poly_eval_mod,
+    _vp,
     is_mth_power,
     mth_root,
     primitive_root_of_unity,
@@ -52,38 +56,14 @@ class ChartVerificationError(AssertionError):
 # -- root finding over Q_p -----------------------------------------------------
 
 
-def _poly_eval_mod(P: list[int], x: int, mod: int) -> int:
-    acc = 0
-    for c in reversed(P):
-        acc = (acc * x + c) % mod
-    return acc
-
-
-def _poly_derivative_int(P: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(P) if k > 0] or [0]
-
-
 def _hensel_root(P: list[int], a: int, ctx: PadicContext) -> PadicNumber:
     """Quadratic lift of a simple residue root to full working precision."""
     p = ctx.prime
     target = ctx.precision + 8
-    dP = _poly_derivative_int(P)
-    digits = 1
-    x = a % p
-    while digits < target:
-        digits = min(2 * digits, target)
-        mod = p**digits
-        fx = _poly_eval_mod(P, x, mod)
-        dfx = _poly_eval_mod(dP, x, mod)
-        inv = pow(dfx, -1, mod)
-        x = (x - fx * inv) % mod
-    v = 0
-    y = x
-    while y and y % p == 0:
-        y //= p
-        v += 1
+    x = _hensel_lift(P, a, p, target)
     if x == 0:
         return PadicNumber.zero(ctx)
+    v = _vp(x, p)
     known = min(ctx.precision, target - v)
     return PadicNumber(ctx, v, (x // p**v) % p**known, known)
 
@@ -105,9 +85,9 @@ def _zp_roots_squarefree(
             roots.append(_hensel_root(P, a, ctx))
             continue
         # repeated residue root: zoom in on the sub-disc a + pZ_p
-        shifted = ratpoly.shift([Fraction(c) for c in P], Fraction(a))
-        rescaled = [int(c) * p**k for k, c in enumerate(shifted)]
-        content = min(_int_val(q, p) for q in rescaled if q != 0)
+        zoomed = ratpoly.compose_linear(P, Fraction(a), Fraction(p))
+        rescaled = [int(c) for c in zoomed]
+        content = min(_vp(q, p) for q in rescaled if q != 0)
         Q = [q // p**content for q in rescaled]
         sub, sub_ok = _zp_roots_squarefree(Q, ctx, depth + 1)
         complete = complete and sub_ok
@@ -116,15 +96,6 @@ def _zp_roots_squarefree(
         for y in sub:
             roots.append(a_p + p_p * y)
     return roots, complete
-
-
-def _int_val(n: int, p: int) -> int:
-    v = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def qp_roots(
@@ -143,7 +114,6 @@ def qp_roots(
     if poly[0] == 0:
         roots.append(PadicNumber.zero(ctx))
         poly = poly[1:]
-        deg -= 1
     den = math.lcm(*(c.denominator for c in poly))
     P = [int(c * den) for c in poly]
     g = math.gcd(*(abs(c) for c in P))
@@ -157,9 +127,7 @@ def qp_roots(
     for r in small:
         if not r.is_zero and r.valuation >= 1:
             roots.append(one / r)
-    complete = ok1 and ok2 and (len(roots) == ratpoly.degree(
-        ratpoly.normalize([Fraction(c) for c in coeffs])
-    ))
+    complete = ok1 and ok2 and len(roots) == deg
     return roots, complete
 
 
@@ -485,8 +453,7 @@ def parameterize_annulus(
     beta = hi - lo
     c_rat = a.rational_center
 
-    shifted = ratpoly.shift(curve.f, Fraction(c_rat)) if c_rat else curve.f
-    scaled = ratpoly.compose_linear(shifted, Fraction(0), Fraction(p) ** L)
+    scaled = ratpoly.compose_linear(curve.f, Fraction(c_rat), Fraction(p) ** L)
 
     theta0 = []
     thetainf = []
@@ -598,27 +565,6 @@ def parameterize_annulus(
     analysis.charts = charts
     analysis.attained = attained
     return analysis
-
-
-def tau_chart_action(analysis: AnnulusAnalysis, m: int) -> tuple[int, int]:
-    """The deck transformation sends chart j to chart j+1 with the same
-    coordinate: y_(j+1)(z) = zeta_m * y_j(z) exactly.  Returns (a, b) for
-    the action z -> zeta^a z, j -> j + b; here a = 0, b = 1."""
-    charts = analysis.charts
-    if not charts:
-        raise ValueError("no charts to act on")
-    ctx = charts[0].y_series.context
-    zeta = primitive_root_of_unity(m, ctx)
-    d = len(charts)
-    for j, chart in enumerate(charts):
-        image = chart.y_series.scaled(zeta)
-        target = charts[(j + 1) % d].y_series
-        if (j + 1) % d == 0:
-            # wrapping multiplies by zeta^d, the in-annulus rotation class
-            target = charts[0].y_series.scaled(zeta**d)
-        if not image.agrees_with(target, ctx.precision // 2):
-            raise ChartVerificationError("deck action does not permute charts")
-    return (0, 1)
 
 
 # -- discs ----------------------------------------------------------------------
@@ -757,7 +703,7 @@ def _disc_case_one(spec, curve, ctx, points, target) -> DiscAnalysis:
     # residual check: (gamma h)^m - f(center + scale z), one-sided and exact
     y0 = h.scaled(gamma)
     ypow = (y0**m).window_clipped(0, order)
-    shifted = ratpoly.shift(curve.f, spec.center)
+    shifted = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
     f_comp = LaurentSeries.from_dict(
         {
             k: PadicNumber.from_fraction(c, ctx) * unit_scale**k
@@ -908,12 +854,14 @@ def _disc_case_three_m2(spec, curve, ctx, inside, points, target) -> DiscAnalysi
         rel = th - c
         fac = branch_root_series(rel, 2, "minus", order=order, domain=AnnulusSpec.disc())
         # substitute the two-sided coordinate w = z + B/4z
-        comp = _eval_series_at_laurent(fac, w_plus, order)
+        fac_coeffs = [fac.coefficient(n) for n in range(fac.hi + 1)]
+        comp = _eval_at_laurent(fac_coeffs, w_plus, order)
         for _ in range(n):
             h = (h * comp).window_clipped(-order, order)
     y = (_pseudo_entire(w_minus) * h).scaled(gamma).window_clipped(-order, order)
     ysq = (y * y).window_clipped(-order, order)
-    f_x = _eval_poly_at_laurent(curve.f, x_series, ctx, order)
+    f_coeffs = [PadicNumber.from_fraction(c, ctx) for c in curve.f]
+    f_x = _eval_at_laurent(f_coeffs, x_series, order)
     resid = ysq - f_x
     attained = ctx.precision
     guard = max(2, int(2 * target / max(v_b, 1)))
@@ -951,34 +899,17 @@ def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:
     )
 
 
-def _eval_series_at_laurent(
-    outer: LaurentSeries, inner: LaurentSeries, clip: int
+def _eval_at_laurent(
+    coeffs: list[PadicNumber], inner: LaurentSeries, clip: int
 ) -> LaurentSeries:
-    """Horner substitution of a two-sided Laurent argument into a power
-    series; callers guarantee coefficient decay makes this converge."""
-    if outer.lo < 0:
-        raise ValueError("outer series must be a power series")
-    inner = _pseudo_entire(inner)
-    result = LaurentSeries.zero(outer.context, inner.domain)
-    for n in range(outer.hi, -1, -1):
-        result = (result * inner).window_clipped(-clip, clip)
-        coef = outer.coefficient(n)
-        if not coef.is_zero:
-            result = result + LaurentSeries(
-                outer.context, {0: coef}, inner.domain, 0, 0
-            )
-    return result
-
-
-def _eval_poly_at_laurent(
-    coeffs: list[Fraction], inner: LaurentSeries, ctx: PadicContext, clip: int
-) -> LaurentSeries:
+    """Horner substitution of a two-sided Laurent argument into the power
+    series sum coeffs[k] w^k; callers guarantee coefficient decay makes
+    this converge."""
+    ctx = inner.context
     inner = _pseudo_entire(inner)
     result = LaurentSeries.zero(ctx, inner.domain)
-    for k in reversed(range(len(coeffs))):
+    for coef in reversed(coeffs):
         result = (result * inner).window_clipped(-clip, clip)
-        if coeffs[k] != 0:
-            result = result + LaurentSeries(
-                ctx, {0: PadicNumber.from_fraction(coeffs[k], ctx)}, inner.domain, 0, 0
-            )
+        if not coef.is_zero:
+            result = result + LaurentSeries(ctx, {0: coef}, inner.domain, 0, 0)
     return result

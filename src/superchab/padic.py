@@ -100,9 +100,6 @@ class PadicContext:
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
 
-    def modulus(self, digits: int | None = None) -> int:
-        return self.prime ** (self.precision if digits is None else digits)
-
 
 @dataclass(frozen=True)
 class PadicNumber:
@@ -163,7 +160,7 @@ class PadicNumber:
 
     @property
     def abs_precision(self) -> int | None:
-        """Exponent of the modulus to which the value is pinned down."""
+        """Exponent e such that the value is pinned down modulo p^e."""
         if self.is_zero:
             return None
         return self.valuation + self.known
@@ -327,17 +324,30 @@ def is_mth_power(x: PadicNumber, m: int) -> bool:
     return pow(x.residue(), (p - 1) // g, p) == 1
 
 
-def _hensel_lift_power(w0: int, target_unit: int, m: int, ctx: PadicContext, digits: int) -> int:
-    """Lift w0 with w0^m = target mod p to a root modulo p^digits."""
-    p = ctx.prime
+def _poly_eval_mod(P: list[int], x: int, mod: int) -> int:
+    acc = 0
+    for c in reversed(P):
+        acc = (acc * x + c) % mod
+    return acc
+
+
+def _poly_derivative_int(P: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(P) if k > 0] or [0]
+
+
+def _hensel_lift(P: list[int], w0: int, p: int, digits: int) -> int:
+    """Lift a simple root w0 mod p of the integer polynomial P (ascending
+    coefficients) to its unique lift modulo p^digits, doubling the digits
+    per Newton step."""
+    dP = _poly_derivative_int(P)
     w, have = w0 % p, 1
     while have < digits:
         have = min(2 * have, digits)
         mod = p**have
-        fw = (pow(w, m, mod) - target_unit) % mod
-        dw = m * pow(w, m - 1, mod) % mod
+        fw = _poly_eval_mod(P, w, mod)
+        dw = _poly_eval_mod(dP, w, mod)
         w = (w - fw * pow(dw, -1, mod)) % mod
-    return w % p**digits
+    return w
 
 
 def mth_root(x: PadicNumber, m: int) -> PadicNumber:
@@ -357,7 +367,7 @@ def mth_root(x: PadicNumber, m: int) -> PadicNumber:
     p = x.context.prime
     u0 = x.residue()
     w0 = min(w for w in range(1, p) if pow(w, m, p) == u0)
-    w = _hensel_lift_power(w0, x.unit_mod(x.known), m, x.context, x.known)
+    w = _hensel_lift([-x.unit_mod(x.known)] + [0] * (m - 1) + [1], w0, p, x.known)
     return PadicNumber(x.context, x.valuation // m, w, x.known)
 
 
@@ -381,7 +391,7 @@ def primitive_root_of_unity(m: int, ctx: PadicContext) -> PadicNumber:
             w0 = a
             break
     assert w0 is not None  # guaranteed: F_p^* is cyclic of order divisible by m
-    w = _hensel_lift_power(w0, 1, m, ctx, ctx.precision)
+    w = _hensel_lift([-1] + [0] * (m - 1) + [1], w0, p, ctx.precision)
     return PadicNumber(ctx, 0, w, ctx.precision)
 
 

@@ -116,14 +116,6 @@ def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]
     return lead, factors
 
 
-def shift(f: Poly, t: Fraction) -> Poly:
-    """f(x + t)."""
-    out: Poly = []
-    for c in reversed(normalize(f)):
-        out = add(mul(out, [t, Fraction(1)]), [c])
-    return out
-
-
 def compose_linear(f: Poly, a: Fraction, b: Fraction) -> Poly:
     """f(a + b*x)."""
     out: Poly = []

@@ -1,6 +1,5 @@
 """Exhaustive rational-point search on y^m = f(x) up to a naive height,
-with exact membership tests, the cover map between members of a power
-tower, and bound-versus-observation verification.
+with exact membership tests and bound-versus-observation verification.
 
 Height of x = a/b (reduced) is max(|a|, |b|).  All root extraction is
 exact integer arithmetic; nothing here touches floating point.
@@ -19,7 +18,6 @@ from .curve import SuperellipticCurve
 __all__ = [
     "RationalPoint",
     "SearchReport",
-    "cover_image",
     "enumerate_points",
     "infinity_count",
     "is_on_curve",
@@ -125,51 +123,24 @@ def infinity_count(curve: SuperellipticCurve) -> int:
     return len(_rational_mth_roots(curve.leading_coefficient, delta))
 
 
-def _search_shard(
-    curve: SuperellipticCurve, numerators: range, height: int
-) -> list[RationalPoint]:
+def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
+    """All affine points with x = a/b of height at most H, sorted by (x, y),
+    plus the infinity tally (zero at height 0, where nothing is searched).
+    """
+    if height < 0:
+        raise ValueError("height must be nonnegative")
+    if height == 0:
+        return SearchReport(0, [], 0, 0)
     found: list[RationalPoint] = []
-    for a in numerators:
+    for a in range(-height, height + 1):
         for b in range(1, height + 1):
             if math.gcd(a, b) != 1:
                 continue
             x = Fraction(a, b)
             for y in _rational_mth_roots(curve.evaluate_f(x), curve.m):
                 found.append(RationalPoint(x, y))
-    return found
-
-
-def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
-    """All affine points with x of height at most H, plus the infinity tally.
-
-    The numerator range is split into shards that share nothing and whose
-    results merge by sorting, so the output is independent of shard order.
-    """
-    if height < 0:
-        raise ValueError("height must be nonnegative")
-    if height == 0:
-        return SearchReport(0, [], 0, 0)
-    shard_width = max(1, (2 * height + 1) // 4)
-    shards = []
-    a = -height
-    while a <= height:
-        top = min(a + shard_width, height + 1)
-        shards.append(range(a, top))
-        a = top
-    found: list[RationalPoint] = []
-    for shard in shards:
-        found.extend(_search_shard(curve, shard, height))
     found.sort(key=lambda pt: (pt.x, pt.y))
     return SearchReport(height, found, len(found), infinity_count(curve))
-
-
-def cover_image(pt: RationalPoint, m: int, s: int) -> RationalPoint:
-    """Image of a point of y^m = f under (x, y) -> (x, y^(m/s)) on y^s = f."""
-    if s <= 0 or m % s:
-        raise ValueError(f"{s} does not divide {m}")
-    if pt.at_infinity:
-        return pt
-    return RationalPoint(pt.x, pt.y ** (m // s))
 
 
 def verify_bound(curve: SuperellipticCurve, r: int, height: int) -> SearchReport:

@@ -27,7 +27,6 @@ __all__ = [
     "ZeroCount",
     "bc_integral",
     "branch_root_series",
-    "combine",
     "count_zeros_annulus",
     "formal_antiderivative",
     "mu_factor",
@@ -164,10 +163,6 @@ class LaurentSeries:
         return LaurentSeries(ctx, {0: PadicNumber.from_int(1, ctx)}, domain, 0, 0)
 
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def truncation_order(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
 
     @property
     def entire(self) -> bool:
@@ -705,17 +700,6 @@ def branch_root_series(
     dom = domain if domain is not None else AnnulusSpec.annulus(tv)
     tail = TailBound(tv, tv * (order + 1))
     return LaurentSeries(ctx, coeffs, dom, -order, 0, tail, None)
-
-
-def combine(a: LaurentSeries, b: LaurentSeries, op: str) -> LaurentSeries:
-    """Spec-level dispatcher over the series ring operations."""
-    if op == "multiply":
-        return a * b
-    if op == "invert-first":
-        return a.invert() * b
-    if op == "compose":
-        return a.compose(b)
-    raise ValueError(f"unknown combine op {op!r}")
 
 
 # -- zero bounds ---------------------------------------------------------------

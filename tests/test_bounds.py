@@ -9,11 +9,9 @@ import pytest
 
 from superchab.bounds import (
     BoundReport,
-    DifferentialVector,
     annulus_point_bound,
     bound_report,
     cover_transfer,
-    differential_basis_indices,
     disc_point_bound,
     minimal_width_differential,
     mu_factor,
@@ -61,18 +59,6 @@ class TestRankHypothesis:
     def test_m_two_rejected(self):
         with pytest.raises(ValueError):
             rank_hypothesis(12, 2, 0)
-
-
-class TestBasisIndices:
-    def test_examples(self):
-        m3 = SuperellipticCurve(3, [1] + [0] * 11 + [1])
-        assert list(differential_basis_indices(m3)) == [0, 1, 2]
-        m2 = SuperellipticCurve(2, [1] + [0] * 7 + [1])
-        assert list(differential_basis_indices(m2)) == [0, 1, 2]
-
-    def test_small_degree_range_is_empty(self):
-        quartic = SuperellipticCurve(3, [1, 0, 0, 0, 1])
-        assert list(differential_basis_indices(quartic)) == []
 
 
 class TestPullbackExponents:
@@ -148,12 +134,6 @@ class TestMinimalWidth:
                 for c, x in zip(row, vec.coefficients):
                     dot = dot + c * x
                 assert dot.is_zero or dot.valuation >= ctx.precision - 6
-
-    def test_holomorphy_guard(self):
-        vec = DifferentialVector([PadicNumber.from_int(1, Q7) for _ in range(4)])
-        with pytest.raises(ValueError):
-            vec.check_holomorphy(12, 3)
-        vec.check_holomorphy(15, 3)
 
 
 class TestComponentBounds:

@@ -261,3 +261,93 @@ class TestBatch:
         assert code == 0
         assert payloads[0]["count"] == 1
         assert payloads[1]["count"] == 2
+
+
+F12 = "[1" + ",0" * 11 + ",1]"
+F16 = "[1" + ",0" * 15 + ",1]"
+INERT_ERROR = (
+    "branch locus does not split over Q_7; chart analysis is unavailable there "
+    "(the bounds themselves remain valid)"
+)
+
+
+class TestGolden:
+    """Exact stdout, stderr and exit code of the README examples and of a
+    mixed analyze batch, so that refactors keep every byte."""
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ["bound", "--m", "3", "--f", F12, "--rank", "0", "--json"],
+                0,
+                '{"annulus_bound":140,"command":"bound","degree":12,"disc_bound":144,'
+                '"e":1,"g":10,"m":3,"mu":"6/5","prime":7,"r":0,"rank_ok":true,'
+                '"rank_source":"user-asserted","schema":1,"sharp_total":284,'
+                '"small_prime_warning":true,"theorem3_total":378}\n',
+                "",
+            ),
+            (
+                ["analyze", "--m", "3", "--f", "prod[(1,1),(-1,1),(7,1),(-7,1)]"],
+                0,
+                '{"annuli":[{"case":"rotation","center":"0","charts":1,"d":1,'
+                '"detail":"","interval":[0,1],"power_tests":{"d_th_power(Q0)":"trivial",'
+                '"m_th_power(Q0*U^k0)":"True"},"status":"charts","theta_0_count":2,'
+                '"verification_precision":10}],"annulus_count":1,'
+                '"command":"analyze","m":3,"precision":20,"prime":7,"schema":1}\n',
+                "1 annulus orbit(s) analyzed at prime 7\n",
+            ),
+            (
+                ["search", "--m", "3", "--f", "[1,0,0,0,1]", "--height", "10"],
+                0,
+                '{"command":"search","count":1,"f":["1/1","0/1","0/1","0/1","1/1"],'
+                '"height":10,"infinity_count":1,"m":3,'
+                '"points":[{"x":"0/1","y":"1/1"}],"schema":1}\n',
+                "1 affine point(s) up to height 10 (+1 at infinity)\n",
+            ),
+            (
+                ["verify", "--m", "4", "--f", F16, "--rank", "0"],
+                0,
+                '{"bound":744,"command":"verify","count":2,"height":50,'
+                '"infinity_count":2,"m":4,'
+                '"points":[{"x":"0/1","y":"-1/1"},{"x":"0/1","y":"1/1"}],"r":0,'
+                '"rank_source":"user-asserted","satisfied":true,"schema":1}\n',
+                "bound 744 vs observed 4: satisfied\n",
+            ),
+        ],
+        ids=["bound", "analyze", "search", "verify"],
+    )
+    def test_readme_examples(self, capsys, argv, code, out, err):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        assert captured.err == err
+
+    def test_analyze_batch(self, tmp_path, capsys):
+        batch = tmp_path / "curves.txt"
+        batch.write_text(
+            "m=3; f=prod[(1,1),(8,1),(50,1),(2,1),(3,1)]\n"
+            "m=3; f=" + F12 + "\n"
+            "m=3; f=[1,0,oops]\n"
+        )
+        assert main(["analyze", "--batch", str(batch)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == (
+            '{"annuli":[{"case":"split","center":"1","charts":0,"d":3,'
+            '"detail":"scale constant is not a d-th power: no rational points over '
+            'this annulus","interval":[0,1],"power_tests":{"d_th_power(Q0)":"False"},'
+            '"status":"no_points","theta_0_count":3,"verification_precision":null},'
+            '{"case":"rotation","center":"1","charts":1,"d":1,"detail":"",'
+            '"interval":[1,2],"power_tests":{"d_th_power(Q0)":"trivial",'
+            '"m_th_power(Q0*U^k0)":"True"},"status":"charts","theta_0_count":2,'
+            '"verification_precision":10}],"annulus_count":2,"command":"analyze",'
+            '"m":3,"precision":20,"prime":7,"schema":1}\n'
+            '{"command":"analyze","error":"' + INERT_ERROR + '","schema":1}\n'
+            '{"command":"analyze","error":"line 1, column 13: expected an integer",'
+            '"schema":1}\n'
+        )
+        assert captured.err == (
+            "2 annulus orbit(s) analyzed at prime 7\n"
+            "error: " + INERT_ERROR + "\n"
+            "error: line 1, column 13: expected an integer\n"
+        )

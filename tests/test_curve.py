@@ -5,19 +5,12 @@ import pytest
 
 from superchab import ratpoly
 from superchab.curve import (
-    CurvePoint,
     HypothesisViolation,
     SuperellipticCurve,
-    apply_automorphism,
-    branch_count_cap,
     genus,
     move_branch_from_infinity,
-    satisfies_curve,
     validate,
 )
-from superchab.padic import PadicContext, PadicNumber
-
-Q7 = PadicContext(7, 20)
 
 
 def curve_x4_plus_1(m=3):
@@ -118,53 +111,3 @@ class TestMoveBranchFromInfinity:
                 continue
             assert genus(move_branch_from_infinity(c)) == genus(c)
             done += 1
-
-
-class TestBranchCountCap:
-    def test_frozen(self):
-        assert branch_count_cap(curve_x4_plus_1()) == 6
-        deg12 = SuperellipticCurve(3, [1] + [0] * 11 + [1])
-        assert branch_count_cap(deg12) == 16
-        deg8 = SuperellipticCurve(2, [1] + [0] * 7 + [1])
-        assert branch_count_cap(deg8) == 8
-
-
-class TestAutomorphism:
-    def test_identity_power(self):
-        pt = CurvePoint(Fraction(0), Fraction(1))
-        assert apply_automorphism(pt, curve_x4_plus_1(), Q7, 3) is pt
-
-    def test_hyperelliptic_flip_stays_rational(self):
-        c = SuperellipticCurve(2, [1] + [0] * 5 + [1])
-        pt = CurvePoint(Fraction(0), Fraction(1))
-        out = apply_automorphism(pt, c, Q7, 1)
-        assert out.y == Fraction(-1)
-
-    def test_cube_twist_in_q7(self):
-        pt = CurvePoint(Fraction(0), Fraction(1))
-        out = apply_automorphism(pt, curve_x4_plus_1(), Q7, 1)
-        assert out.y.value_mod(2) == 30
-
-    def test_closure(self):
-        c = curve_x4_plus_1()
-        pt = CurvePoint(Fraction(0), Fraction(1))
-        assert satisfies_curve(pt, c)
-        for k in range(1, 3):
-            image = apply_automorphism(pt, c, Q7, k)
-            assert satisfies_curve(image, c)
-
-
-class TestSatisfies:
-    def test_exact(self):
-        c = curve_x4_plus_1()
-        assert satisfies_curve(CurvePoint(Fraction(0), Fraction(1)), c)
-        assert not satisfies_curve(CurvePoint(Fraction(1), Fraction(1)), c)
-
-    def test_padic(self):
-        c = curve_x4_plus_1()
-        x = PadicNumber.from_int(0, Q7)
-        y = PadicNumber.from_int(1, Q7)
-        assert satisfies_curve(CurvePoint(x, y), c)
-
-    def test_infinity_marker(self):
-        assert satisfies_curve(CurvePoint(None, None, at_infinity=True), curve_x4_plus_1())

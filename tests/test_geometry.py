@@ -15,9 +15,13 @@ from superchab.geometry import (
     parameterize_disc,
     pruned_annulus_count,
     qp_roots,
-    tau_chart_action,
 )
-from superchab.padic import PadicContext, PadicNumber, is_mth_power
+from superchab.padic import (
+    PadicContext,
+    PadicNumber,
+    is_mth_power,
+    primitive_root_of_unity,
+)
 
 Q7 = PadicContext(7, 20)
 Q13 = PadicContext(13, 20)
@@ -235,7 +239,10 @@ class TestAnnulusVerdicts:
         assert analysis.status == "charts"
         assert len(analysis.charts) == 2
         assert [c.sheet_index for c in analysis.charts] == [0, 1]
-        assert tau_chart_action(analysis, 4) == (0, 1)
+        # the deck transformation y -> zeta_4 y carries sheet 0 to sheet 1
+        zeta = primitive_root_of_unity(4, Q13)
+        image = analysis.charts[0].y_series.scaled(zeta)
+        assert image.agrees_with(analysis.charts[1].y_series, Q13.precision // 2)
         assert analysis.attained >= 10
 
     @staticmethod

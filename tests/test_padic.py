@@ -1,15 +1,18 @@
 """Core p-adic arithmetic: frozen values plus algebraic properties."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superchab.geometry import qp_roots
 from superchab.padic import (
     PadicContext,
     PadicNumber,
+    _hensel_lift,
     chabauty_prime,
     euler_phi,
     is_mth_power,
@@ -159,6 +162,81 @@ class TestRootsAndPowers:
         c = x * x * x
         r = mth_root(c, 3)
         assert ((r**3) - c).is_zero
+
+
+class TestHenselLift:
+    """The Newton lift shared by mth_root, primitive_root_of_unity and
+    qp_roots, checked against its defining congruences and against frozen
+    values of its three callers."""
+
+    def test_defining_congruences(self):
+        rng = random.Random(5)
+        for p in (7, 13, 31):
+            for m in [m for m in range(1, p) if (p - 1) % m == 0]:
+                for digits in (1, 2, 9, 20):
+                    mod = p**digits
+                    t = rng.randrange(1, mod)
+                    while t % p == 0 or pow(t, (p - 1) // m, p) != 1:
+                        t = rng.randrange(1, mod)
+                    w0 = rng.choice([w for w in range(1, p) if pow(w, m, p) == t % p])
+                    w = _hensel_lift([-t] + [0] * (m - 1) + [1], w0, p, digits)
+                    assert 0 <= w < mod
+                    assert w % p == w0
+                    assert pow(w, m, mod) == t
+
+    @staticmethod
+    def _digits(x):
+        return (x.valuation, x.unit, x.known)
+
+    def test_frozen_mth_roots(self):
+        q13, q31 = PadicContext(13, 15), PadicContext(31, 12)
+        cases = [
+            (from_q(6), 3, (0, 74501260446390690, 20)),
+            (from_q(343 * 6), 3, (1, 74501260446390690, 20)),
+            (PadicNumber.from_int(3, q13), 4, (0, 29490207606702364, 15)),
+            (PadicNumber.from_rational(25, 6, q31), 5, (0, 325107998386650448, 12)),
+            (PadicNumber.from_int(31**5 * 30, q31), 5, (1, 534764195231326620, 12)),
+        ]
+        for x, m, want in cases:
+            assert self._digits(mth_root(x, m)) == want
+
+    def test_frozen_roots_of_unity(self):
+        q13, q31 = PadicContext(13, 15), PadicContext(31, 12)
+        cases = [
+            (3, Q7, 22143577275619760),
+            (6, Q7, 22143577275619761),
+            (4, q13, 13920898306972194),
+            (12, q13, 30846840611253682),
+            (5, q31, 72477097614684992),
+            (15, q31, 374184469601122065),
+        ]
+        for m, ctx, unit in cases:
+            zeta = primitive_root_of_unity(m, ctx)
+            assert self._digits(zeta) == (0, unit, ctx.precision)
+
+    def test_frozen_qp_roots(self):
+        q13 = PadicContext(13, 15)
+        cases = [
+            ([-2, 0, 1], Q7, [(0, 4609765579368303, 20), (0, 75182500718243698, 20)]),
+            ([344, -345, 1], Q7, [(0, 1, 20), (0, 344, 20)]),
+            ([2, -15, 7], Q7, [(-1, 1, 20), (0, 2, 20)]),
+            ([0, 1, 1], Q7, [None, (0, 79792266297612000, 20)]),
+            (
+                [-3, 0, 0, 0, 1],
+                q13,
+                [
+                    (0, 2399150696294628, 15),
+                    (0, 21695685407388393, 15),
+                    (0, 29490207606702364, 15),
+                    (0, 48786742317796129, 15),
+                ],
+            ),
+        ]
+        for poly, ctx, want in cases:
+            roots, complete = qp_roots([Fraction(c) for c in poly], ctx)
+            assert complete
+            got = [None if r.is_zero else self._digits(r) for r in roots]
+            assert sorted(got, key=repr) == sorted(want, key=repr)
 
 
 class TestIwasawaLog:

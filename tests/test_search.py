@@ -10,7 +10,6 @@ import pytest
 from superchab.curve import SuperellipticCurve
 from superchab.search import (
     RationalPoint,
-    cover_image,
     enumerate_points,
     infinity_count,
     is_on_curve,
@@ -158,29 +157,6 @@ class TestOracleAgreement:
             report = enumerate_points(curve, 20)
             got = {(pt.x, pt.y) for pt in report.points}
             assert got == _oracle_points(curve, 20)
-
-
-class TestCover:
-    def test_images_land_on_quotient(self):
-        tower = SuperellipticCurve(6, [1, 0, 0, 0, 0, 0, 1])
-        top = enumerate_points(tower, 10)
-        for s in (2, 3):
-            quotient = SuperellipticCurve(s, [1, 0, 0, 0, 0, 0, 1])
-            below = {(pt.x, pt.y) for pt in enumerate_points(quotient, 10).points}
-            fibers: dict = {}
-            for pt in top.points:
-                img = cover_image(pt, 6, s)
-                assert is_on_curve(img, quotient)
-                assert (img.x, img.y) in below
-                fibers.setdefault((img.x, img.y), 0)
-                fibers[(img.x, img.y)] += 1
-            roots_of_unity = 2 if (6 // s) % 2 == 0 else 1
-            for size in fibers.values():
-                assert roots_of_unity % size == 0
-
-    def test_non_divisor(self):
-        with pytest.raises(ValueError):
-            cover_image(RationalPoint(Fraction(0), Fraction(1)), 6, 4)
 
 
 class TestVerifyBound:

@@ -16,7 +16,6 @@ from superchab.series import (
     TailBound,
     bc_integral,
     branch_root_series,
-    combine,
     count_zeros_annulus,
     formal_antiderivative,
     mu_factor,
@@ -224,15 +223,6 @@ class TestComposeInvert:
         inv = h.invert()
         prod = (h * inv).window_clipped(-1, 1)
         assert prod.agrees_with(LaurentSeries.one(Q7, ANN1), 12)
-
-    def test_combine_dispatch(self):
-        h = series({0: 2})
-        k = series({0: 3})
-        assert combine(h, k, "multiply").coefficient(0).residue() == 6
-        got = combine(h, k, "invert-first").coefficient(0)
-        assert (got - PadicNumber.from_rational(3, 2, Q7)).is_zero
-        with pytest.raises(ValueError):
-            combine(h, k, "transmogrify")
 
 
 class TestIntegration:
