@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .curve import SuperellipticCurve, genus
 from .geometry import ResidueAnnulus
-from .padic import PadicContext, PadicNumber, chabauty_prime
+from .padic import PadicContext, PadicNumber, _check_cap, chabauty_prime
 from .series import mu_factor
 
 __all__ = [
@@ -156,7 +156,7 @@ def minimal_width_differential(
     ]
     width = max(occupied) - min(occupied) if occupied else 0
     cap = m * (r + 2) // d + 1
-    assert width <= cap, f"width {width} exceeds the certificate cap {cap}"
+    _check_cap(width, cap, "width", "the certificate cap")
     return DifferentialVector(vec), width
 
 
@@ -181,7 +181,7 @@ def total_point_bound(g: int, m: int, r: int, p: int) -> int:
     """The closed-form total (8g-8)(r+3) + 2m(r+3) + (2p+2)(g-1) + 4r.
 
     p must be the least prime congruent to 1 mod m.  The sharp component
-    sum disc + annulus is recomputed and asserted to sit below the total;
+    sum disc + annulus is recomputed and checked to sit below the total;
     the total is exactly the component sum relaxed through mu <= 2.
     """
     if m <= 2:
@@ -191,7 +191,7 @@ def total_point_bound(g: int, m: int, r: int, p: int) -> int:
         raise ValueError(f"prime {p} is not the least prime = 1 mod {m} ({expected})")
     total = (8 * g - 8) * (r + 3) + 2 * m * (r + 3) + (2 * p + 2) * (g - 1) + 4 * r
     sharp = disc_point_bound(g, p, 1, r) + annulus_point_bound(g, m, p, 1, r)
-    assert sharp <= total, f"sharp total {sharp} exceeds the relaxed total {total}"
+    _check_cap(sharp, total, "sharp total", "the relaxed total")
     return total
 
 

@@ -22,13 +22,12 @@ from fractions import Fraction
 from .bounds import bound_report, stoll_reference_bound
 from .curve import SuperellipticCurve, genus, validate
 from .geometry import (
-    ChartVerificationError,
     build_cluster_tree,
     curve_branch_points,
     enumerate_maximal_annuli,
     parameterize_annulus,
 )
-from .padic import PadicContext, chabauty_prime, is_prime
+from .padic import ChartVerificationError, PadicContext, chabauty_prime, is_prime
 from .search import _frac_str, enumerate_points, verify_bound
 
 __all__ = ["CurveInput", "CurveParseError", "main", "parse_curve_input", "run"]
@@ -365,9 +364,6 @@ def _process(command: str, text: str | None, args: argparse.Namespace) -> tuple[
         return {"schema": 1, "command": command, "error": str(exc)}, EXIT_PARSE
     except ChartVerificationError as exc:
         return {"schema": 1, "command": command, "error": str(exc)}, EXIT_VERIFICATION
-    except AssertionError as exc:
-        message = f"internal verification failed: {exc}"
-        return {"schema": 1, "command": command, "error": message}, EXIT_VERIFICATION
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         return {"schema": 1, "command": command, "error": str(exc)}, EXIT_HYPOTHESIS
 

@@ -1,23 +1,30 @@
 """Residue geometry over Q_p: cluster trees of branch points, maximal
 annuli, their classification, and explicit verified chart maps.
 
-Every chart carries its own verification: the series identity
-y(z)^m = f(x(z)) is rechecked coefficientwise against a truncation-
-reliability budget, and a chart that misses its budget is an internal
-error, never a silent result.
+Every chart, on an annulus or on any of the three disc cases, is built by
+the same three steps: one branch-factor product h, one residual check of
+the identity y(z)^m = f(x(z)) and one builder for the deck sheets
+y_j = zeta_m^j * y_0.  The residual check takes an explicit budget of
+(exponent, cap) pairs: cap is the number of digits truncation leaves
+reliable at that exponent.  Exponents whose cap is below the target are
+skipped; every other coefficient must vanish to the target.  A chart that
+misses its target raises ChartVerificationError, never a silent result.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratpoly
 from .curve import SuperellipticCurve, genus
 from .padic import (
+    ChartVerificationError,
     PadicContext,
     PadicNumber,
+    _check_cap,
     _hensel_lift,
     _poly_derivative_int,
     _poly_eval_mod,
@@ -47,10 +54,6 @@ __all__ = [
     "pruned_annulus_count",
     "qp_roots",
 ]
-
-
-class ChartVerificationError(AssertionError):
-    """A constructed chart failed its own series identity check."""
 
 
 # -- root finding over Q_p -----------------------------------------------------
@@ -182,7 +185,11 @@ class ClusterTree:
 def _pair_valuation(a: PadicNumber, b: PadicNumber) -> int:
     d = a - b
     if d.is_zero:
-        raise ValueError("coincident branch points")
+        raise ValueError(
+            "coincident branch points: two of them agree to all "
+            f"{a.context.precision} digits of working precision; if they are "
+            "distinct, raise --precision"
+        )
     return d.valuation
 
 
@@ -284,7 +291,7 @@ def enumerate_maximal_annuli(
     infinity_is_branch: bool = False,
 ) -> list[ResidueAnnulus]:
     """One annulus per proper cluster: interval from the parent's depth to
-    the cluster's own.  The pruned skeleton count is asserted against the
+    the cluster's own.  The pruned skeleton count is checked against the
     leaf bound s - 3 (counting the place at infinity when it ramifies)."""
     annuli: list[ResidueAnnulus] = []
 
@@ -319,9 +326,7 @@ def enumerate_maximal_annuli(
     walk(tree.root)
     s_eff = len(tree.points) + (1 if infinity_is_branch else 0)
     pruned = pruned_annulus_count(tree, infinity_is_branch)
-    assert pruned <= max(0, s_eff - 3), (
-        f"pruned annulus count {pruned} exceeds leaf bound {max(0, s_eff - 3)}"
-    )
+    _check_cap(pruned, max(0, s_eff - 3), "pruned annulus count", "leaf bound")
     return annuli
 
 
@@ -335,14 +340,12 @@ def classify_annulus(a: ResidueAnnulus, m: int) -> str:
         if a.from_branch_pair:
             return "inverting"
         return "split" if d == 2 else "rotation"
-    label = "split" if d > 1 else "rotation"
-    assert label != "inverting"
-    return label
+    return "split" if d > 1 else "rotation"
 
 
 def annulus_orbit_count(curve: SuperellipticCurve, ctx: PadicContext) -> int:
     """Number of deck-orbits of maximal annuli (one per skeleton edge);
-    asserted against floor((4g-4)/m) + 1."""
+    checked against floor((4g-4)/m) + 1."""
     points, complete = curve_branch_points(curve, ctx)
     if not complete:
         raise ValueError("branch locus does not split over Q_p")
@@ -351,7 +354,7 @@ def annulus_orbit_count(curve: SuperellipticCurve, ctx: PadicContext) -> int:
     count = pruned_annulus_count(tree, inf_branch)
     g = genus(curve)
     cap = (4 * g - 4) // curve.m + 1
-    assert count <= cap, f"orbit count {count} exceeds cap {cap}"
+    _check_cap(count, cap, "orbit count", "cap")
     return count
 
 
@@ -394,13 +397,6 @@ class AnnulusAnalysis:
         }
 
 
-def _padic_product(vals, ctx: PadicContext) -> PadicNumber:
-    out = PadicNumber.from_int(1, ctx)
-    for v in vals:
-        out = out * v
-    return out
-
-
 def _branch_series_product(
     theta0: list[tuple[PadicNumber, int]],
     thetainf: list[tuple[PadicNumber, int]],
@@ -410,22 +406,71 @@ def _branch_series_product(
     ctx: PadicContext,
 ) -> LaurentSeries:
     """h = prod over inner points of (1 - theta/x)^(n/m) times prod over
-    outer points of (1 - x/theta)^(n/m); converges on the open annulus."""
+    outer points of (1 - x/theta)^(n/m); converges on the open annulus, or
+    on the open disc when there are no inner points.  Each partial product
+    is clipped to exponents [-order, order] on an annulus, [0, order] on a
+    disc."""
+    lo = 0 if domain.is_disc else -order
     h = LaurentSeries.one(ctx, domain)
-    for th, n in theta0:
-        if th.is_zero:
-            continue  # factor x^n is carried by the monomial part
-        # The exactly-zero side of each factor is tagged with an explicit
-        # floor so repeated products keep the full window instead of pinning
-        # at the one-sided supports.
-        fac = _pseudo_entire(branch_root_series(th, m, "plus", order=order, domain=domain))
-        for _ in range(n):
-            h = (h * fac).window_clipped(-order, order)
-    for th, n in thetainf:
-        fac = _pseudo_entire(branch_root_series(th, m, "minus", order=order, domain=domain))
-        for _ in range(n):
-            h = (h * fac).window_clipped(-order, order)
+    for side, points in (("plus", theta0), ("minus", thetainf)):
+        for th, n in points:
+            if th.is_zero:
+                continue  # factor x^n is carried by the monomial part
+            # The exactly-zero side of each factor is tagged with an explicit
+            # floor so repeated products keep the full window instead of
+            # pinning at the one-sided supports (a disc has no lower side).
+            fac = _pseudo_entire(
+                branch_root_series(th, m, side, order=order, domain=domain)
+            )
+            for _ in range(n):
+                h = (h * fac).window_clipped(lo, order)
     return h
+
+
+def _verified_digits(
+    resid: LaurentSeries, budget: Iterable[tuple[int, int]], target: int
+) -> int:
+    """Digits to which a chart residual vanishes, checked against a budget.
+
+    budget yields (exponent, cap) pairs, cap being the digits truncation
+    leaves reliable at that exponent.  Pairs with cap below target are
+    skipped; every other coefficient counts min(v, cap) digits, and a zero
+    one min(cap, working precision).
+    """
+    if target < 1:
+        raise ValueError(
+            f"verification target of {target} digits is below one p-adic "
+            "digit; use precision 2 or more"
+        )
+    precision = resid.context.precision
+    attained = None
+    for n, cap in budget:
+        if cap < target:
+            continue
+        c = resid.coefficient(n)
+        got = min(int(cap), precision) if c.is_zero else min(c.valuation, int(cap))
+        attained = got if attained is None else min(attained, got)
+    if attained is None or attained < target:
+        raise ChartVerificationError(
+            f"chart residual attains {attained}, below target {target}"
+        )
+    return attained
+
+
+def _record_charts(analysis, x_series, y0, gamma, count, m, domain, attained):
+    """Fill analysis with the count sheets y_j = zeta_m^j * y0 over x_series."""
+    charts = [ChartMap(x_series, y0, 0, domain, gamma, attained)]
+    if count > 1:
+        zeta = primitive_root_of_unity(m, gamma.context)
+        for j in range(1, count):
+            w = zeta**j
+            charts.append(
+                ChartMap(x_series, y0.scaled(w), j, domain, gamma * w, attained)
+            )
+    analysis.status = "charts"
+    analysis.charts = charts
+    analysis.attained = attained
+    return analysis
 
 
 def parameterize_annulus(
@@ -455,14 +500,10 @@ def parameterize_annulus(
 
     scaled = ratpoly.compose_linear(curve.f, Fraction(c_rat), Fraction(p) ** L)
 
-    theta0 = []
-    thetainf = []
     pl = PadicNumber.from_int(p, ctx) ** L
     c_p = PadicNumber.from_int(c_rat, ctx)
-    for th, n in a.theta_0:
-        theta0.append(((th - c_p) / pl, n))
-    for th, n in a.theta_infty:
-        thetainf.append(((th - c_p) / pl, n))
+    theta0 = [((th - c_p) / pl, n) for th, n in a.theta_0]
+    thetainf = [((th - c_p) / pl, n) for th, n in a.theta_infty]
     for th, n in theta0:
         if not th.is_zero and th.valuation < beta:
             raise ValueError("inner branch point escaped the annulus recentering")
@@ -475,7 +516,7 @@ def parameterize_annulus(
     a.d = d
     md = m // d
     lead = PadicNumber.from_fraction(scaled[-1], ctx)
-    q0 = lead * _padic_product(((-th) ** n for th, n in thetainf), ctx)
+    q0 = math.prod(((-th) ** n for th, n in thetainf), start=lead)
 
     analysis = AnnulusAnalysis(annulus=a, status="unanalyzed")
     analysis.power_tests["d_th_power(Q0)"] = str(is_mth_power(q0, d)) if d > 1 else "trivial"
@@ -532,39 +573,13 @@ def parameterize_annulus(
     )
     resid = lhs - rhs
     vq = min(0, q0.valuation)
-    attained = None
-    for n in range(resid.lo, resid.hi + 1):
-        cap_n = beta * (order + 1 - max(0, n - k0)) + vq
-        if cap_n < target:
-            continue
-        c = resid.coefficient(n)
-        got = min(int(cap_n), ctx.precision) if c.is_zero else min(c.valuation, int(cap_n))
-        attained = got if attained is None else min(attained, got)
-    if attained is None or attained < target:
-        raise ChartVerificationError(
-            f"chart residual attains {attained}, below target {target}"
-        )
-
-    zeta = primitive_root_of_unity(m, ctx)
-    charts = []
-    y_base = h_z.shifted(k0 // d).scaled(gamma)
-
-    for j in range(d):
-        y_j = y_base.scaled(zeta**j) if j else y_base
-        charts.append(
-            ChartMap(
-                x_series=x_series,
-                y_series=y_j,
-                sheet_index=j,
-                domain=z_dom,
-                gamma=gamma * zeta**j,
-                attained=attained,
-            )
-        )
-    analysis.status = "charts"
-    analysis.charts = charts
-    analysis.attained = attained
-    return analysis
+    budget = (
+        (n, beta * (order + 1 - max(0, n - k0)) + vq)
+        for n in range(resid.lo, resid.hi + 1)
+    )
+    attained = _verified_digits(resid, budget, target)
+    y0 = h_z.shifted(k0 // d).scaled(gamma)
+    return _record_charts(analysis, x_series, y0, gamma, d, m, z_dom, attained)
 
 
 # -- discs ----------------------------------------------------------------------
@@ -626,7 +641,6 @@ def parameterize_disc(
     structural count m/2 is reported.
     """
     m = curve.m
-    p = ctx.prime
     if target is None:
         target = ctx.precision // 2
     lam = spec.radius_valuation
@@ -685,14 +699,8 @@ def _disc_case_one(spec, curve, ctx, points, target) -> DiscAnalysis:
     unit_scale = PadicNumber.from_int(p ** (lam - 1), ctx)
     order = max(24, target + 8)
     dom = AnnulusSpec.disc()
-    theta_rel = []
-    for th, n in points:
-        theta_rel.append(((th - center_p) / unit_scale, n))
-    h = LaurentSeries.one(ctx, dom)
-    for th, n in theta_rel:
-        fac = branch_root_series(th, m, "minus", order=order, domain=dom)
-        for _ in range(n):
-            h = (h * fac).window_clipped(0, order)
+    theta_rel = [((th - center_p) / unit_scale, n) for th, n in points]
+    h = _branch_series_product([], theta_rel, m, order, dom, ctx)
     x_series = LaurentSeries(
         ctx,
         {0: center_p, 1: unit_scale},
@@ -714,26 +722,9 @@ def _disc_case_one(spec, curve, ctx, points, target) -> DiscAnalysis:
         dom,
     )
     resid = ypow - f_comp.window_clipped(0, order)
-    attained = ctx.precision
-    for k in range(0, order - 2):
-        c = resid.coefficient(k)
-        if not c.is_zero:
-            attained = min(attained, c.valuation)
-    if attained < target:
-        raise ChartVerificationError(
-            f"disc chart residual attains {attained}, below target {target}"
-        )
-    zeta = primitive_root_of_unity(m, ctx)
-    charts = []
-    for i in range(m):
-        yi = y0.scaled(zeta**i) if i else y0
-        charts.append(
-            ChartMap(x_series, yi, i, dom, gamma * zeta**i, attained)
-        )
-    analysis.status = "charts"
-    analysis.charts = charts
-    analysis.attained = attained
-    return analysis
+    budget = ((k, ctx.precision) for k in range(order - 2))
+    attained = _verified_digits(resid, budget, target)
+    return _record_charts(analysis, x_series, y0, gamma, m, m, dom, attained)
 
 
 def _disc_case_two(spec, curve, ctx, theta, points, target) -> DiscAnalysis:
@@ -772,14 +763,8 @@ def _disc_case_two(spec, curve, ctx, theta, points, target) -> DiscAnalysis:
     gamma = mth_root(scale * g0, m)
     order = max(24, target + 8)
     dom = AnnulusSpec.disc()
-    h = LaurentSeries.one(ctx, dom)
-    for th, n in points:
-        rel = th - theta
-        if rel.is_zero:
-            continue
-        fac = branch_root_series(rel, m, "minus", order=order, domain=dom)
-        for _ in range(n):
-            h = (h * fac).window_clipped(0, order)
+    theta_rel = [(th - theta, n) for th, n in points]
+    h = _branch_series_product([], theta_rel, m, order, dom, ctx)
     h_z = h.compose_monomial(scale, m)
     y = h_z.shifted(1).scaled(gamma)
     x_series = LaurentSeries(
@@ -792,23 +777,12 @@ def _disc_case_two(spec, curve, ctx, theta, points, target) -> DiscAnalysis:
         {k: ck for k, ck in enumerate(G) if not ck.is_zero}, ctx, dom
     )
     resid = h_pow - g_series.window_clipped(0, order)
-    attained = ctx.precision
-    for k in range(0, order - 1):
-        c = resid.coefficient(k)
-        if not c.is_zero:
-            attained = min(attained, c.valuation)
-    if attained < target:
-        raise ChartVerificationError(
-            f"disc chart residual attains {attained}, below target {target}"
-        )
-    analysis.status = "charts"
-    analysis.charts = [ChartMap(x_series, y, 0, dom, gamma, attained)]
-    analysis.attained = attained
-    return analysis
+    budget = ((k, ctx.precision) for k in range(order - 1))
+    attained = _verified_digits(resid, budget, target)
+    return _record_charts(analysis, x_series, y, gamma, 1, m, dom, attained)
 
 
 def _disc_case_three_m2(spec, curve, ctx, inside, points, target) -> DiscAnalysis:
-    p = ctx.prime
     analysis = DiscAnalysis(spec, 3, "unanalyzed")
     (t1, n1), (t2, n2) = inside
     if n1 != 1 or n2 != 1:
@@ -863,21 +837,11 @@ def _disc_case_three_m2(spec, curve, ctx, inside, points, target) -> DiscAnalysi
     f_coeffs = [PadicNumber.from_fraction(c, ctx) for c in curve.f]
     f_x = _eval_at_laurent(f_coeffs, x_series, order)
     resid = ysq - f_x
-    attained = ctx.precision
     guard = max(2, int(2 * target / max(v_b, 1)))
-    for k in range(-(order - guard), order - guard + 1):
-        cc = resid.coefficient(k)
-        if not cc.is_zero:
-            attained = min(attained, cc.valuation)
-    if attained < target:
-        raise ChartVerificationError(
-            f"disc pair chart residual attains {attained}, below target {target}"
-        )
-    analysis.status = "charts"
-    analysis.charts = [ChartMap(x_series, y, 0, dom, gamma, attained)]
-    analysis.attained = attained
+    budget = ((k, ctx.precision) for k in range(-(order - guard), order - guard + 1))
+    attained = _verified_digits(resid, budget, target)
     analysis.detail = "deck action: z -> B/(4z) with y -> -y"
-    return analysis
+    return _record_charts(analysis, x_series, y, gamma, 1, 2, dom, attained)
 
 
 def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "ChartVerificationError",
     "PadicContext",
     "PadicNumber",
     "PrecisionError",
@@ -30,6 +31,18 @@ DEFAULT_PRECISION = 20
 
 class PrecisionError(ArithmeticError):
     """Raised when an operation cannot deliver a single reliable digit."""
+
+
+class ChartVerificationError(Exception):
+    """A certificate failed its own check: a chart's series identity, or a
+    computed count or bound above the cap the theory guarantees.  It is an
+    explicit raise, so it also holds under python -O."""
+
+
+def _check_cap(value: int, cap: int, what: str, cap_name: str) -> None:
+    """Raise ChartVerificationError when a certified quantity exceeds its cap."""
+    if value > cap:
+        raise ChartVerificationError(f"{what} {value} exceeds {cap_name} {cap}")
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -383,14 +396,12 @@ def primitive_root_of_unity(m: int, ctx: PadicContext) -> PadicNumber:
     if (p - 1) % m != 0:
         raise ValueError(f"Q_{p} has no primitive {m}-th root of unity")
     divisors = [d for d in range(1, m) if m % d == 0]
-    w0 = None
-    for a in range(1, p):
-        if pow(a, m, p) != 1:
-            continue
-        if all(pow(a, d, p) != 1 for d in divisors):
-            w0 = a
+    for w0 in range(1, p):
+        if pow(w0, m, p) == 1 and all(pow(w0, d, p) != 1 for d in divisors):
             break
-    assert w0 is not None  # guaranteed: F_p^* is cyclic of order divisible by m
+    else:
+        # F_p^* is cyclic of order divisible by m, so this cannot happen
+        raise ChartVerificationError(f"no residue of order {m} modulo {p}")
     w = _hensel_lift([-1] + [0] * (m - 1) + [1], w0, p, ctx.precision)
     return PadicNumber(ctx, 0, w, ctx.precision)
 
@@ -458,5 +469,5 @@ def chabauty_prime(m: int) -> tuple[int, int]:
         if is_prime(q):
             break
         q += m
-    assert q <= corrected, "least prime exceeded the corrected elementary cap"
+    _check_cap(q, corrected, "least prime", "the corrected elementary cap")
     return q, cap

@@ -125,12 +125,10 @@ def infinity_count(curve: SuperellipticCurve) -> int:
 
 def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     """All affine points with x = a/b of height at most H, sorted by (x, y),
-    plus the infinity tally (zero at height 0, where nothing is searched).
+    plus the points at infinity, which do not depend on H.
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
-    if height == 0:
-        return SearchReport(0, [], 0, 0)
     found: list[RationalPoint] = []
     for a in range(-height, height + 1):
         for b in range(1, height + 1):

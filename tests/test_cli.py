@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import superchab.bounds
 from superchab.cli import (
     CurveParseError,
     main,
@@ -170,6 +171,32 @@ class TestSubcommands:
         code, payloads, _ = _run(capsys, ["analyze", "--m", "3", "--f", f])
         assert code == 2
         assert "split" in payloads[0]["error"]
+
+    def test_analyze_precision_one_rejected(self, capsys):
+        code, payloads, _ = _run(
+            capsys,
+            ["analyze", "--m", "3", "--f", "prod[(1,1),(-1,1),(7,1),(-7,1)]",
+             "--precision", "1"],
+        )
+        assert code == 2
+        assert "precision 2 or more" in payloads[0]["error"]
+
+    def test_analyze_precision_two_certifies_one_digit(self, capsys):
+        code, payloads, _ = _run(
+            capsys,
+            ["analyze", "--m", "3", "--f", "prod[(1,1),(-1,1),(7,1),(-7,1)]",
+             "--precision", "2"],
+        )
+        assert code == 0
+        assert payloads[0]["annuli"][0]["verification_precision"] == 1
+
+    def test_failed_certificate_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(superchab.bounds, "annulus_point_bound", lambda *a: 10**9)
+        code, payloads, _ = _run(
+            capsys, ["bound", "--m", "3", "--f", F12, "--rank", "0", "--json"]
+        )
+        assert code == 4
+        assert "exceeds the relaxed total" in payloads[0]["error"]
 
     def test_parse_error_exit_code(self, capsys):
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", "[1,0,oops]"])

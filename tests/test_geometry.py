@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import superchab.geometry
 from superchab.curve import SuperellipticCurve, genus
 from superchab.geometry import (
+    ChartVerificationError,
     DiscSpec,
     annulus_orbit_count,
     build_cluster_tree,
@@ -22,6 +24,7 @@ from superchab.padic import (
     is_mth_power,
     primitive_root_of_unity,
 )
+from superchab.series import LaurentSeries
 
 Q7 = PadicContext(7, 20)
 Q13 = PadicContext(13, 20)
@@ -110,6 +113,12 @@ class TestClusterTree:
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
             build_cluster_tree(from_ints([1, 1, 2], Q7))
+
+    def test_coincidence_names_the_precision(self):
+        # 1 and 1 + 7^20 are distinct but agree to all 20 working digits
+        pts = [PadicNumber.from_int(1, Q7), PadicNumber.from_int(1 + 7**20, Q7)]
+        with pytest.raises(ValueError, match="20 digits.*raise --precision"):
+            build_cluster_tree(pts)
 
     def test_multiplicity_weighting(self):
         tree = build_cluster_tree(from_ints([7, -7, 1], Q7), [2, 1, 1])
@@ -326,3 +335,155 @@ class TestInertBranch:
         analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
         assert analysis.status == "unanalyzed"
         assert "bound still valid" in analysis.detail
+
+
+def _first_annulus_analysis(curve, ctx):
+    pts, _ = curve_branch_points(curve, ctx)
+    tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
+    a = enumerate_maximal_annuli(tree, m=curve.m)[0]
+    return parameterize_annulus(a, curve, ctx)
+
+
+_K = 169**2
+CHART_CASES = {
+    "rotation_annulus": lambda: _first_annulus_analysis(
+        SuperellipticCurve.from_branch_points(3, 1, [(1, 1), (-1, 1), (7, 1), (-7, 1)]),
+        Q7,
+    ),
+    "split_annulus": lambda: _first_annulus_analysis(
+        SuperellipticCurve(4, [Fraction(c) for c in (_K, 0, -(_K + 1), 0, 1)]), Q13
+    ),
+    "disc_case_one": lambda: parameterize_disc(
+        DiscSpec(Fraction(0)), SuperellipticCurve(3, [-8, 0, 14, 0, -7, 0, 1]), Q7
+    ),
+    "disc_case_two": lambda: parameterize_disc(
+        DiscSpec(Fraction(0)), SuperellipticCurve(3, [0, -2, 0, 1]), Q7
+    ),
+    "disc_case_three": lambda: parameterize_disc(
+        DiscSpec(Fraction(0)), SuperellipticCurve(2, [-98, 0, 51, 0, -1]), Q7
+    ),
+}
+
+# (attained, [(gamma, x, y) per sheet]) with every value reduced mod
+# p^(precision/2) and zero residues left out; captured from the chart code
+# before its verifier was shared.
+CHART_GOLDEN = {
+    "rotation_annulus": (10, [(
+        146507973,
+        {3: 1},
+        {-22: 46118408, -16: 128237410, -10: 251538364, -4: 220803457,
+         2: 149782839, 8: 90978208, 14: 147283663, 20: 276581884,
+         26: 222168556, 32: 242147105, 38: 252217077, 44: 250400047,
+         50: 185993924, 56: 110437718, 62: 63292195, 68: 126375070,
+         74: 10900510},
+    )]),
+    "split_annulus": (10, [
+        (
+            85658552022,
+            {2: 2},
+            {-7: 48943843260, -3: 119810024802, 1: 119205902768,
+             5: 41341161871, 9: 119444814938, 13: 5754041032,
+             17: 63458848200, 21: 12377223789, 25: 2607058449,
+             29: 80836415976, 33: 136750160034, 37: 82204901377,
+             41: 84252946372, 45: 23918645855, 49: 127937421313},
+        ),
+        (
+            52199939825,
+            {2: 2},
+            {-7: 117465223824, -3: 110124075750, 1: 61988280062,
+             5: 22438778524, 9: 131341386107, 13: 59466144915,
+             17: 89579779467, 21: 85350813939, 25: 82068541712,
+             29: 2196413005, 33: 108832065949, 37: 687141200,
+             41: 98463005938, 45: 110242953769, 49: 65162568276},
+        ),
+    ]),
+    "disc_case_one": (20, [
+        (
+            271934554,
+            {1: 1},
+            {0: 271934554, 2: 76767551, 4: 29936900, 6: 257477044,
+             8: 56262248, 10: 99636964, 12: 197460832, 14: 47188974,
+             16: 54017495, 18: 86106557, 20: 134782298, 22: 115978121,
+             24: 48779907},
+        ),
+        (
+            10540697,
+            {1: 1},
+            {0: 10540697, 2: 252786905, 4: 185842804, 6: 194897477,
+             8: 267334655, 10: 218709239, 12: 81695541, 14: 65394154,
+             16: 126113981, 18: 159949485, 20: 281915536, 22: 57221311,
+             24: 263574929},
+        ),
+        (
+            282475247,
+            {1: 1},
+            {0: 282475247, 2: 235396042, 4: 66695545, 6: 112575977,
+             8: 241353595, 10: 246604295, 12: 3318876, 14: 169892121,
+             16: 102343773, 18: 36419207, 20: 148252664, 22: 109275817,
+             24: 252595662},
+        ),
+    ]),
+    "disc_case_two": (20, [(
+        94670661,
+        {3: 3},
+        {1: 94670661, 7: 281706882, 13: 140085074, 19: 67737436,
+         25: 203212308, 31: 218640218, 37: 200290265, 43: 104147914,
+         49: 249317053, 55: 155368831, 61: 12740418, 67: 24702994,
+         73: 98811976},
+    )]),
+    "disc_case_three": (20, [(
+        266983762,
+        {-1: 211856449, 1: 1},
+        {-3: 148943634, -1: 99721811, 1: 164803474, 3: 10070404,
+         5: 244832533, 7: 75671941, 9: 5599186, 11: 127457001,
+         13: 194437334, 15: 124849458, 17: 275095144, 19: 267833302,
+         21: 185490470, 23: 108857164, 25: 115741122, 27: 204051736},
+    )]),
+}
+
+
+def _residues(series, digits):
+    out = {}
+    for n, c in sorted(series.coefficients.items()):
+        r = c.value_mod(digits)
+        if r:
+            out[n] = r
+    return out
+
+
+class TestChartGolden:
+    """Every chart kind pinned to its values mod p^(precision/2)."""
+
+    @pytest.mark.parametrize("name", sorted(CHART_CASES))
+    def test_values(self, name):
+        analysis = CHART_CASES[name]()
+        attained, sheets = CHART_GOLDEN[name]
+        assert analysis.status == "charts"
+        assert analysis.attained == attained
+        assert len(analysis.charts) == len(sheets)
+        for chart, (gamma, x, y) in zip(analysis.charts, sheets):
+            digits = chart.gamma.context.precision // 2
+            assert chart.attained == attained
+            assert chart.gamma.value_mod(digits) == gamma
+            assert _residues(chart.x_series, digits) == x
+            assert _residues(chart.y_series, digits) == y
+
+    @pytest.mark.parametrize("name", sorted(CHART_CASES))
+    def test_planted_branch_fault_is_caught(self, name, monkeypatch):
+        # a branch factor wrong in its first-order coefficient by p^3 must
+        # make the residual check fail at exactly three digits
+        honest = superchab.geometry.branch_root_series
+
+        def faulty(theta, m, side, order, domain):
+            s = honest(theta, m, side, order=order, domain=domain)
+            ctx = s.context
+            n = 1 if side == "minus" else -1
+            coeffs = dict(s.coefficients)
+            coeffs[n] = coeffs[n] + PadicNumber.from_int(ctx.prime**3, ctx)
+            return LaurentSeries(
+                ctx, coeffs, s.domain, s.lo, s.hi, s.tail_below, s.tail_above
+            )
+
+        monkeypatch.setattr(superchab.geometry, "branch_root_series", faulty)
+        with pytest.raises(ChartVerificationError, match="attains 3, below target 10"):
+            CHART_CASES[name]()

@@ -105,7 +105,7 @@ class TestEnumerate:
         report = enumerate_points(curve, 0)
         assert report.points == []
         assert report.count == 0
-        assert report.infinity_count == 0
+        assert report.infinity_count == 1
 
     def test_soundness_and_order(self):
         curve = SuperellipticCurve(2, [0, 1, 0, 0, 1])
