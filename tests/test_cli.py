@@ -198,6 +198,14 @@ class TestSubcommands:
         assert code == 4
         assert "exceeds the relaxed total" in payloads[0]["error"]
 
+    def test_search_height_limit(self, capsys):
+        code, payloads, _ = _run(
+            capsys,
+            ["search", "--m", "3", "--f", "[1,0,0,0,1]", "--height", "10001", "--json"],
+        )
+        assert code == 2
+        assert "10000" in payloads[0]["error"]
+
     def test_parse_error_exit_code(self, capsys):
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", "[1,0,oops]"])
         assert code == 3

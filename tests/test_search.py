@@ -1,21 +1,26 @@
-"""Point search: exact membership, the height-H sweep against an
-independent oracle, infinity accounting, covers, and bound verification."""
+"""Point search: exact membership, the sieved height-H sweep against the
+Fraction double loop it replaced and an independent oracle, the height
+limit, infinity accounting, and bound verification."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from superchab import ratpoly
 from superchab.curve import SuperellipticCurve
 from superchab.search import (
+    MAX_SEARCH_HEIGHT,
     RationalPoint,
+    SearchReport,
     enumerate_points,
     infinity_count,
     is_on_curve,
     verify_bound,
 )
-from superchab.search import _iroot
+from superchab.search import _iroot, _rational_mth_roots
 
 
 def _bisect_root(n: int, k: int) -> tuple[int, bool]:
@@ -56,6 +61,43 @@ def _oracle_points(curve: SuperellipticCurve, height: int) -> set:
                 if okn:
                     pts.add((x, Fraction(-nn, dn)))
     return pts
+
+
+def _fraction_loop(curve: SuperellipticCurve, height: int) -> SearchReport:
+    """The unsieved search: f over Q at every coprime (a, b)."""
+    found: list[RationalPoint] = []
+    for a in range(-height, height + 1):
+        for b in range(1, height + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            x = Fraction(a, b)
+            for y in _rational_mth_roots(curve.evaluate_f(x), curve.m):
+                found.append(RationalPoint(x, y))
+    found.sort(key=lambda pt: (pt.x, pt.y))
+    return SearchReport(height, found, len(found), infinity_count(curve))
+
+
+def _sweep_curve(rng: random.Random, m: int, d: int) -> SuperellipticCurve:
+    """Degree d with one or two planted rational roots (points with y = 0),
+    coefficients with denominators up to 12, a leading coefficient of
+    either sign, and, where the cofactor has a constant term to spare, a
+    planted point with y != 0."""
+    roots = [
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for _ in range(rng.randint(1, min(2, d)))
+    ]
+    lead = rng.choice([-1, 1]) * Fraction(rng.randint(1, 7), rng.randint(1, 12))
+    g = [Fraction(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(d - len(roots))]
+    g.append(lead)
+    x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    base = math.prod(x0 - r for r in roots)
+    if len(g) > 1 and base != 0:
+        y0 = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
+        g[0] += y0 ** m / base - ratpoly.evaluate(g, x0)
+    f = g
+    for r in roots:
+        f = ratpoly.mul(f, [-r, Fraction(1)])
+    return SuperellipticCurve(m, f)
 
 
 class TestIntegerRoot:
@@ -123,6 +165,41 @@ class TestEnumerate:
         assert {(p.x, p.y) for p in small.points} <= {
             (p.x, p.y) for p in large.points
         }
+
+
+class TestSieveAgainstFractionLoop:
+    def test_seeded_sweep(self):
+        rng = random.Random(4099)
+        signs, zero_y, nonzero_y, divisible = set(), 0, 0, set()
+        for i in range(90):
+            m, d = 2 + i % 5, 1 + i % 9
+            curve = _sweep_curve(rng, m, d)
+            height = i % 26
+            got = enumerate_points(curve, height).to_json_dict()
+            assert got == _fraction_loop(curve, height).to_json_dict(), (m, curve.f, height)
+            signs.add(curve.leading_coefficient > 0)
+            divisible.add(d % m == 0)
+            zero_y += sum(p["y"] == "0/1" for p in got["points"])
+            nonzero_y += sum(p["y"] != "0/1" for p in got["points"])
+        assert signs == {True, False} and divisible == {True, False}
+        assert zero_y > 0 and nonzero_y > 0
+
+    def test_prime_m_beyond_the_sieve_range(self):
+        # 1000003 is prime, so no prime q < 100 has m | q - 1 and nothing is
+        # sieved; forming N = G den^(m-1) b^(D-d) would take seconds here
+        curve = SuperellipticCurve(1000003, [1, 0, 1])
+        start = time.process_time()
+        report = enumerate_points(curve, 5)
+        assert time.process_time() - start < 5.0
+        assert report.to_json_dict() == _fraction_loop(curve, 5).to_json_dict()
+        assert [(pt.x, pt.y) for pt in report.points] == [(Fraction(0), Fraction(1))]
+
+
+class TestHeightLimit:
+    def test_above_limit_rejected(self):
+        curve = SuperellipticCurve(3, [1, 0, 0, 0, 1])
+        with pytest.raises(ValueError, match="10000"):
+            enumerate_points(curve, MAX_SEARCH_HEIGHT + 1)
 
 
 class TestInfinity:
