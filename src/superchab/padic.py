@@ -1,15 +1,25 @@
 """Exact arithmetic in Q_p at a fixed working precision.
 
 A nonzero element is stored as p^valuation * unit, with the unit kept as an
-integer modulo p^known.  The valuation is always exact; `known` is the number
-of reliable unit digits and shrinks when additive cancellation eats into the
-window.  Nothing here uses floating point.
+integer modulo p^known (1 <= known <= precision).  The valuation is always
+exact; `known` is the number of reliable unit digits and shrinks when
+additive cancellation eats into the window.  Nothing here uses floating
+point.
+
+The sum rule (the additive window, the digits lost to cancellation, the
+collapse to exact zero) is one function, `_sum_triples`, on plain
+(valuation, unit, known) integer triples.  `PadicNumber.__add__` and the
+product kernel of `series.LaurentSeries` both call it.  Each `PadicContext`
+builds its table p^0..p^precision once (`PadicContext.powers`), and the
+arithmetic reads moduli from it.  The precision is capped at MAX_PRECISION,
+so the table stays small.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 __all__ = [
@@ -27,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_PRECISION = 20
+# The power table of a context holds O(precision^2) bits.
+MAX_PRECISION = 1000
 
 
 class PrecisionError(ArithmeticError):
@@ -112,6 +124,58 @@ class PadicContext:
             raise ValueError(f"{self.prime} is not prime")
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
+        if self.precision > MAX_PRECISION:
+            raise ValueError(
+                f"precision {self.precision} exceeds the limit {MAX_PRECISION}"
+            )
+
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """p^0, p^1, ..., p^precision: the moduli of every known digit count."""
+        p = self.prime
+        table = [1]
+        for _ in range(self.precision):
+            table.append(table[-1] * p)
+        return tuple(table)
+
+
+Triple = tuple[int, int, int]
+
+
+def _sum_triples(a: Triple, b: Triple, powers: tuple[int, ...]) -> Triple | None:
+    """The p-adic sum of two nonzero elements given as (valuation, unit,
+    known) triples; `powers` is their context's table p^0..p^precision.
+
+    The sum is known modulo the coarser of the two absolute precisions, so
+    its window is that precision minus the lower valuation (at most the
+    lower summand's `known`, hence at most the precision).  Cancellation of
+    t leading digits leaves window - t known unit digits.  Returns None when
+    the sum vanishes in the whole window: it is then taken for exact zero.
+
+    Raises:
+        PrecisionError: if the window is empty, so not a single digit of the
+            sum is known (only a summand with known 0 gets there).
+    """
+    va, ua, ka = a
+    vb, ub, kb = b
+    if vb < va:
+        va, ua, ka, vb, ub, kb = vb, ub, kb, va, ua, ka
+    d = vb - va
+    window = kb + d if kb + d < ka else ka
+    if window <= 0:
+        raise PrecisionError("additive window exhausted")
+    if d < window:
+        s = (ua + ub * powers[d]) % powers[window]
+    else:
+        s = ua % powers[window]
+    if s == 0:
+        return None
+    p = powers[1]
+    t = 0
+    while s % p == 0:
+        s //= p
+        t += 1
+    return va + t, s, window - t
 
 
 @dataclass(frozen=True)
@@ -153,7 +217,7 @@ class PadicNumber:
         va, vb = _vp(a, p), _vp(b, p)
         ua = a // p**va
         ub = b // p**vb
-        mod = p**n
+        mod = ctx.powers[n]
         unit = ua * pow(ub, -1, mod) % mod
         return PadicNumber(ctx, va - vb, unit, n)
 
@@ -232,7 +296,7 @@ class PadicNumber:
     def __neg__(self) -> "PadicNumber":
         if self.is_zero:
             return self
-        mod = self.context.prime**self.known
+        mod = self.context.powers[self.known]
         return PadicNumber(self.context, self.valuation, (-self.unit) % mod, self.known)
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
@@ -241,23 +305,15 @@ class PadicNumber:
             return other
         if other.is_zero:
             return self
-        p = self.context.prime
-        v = min(self.valuation, other.valuation)
-        window = min(self.abs_precision, other.abs_precision) - v
-        if window <= 0:
-            raise PrecisionError("additive window exhausted")
-        mod = p**window
-        s = (
-            self.unit * p ** (self.valuation - v)
-            + other.unit * p ** (other.valuation - v)
-        ) % mod
-        if s == 0:
-            return PadicNumber.zero(self.context)
-        t = _vp(s, p)
-        known = min(window - t, self.context.precision)
-        if known <= 0:
-            return PadicNumber.zero(self.context)
-        return PadicNumber(self.context, v + t, (s // p**t) % p**known, known)
+        ctx = self.context
+        total = _sum_triples(
+            (self.valuation, self.unit, self.known),
+            (other.valuation, other.unit, other.known),
+            ctx.powers,
+        )
+        if total is None:
+            return PadicNumber.zero(ctx)
+        return PadicNumber(ctx, *total)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         return self + (-other)
@@ -267,7 +323,7 @@ class PadicNumber:
         if self.is_zero or other.is_zero:
             return PadicNumber.zero(self.context)
         known = min(self.known, other.known)
-        mod = self.context.prime**known
+        mod = self.context.powers[known]
         return PadicNumber(
             self.context,
             self.valuation + other.valuation,
@@ -282,7 +338,7 @@ class PadicNumber:
         if self.is_zero:
             return self
         known = min(self.known, other.known)
-        mod = self.context.prime**known
+        mod = self.context.powers[known]
         return PadicNumber(
             self.context,
             self.valuation - other.valuation,
@@ -297,7 +353,7 @@ class PadicNumber:
             if n < 0:
                 raise ZeroDivisionError("negative power of zero")
             return self
-        mod = self.context.prime**self.known
+        mod = self.context.powers[self.known]
         u = pow(self.unit, -1, mod) if n < 0 else self.unit
         return PadicNumber(
             self.context,

@@ -8,6 +8,14 @@ is the standard domain; a disc is the same with nonnegative exponents only.
 
 The window never silently swallows known-nonzero mass: shifting or growing
 past the hard cap raises instead of truncating.
+
+Products convolve plain (valuation, unit, known) integer triples and build
+one PadicNumber per output coefficient.  Each pair's product keeps the
+lesser `known`, as `PadicNumber.__mul__` does; each sum goes through the one
+p-adic sum rule, `padic._sum_triples`, with moduli read from the context's
+power table.  The pairs are summed in the order of a double loop over the
+two coefficient dicts, so every `known` is the one PadicNumber arithmetic
+would give.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicContext, PadicNumber, PrecisionError, _ilog
+from .padic import PadicContext, PadicNumber, PrecisionError, _ilog, _sum_triples
 
 __all__ = [
     "AnnulusSpec",
@@ -284,15 +292,29 @@ class LaurentSeries:
         return Fraction(min(vals)) if vals else Fraction(0)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        ctx = self.context
+        if other.context != ctx:
+            raise ValueError("mixed p-adic contexts")
         domain = self._join_domain(other)
         lo = self.lo + other.lo
         hi = self.hi + other.hi
-        acc: dict[int, PadicNumber] = {}
+        # Convolve (valuation, unit, known) triples in the pair order of a
+        # PadicNumber double loop: each product as in PadicNumber.__mul__,
+        # each sum through the shared rule.  None marks an exact zero; like a
+        # missing exponent it takes the next product as it is, and it keeps
+        # its place in the key order.
+        powers = ctx.powers
+        right = [(j, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
+        acc: dict[int, tuple[int, int, int] | None] = {}
+        get = acc.get
         for i, a in self.coefficients.items():
-            for j, b in other.coefficients.items():
+            va, ua, ka = a.valuation, a.unit, a.known
+            for j, vb, ub, kb in right:
                 n = i + j
-                prod = a * b
-                acc[n] = acc[n] + prod if n in acc else prod
+                k = ka if ka < kb else kb
+                prod = (va + vb, ua * ub % powers[k], k)
+                prev = get(n)
+                acc[n] = prod if prev is None else _sum_triples(prev, prod, powers)
         # Knowledge boundaries: an entire side of one factor extends the other
         # factor's window by its extreme stored exponent; a truncated side pins
         # the result at the sum of the truncated edges.
@@ -312,7 +334,11 @@ class LaurentSeries:
         hi = min(hi, MAX_WINDOW)
         if lo > hi:
             raise PrecisionError("product window collapsed")
-        coeffs = {n: c for n, c in acc.items() if lo <= n <= hi}
+        coeffs = {
+            n: PadicNumber(ctx, *c)
+            for n, c in acc.items()
+            if c is not None and lo <= n <= hi
+        }
         below = above = None
         if not (self.tail_below is None and other.tail_below is None):
             slope = min(
@@ -332,7 +358,7 @@ class LaurentSeries:
                 if t is not None:
                     offs.append(t.at(1) + s._min_stored_valuation())
             above = TailBound(slope, min(offs))
-        return LaurentSeries(self.context, coeffs, domain, lo, hi, below, above)
+        return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
 
     def __pow__(self, m: int) -> "LaurentSeries":
         if m < 0:

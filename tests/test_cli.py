@@ -181,6 +181,15 @@ class TestSubcommands:
         assert code == 2
         assert "precision 2 or more" in payloads[0]["error"]
 
+    def test_analyze_precision_limit(self, capsys):
+        code, payloads, _ = _run(
+            capsys,
+            ["analyze", "--m", "3", "--f", "prod[(1,1),(-1,1),(7,1),(-7,1)]",
+             "--precision", "1001", "--json"],
+        )
+        assert code == 2
+        assert "exceeds the limit 1000" in payloads[0]["error"]
+
     def test_analyze_precision_two_certifies_one_digit(self, capsys):
         code, payloads, _ = _run(
             capsys,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from superchab.geometry import qp_roots
 from superchab.padic import (
+    MAX_PRECISION,
     PadicContext,
     PadicNumber,
     _hensel_lift,
@@ -52,6 +53,18 @@ class TestRepresentation:
     def test_context_rejects_composite(self):
         with pytest.raises(ValueError):
             PadicContext(10, 20)
+
+    def test_context_precision_limit(self):
+        assert PadicContext(7, MAX_PRECISION).precision == 1000
+        with pytest.raises(ValueError, match="exceeds the limit 1000"):
+            PadicContext(7, MAX_PRECISION + 1)
+
+    def test_power_table_built_once(self):
+        ctx = PadicContext(13, 40)
+        assert ctx.powers == tuple(13**k for k in range(41))
+        assert ctx.powers is ctx.powers
+        # the table is a cache, not part of the context's value
+        assert ctx == PadicContext(13, 40)
 
     @given(
         a=st.integers(min_value=-(10**6), max_value=10**6),

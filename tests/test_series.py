@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superchab.padic import PadicContext, PadicNumber, iwasawa_log
+from superchab.padic import PadicContext, PadicNumber, PrecisionError, _vp, iwasawa_log
 from superchab.series import (
     AnnulusSpec,
     LaurentSeries,
@@ -82,6 +82,141 @@ class TestRingOps:
     def test_mul_commutes(self, d1, d2):
         a, b = series(d1 or {0: 1}), series(d2 or {0: 1})
         assert (a * b).agrees_with(b * a, 18)
+
+
+# -- the PadicNumber double loop the triple kernel replaced, as an oracle ------
+
+
+def _oracle_add(a, b, seen):
+    """PadicNumber.__add__ as it was before the shared sum rule; `seen`
+    counts the exact and partial cancellations it meets."""
+    if a.context != b.context:
+        raise ValueError("mixed p-adic contexts")
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    p = a.context.prime
+    v = min(a.valuation, b.valuation)
+    window = min(a.abs_precision, b.abs_precision) - v
+    if window <= 0:
+        raise PrecisionError("additive window exhausted")
+    mod = p**window
+    s = (a.unit * p ** (a.valuation - v) + b.unit * p ** (b.valuation - v)) % mod
+    if s == 0:
+        seen["exact"] += 1
+        return PadicNumber.zero(a.context)
+    t = _vp(s, p)
+    seen["partial"] += t > 0
+    known = min(window - t, a.context.precision)
+    if known <= 0:
+        return PadicNumber.zero(a.context)
+    return PadicNumber(a.context, v + t, (s // p**t) % p**known, known)
+
+
+def _oracle_mul(a, b):
+    """PadicNumber.__mul__ of two nonzero numbers, as it was."""
+    if a.context != b.context:
+        raise ValueError("mixed p-adic contexts")
+    known = min(a.known, b.known)
+    mod = a.context.prime**known
+    return PadicNumber(a.context, a.valuation + b.valuation, a.unit * b.unit % mod, known)
+
+
+def _oracle_products(x, y, seen):
+    """The dict-of-PadicNumber double loop of LaurentSeries.__mul__."""
+    acc = {}
+    for i, a in x.coefficients.items():
+        for j, b in y.coefficients.items():
+            n = i + j
+            prod = _oracle_mul(a, b)
+            acc[n] = _oracle_add(acc[n], prod, seen) if n in acc else prod
+    return acc
+
+
+def _triples(items):
+    return [(n, (c.valuation, c.unit, c.known)) for n, c in items]
+
+
+def _random_coefficient(rng, ctx):
+    p, prec = ctx.prime, ctx.precision
+    roll = rng.random()
+    # mostly full precision, some fewer digits, a few with no digit known
+    # (the only way to exhaust an additive window)
+    known = prec if roll < 0.5 else (0 if roll > 0.98 else rng.randint(1, prec))
+    unit = rng.randrange(1, p ** (known + 1))
+    if unit % p == 0:
+        unit += 1
+    return PadicNumber(ctx, rng.randint(-6, 6), unit % p**known, known)
+
+
+def _truncated(c, known):
+    """c with only `known` unit digits kept."""
+    p = c.context.prime
+    known = min(known, c.known)
+    return PadicNumber(c.context, c.valuation, c.unit % p**known, known)
+
+
+def _random_pair(rng):
+    """Two annulus series over one context; often with a planted cancellation
+    and sometimes with a truncated side that clips the product window."""
+    ctx = PadicContext(rng.choice((3, 5, 7, 13)), rng.randint(2, 40))
+    p = ctx.prime
+    xs, ys = (
+        {rng.randint(-5, 5): _random_coefficient(rng, ctx) for _ in range(rng.randint(1, 6))}
+        for _ in range(2)
+    )
+    if len(xs) >= 2 and rng.random() < 0.6:
+        # plant x_i1*y_j1 + x_i2*y_j2 = p^r*w, exactly 0 when w = 0
+        i1, i2 = rng.sample(sorted(xs), 2)
+        j1 = rng.choice(sorted(ys))
+        j2 = i1 + j1 - i2
+        w = rng.choice((0, rng.randint(1, 50)))
+        r = xs[i1].valuation + ys[j1].valuation + rng.randint(1, 8)
+        target = Fraction(p) ** r * w - xs[i1].lift_fraction() * ys[j1].lift_fraction()
+        if target and all(xs[i].known and ys[j1].known for i in (i1, i2)):
+            exact = PadicNumber.from_fraction(target / xs[i2].lift_fraction(), ctx)
+            keep = ctx.precision if rng.random() < 0.6 else rng.randint(1, ctx.precision)
+            ys[j2] = _truncated(exact, keep)
+    x = LaurentSeries.from_dict(xs, ctx, ANN1)
+    y = LaurentSeries.from_dict(ys, ctx, ANN1)
+    if rng.random() < 0.25:
+        x = LaurentSeries(
+            ctx, x.coefficients, ANN1, x.lo, x.hi + rng.randint(0, 2),
+            None, TailBound(Fraction(1)),
+        )
+    return x, y
+
+
+class TestProductOracle:
+    def test_seeded_sweep(self):
+        rng = random.Random(20240531)
+        seen = {"exact": 0, "partial": 0, "raised": 0, "clipped": 0}
+        for _ in range(2400):
+            x, y = _random_pair(rng)
+            try:
+                acc = _oracle_products(x, y, seen)
+            except PrecisionError:
+                seen["raised"] += 1
+                with pytest.raises(PrecisionError):
+                    x * y
+                continue
+            got = x * y
+            nonzero = [(n, c) for n, c in acc.items() if not c.is_zero]
+            want = [(n, c) for n, c in nonzero if got.lo <= n <= got.hi]
+            seen["clipped"] += len(want) < len(nonzero)
+            assert _triples(got.coefficients.items()) == _triples(want)
+        # the sweep must reach every branch of the sum rule
+        assert seen["exact"] >= 300
+        assert seen["partial"] >= 150
+        assert seen["raised"] >= 30
+        assert seen["clipped"] >= 100
+
+    def test_mixed_contexts_rejected(self):
+        a = series({0: 1, 1: 2})
+        b = series({0: 1, 1: 2}, ctx=PadicContext(7, 30))
+        with pytest.raises(ValueError, match="mixed p-adic contexts"):
+            a * b
 
 
 class TestNewtonPolygon:
