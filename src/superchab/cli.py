@@ -27,7 +27,7 @@ from .geometry import (
     enumerate_maximal_annuli,
     parameterize_annulus,
 )
-from .padic import ChartVerificationError, PadicContext, chabauty_prime, is_prime
+from .padic import ChartVerificationError, PadicContext, chabauty_prime, check_m, is_prime
 from .search import _frac_str, enumerate_points, verify_bound
 
 __all__ = ["CurveInput", "CurveParseError", "main", "parse_curve_input", "run"]
@@ -280,7 +280,13 @@ def _run_verify(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     return payload
 
 
+# the commands that need the least prime = 1 mod m, so m <= padic.MAX_M
+_LEAST_PRIME_COMMANDS = ("prime", "bound", "analyze", "verify")
+
+
 def run(command: str, cin: CurveInput) -> dict:
+    if command in _LEAST_PRIME_COMMANDS:
+        check_m(cin.m)
     if command == "prime":
         return _run_prime(cin)
     curve = cin.build_curve()

@@ -24,10 +24,12 @@ from fractions import Fraction
 
 __all__ = [
     "ChartVerificationError",
+    "MAX_M",
     "PadicContext",
     "PadicNumber",
     "PrecisionError",
     "chabauty_prime",
+    "check_m",
     "euler_phi",
     "is_prime",
     "iwasawa_log",
@@ -39,6 +41,10 @@ __all__ = [
 DEFAULT_PRECISION = 20
 # The power table of a context holds O(precision^2) bits.
 MAX_PRECISION = 1000
+# The reporting cap 2^phi(m) - 1 of chabauty_prime has about 0.3*phi(m)
+# digits; below this limit it stays under Python's 4300-digit int-to-str
+# limit, so the prime command can print it.
+MAX_M = 10_000
 
 
 class PrecisionError(ArithmeticError):
@@ -506,6 +512,17 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
 # -- the working prime -------------------------------------------------------
 
 
+def check_m(m: int) -> None:
+    """Raise ValueError when m is outside 2..MAX_M, the range in which the
+    least prime and its reporting cap are computed."""
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if m > MAX_M:
+        raise ValueError(
+            f"m = {m} exceeds the limit MAX_M = {MAX_M} for the least prime = 1 mod m"
+        )
+
+
 def chabauty_prime(m: int) -> tuple[int, int]:
     """Least prime p = 1 mod m, together with the reporting cap 2^phi(m) - 1.
 
@@ -514,16 +531,18 @@ def chabauty_prime(m: int) -> tuple[int, int]:
     {2, 3, 4, 6, 8} the least prime (3, 7, 5, 7, 17) already exceeds
     2^phi(m) - 1, while 2^(phi(m)+1) - 1 holds in every case (and is tight
     at m = 2, 3, 6).  The cap is therefore returned for reporting but only
-    the corrected bound is enforced.
+    the corrected bound is enforced, by bit length.  Raises ValueError for
+    m outside 2..MAX_M.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    cap = 2 ** euler_phi(m) - 1
-    corrected = 2 ** (euler_phi(m) + 1) - 1
+    check_m(m)
+    phi = euler_phi(m)
     q = m + 1
     while True:
         if is_prime(q):
             break
         q += m
-    _check_cap(q, corrected, "least prime", "the corrected elementary cap")
-    return q, cap
+    if q.bit_length() > phi + 1:  # q > 2^(phi+1) - 1
+        raise ChartVerificationError(
+            f"least prime {q} exceeds the corrected elementary cap 2^{phi + 1} - 1"
+        )
+    return q, 2 ** phi - 1

@@ -3,10 +3,13 @@ with exact membership tests and bound-versus-observation verification.
 
 Height of x = a/b (reduced, b > 0) is max(|a|, |b|).  The search works on
 the integer form of f: with den the lcm of the coefficient denominators and
-G(a, b) = sum den*f_k a^k b^(d-k), f(a/b) = G / (den*b^d).  Residue tests
-modulo small primes reject almost every (a, b) before any exact arithmetic,
-an integer root test rejects most of the rest, and every point reported is
-confirmed over Q.  Nothing here touches floating point.
+G(a, b) = sum den*f_k a^k b^(d-k), f(a/b) = G / (den*b^d).  For each small
+sieve prime q one table over the q + 1 points of P^1(F_q) records where the
+homogeneous form N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power
+residue; every row b of the search reads its residue mask off that table,
+which rejects almost every (a, b) before any exact arithmetic.  An integer
+root test rejects most of the rest, and every point reported is confirmed
+over Q.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ __all__ = [
 ]
 
 # A row of the sieve is a 2H+1 bit mask and the work grows like H^2; at this
-# height a search takes 3 to 15 s of CPU on a 2-core x86 host for the README
-# curves and degree-16 hyperelliptic ones.
+# height a search takes about 1 s of CPU on a 2-core x86 host (Python 3.11)
+# for the README curves and y^3 = x^12 + 1, and 13 to 17 s for degree-16
+# hyperelliptic curves and a degree-12 cubic with 12 rational roots, where
+# more (a, b) survive the sieve.
 MAX_SEARCH_HEIGHT = 10_000
 
 # Sieve primes are taken from this fixed range, so an m with no usable prime
@@ -146,39 +151,66 @@ def _sieve_primes(m: int) -> list[int]:
     return [q for q in _ODD_PRIMES if math.gcd(m, q - 1) > 1][:_MAX_SIEVE_PRIMES]
 
 
-def _row_mask(ints: list[int], den: int, m: int, q: int, powers: set[int],
-              b: int, height: int) -> int:
-    """Bit i is set when a = i - H leaves N = G(a, b) den^(m-1) b^(D-d),
-    with D = m*ceil(d/m), in powers, the m-th power residues mod q."""
+def _sieve_tables(
+    ints: list[int], den: int, m: int, height: int
+) -> list[tuple[int, list[int], int]]:
+    """One table per sieve prime q: (q, table, repeat).  table has one
+    entry for each of the q + 1 points of P^1(F_q), 1 where the form
+    N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power residue mod
+    q (0 counted) and 0 where it is not: table[t] for (t : 1), table[q] for
+    (1 : 0).  repeat copies a q-bit pattern across the 2H+1 bits of a row.
+
+    N is homogeneous of degree D, so N(l a, l b) = l^D N(a, b) for a unit l,
+    and l^D is a nonzero m-th power: the test depends only on (a : b).
+    """
     d = len(ints) - 1
-    scale = pow(den, m - 1, q) * pow(b, m * -(-d // m) - d, q)
-    coeffs = [c * pow(b, d - k, q) * scale % q for k, c in enumerate(ints)][::-1]
-    pattern = 0
-    for j in range(q):
-        r, v = (j - height) % q, 0
-        for c in coeffs:
-            v = (v * r + c) % q
-        if v in powers:
-            pattern |= 1 << j
     width = 2 * height + 1
-    reps = -(-width // q)
-    return pattern * (((1 << (q * reps)) - 1) // ((1 << q) - 1)) & ((1 << width) - 1)
+    tables = []
+    for q in _sieve_primes(m):
+        powers = {pow(x, m, q) for x in range(q)}
+        scale = pow(den, m - 1, q)
+        coeffs = [c * scale % q for c in reversed(ints)]
+        table = []
+        for t in range(q):
+            v = 0
+            for c in coeffs:
+                v = (v * t + c) % q
+            table.append(int(v in powers))
+        # N(1, 0) = den^(m-1) f_d when D = d, and 0 when D > d
+        table.append(int(d % m != 0 or coeffs[0] in powers))
+        repeat = ((1 << (q * -(-width // q))) - 1) // ((1 << q) - 1)
+        tables.append((q, table, repeat))
+    return tables
+
+
+def _row_pattern(q: int, table: list[int], b: int, height: int) -> int:
+    """Row b of the sieve modulo q: bit j is set when every a = j - H mod q
+    may leave N(a, b) an m-th power mod q, read off the table of
+    _sieve_tables at (a/b : 1), or at (1 : 0) when q divides b.  When q
+    divides both a and b the bit stays set; gcd(a, b) = 1 rejects that a."""
+    if b % q:
+        inverse = pow(b, -1, q)
+        return sum(table[(j - height) * inverse % q] << j for j in range(q))
+    return (1 << q) - 1 if table[q] else 1 << height % q
 
 
 def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     """All affine points with x = a/b of height at most H, sorted by (x, y),
     plus the points at infinity, which do not depend on H.
 
-    For b = 1..H, each sieve prime q (see _sieve_primes) gives a bit mask
-    over a in [-H, H] of the a for which N(a, b) is an m-th power mod q,
-    from N evaluated at the q residues of a and repeated over the row;
-    f(a/b) can only be an m-th power in Q when N is one in Z.  Each a left
-    in the AND of the masks with gcd(a, b) = 1 gets G(a, b) by integer
-    Horner and an exact root test of G / (den*b^d) in lowest terms (with
-    the sign rule G >= 0 for even m); N itself is never formed,
-    since b^(D-d) is huge when m is much larger than d.  Each hit is
-    confirmed by the exact rational roots of f(a/b), so the sieve and the
-    integer test only reject.  Raises ValueError above MAX_SEARCH_HEIGHT.
+    Each sieve prime q (see _sieve_primes) gets one table of the points
+    of P^1(F_q) at which N(a, b) = G(a, b) den^(m-1) b^(D-d) is an m-th
+    power residue mod q (see _sieve_tables); f(a/b) can only be an m-th
+    power in Q when N is one in Z.  For b = 1..H, row b takes from each
+    table a q-bit pattern over a mod q, at (a/b : 1) when q does not divide
+    b and at (1 : 0) when it does (see _row_pattern), repeated across a in
+    [-H, H].  Each a left in the AND of the rows with gcd(a, b) = 1 gets
+    G(a, b) by integer Horner and an exact root test of G / (den*b^d) in
+    lowest terms (with the sign rule G >= 0 for even m); N itself is never
+    formed, since b^(D-d) is huge when m is much larger than d.  Each hit
+    is confirmed by the exact rational roots of f(a/b), so the sieve and
+    the integer test only reject.  Raises ValueError above
+    MAX_SEARCH_HEIGHT.
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
@@ -190,14 +222,13 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     den = math.lcm(*(c.denominator for c in curve.f))
     ints = [c.numerator * (den // c.denominator) for c in curve.f]
     d = len(ints) - 1
-    # the m-th power residues mod q, 0 among them
-    sieve = [(q, {pow(x, m, q) for x in range(q)}) for q in _sieve_primes(m)]
+    tables = _sieve_tables(ints, den, m, height)
     full = (1 << (2 * height + 1)) - 1
     found: list[RationalPoint] = []
     for b in range(1, height + 1):
         mask = full
-        for q, powers in sieve:
-            mask &= _row_mask(ints, den, m, q, powers, b, height)
+        for q, table, repeat in tables:
+            mask &= _row_pattern(q, table, b, height) * repeat
         horner = [c * b ** (d - k) for k, c in enumerate(ints)][::-1]
         scaled_den = den * b ** d
         bits = bin(mask)[:1:-1]

@@ -2,6 +2,7 @@
 canonical JSON, and batch ordering."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from superchab.cli import (
     main,
     parse_curve_input,
 )
+from superchab.padic import MAX_M
 
 
 def _run(capsys, argv):
@@ -214,6 +216,41 @@ class TestSubcommands:
         )
         assert code == 2
         assert "10000" in payloads[0]["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the cap 2^phi(m) - 1 has more than 4300 digits
+            ["prime", "--m", "14293"],
+            # 2^phi(m) would have about 10^12 bits
+            ["bound", "--rank", "0", "--m", "1000000000039", "--f", "[1,0,0,0,0,1]"],
+            ["verify", "--rank", "0", "--m", "1000000000039", "--f", "[1,0,0,0,0,1]"],
+            ["analyze", "--m", "14293", "--prime", "28587", "--f", "[1,0,0,0,0,1]"],
+        ],
+    )
+    def test_m_limit(self, capsys, argv):
+        start = time.process_time()
+        code, payloads, captured = _run(capsys, argv)
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert f"MAX_M = {MAX_M}" in payloads[0]["error"]
+        assert "Traceback" not in captured.err
+
+    def test_m_at_the_limit(self, capsys):
+        code, payloads, _ = _run(capsys, ["prime", "--m", str(MAX_M), "--json"])
+        assert code == 0
+        assert payloads[0]["prime"] == 70001
+        assert payloads[0]["cap"] == 2 ** 4000 - 1
+
+    def test_genus_and_search_take_any_m(self, capsys):
+        m = "1000000000039"
+        code, payloads, _ = _run(capsys, ["genus", "--m", m, "--f", "[1,0,0,0,0,1]", "--json"])
+        assert code == 0
+        code, payloads, _ = _run(
+            capsys, ["search", "--m", m, "--f", "[1,0,1]", "--height", "3", "--json"]
+        )
+        assert code == 0
+        assert payloads[0]["count"] == 1
 
     def test_parse_error_exit_code(self, capsys):
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", "[1,0,oops]"])

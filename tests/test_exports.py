@@ -1,8 +1,11 @@
 """Every name a superchab module exports in __all__ resolves, so a deleted
-function cannot leave a stale export behind."""
+function cannot leave a stale export behind; every entry point that the
+benchmark's tracer wraps exists."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,27 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported))
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def _traced_entries():
+    """The (module, owner path) pairs that bench/spans.py wraps, parsed from
+    the file without running it, so that a renamed entry point fails here,
+    not only in the benchmark's own tests."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (traced,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.AnnAssign) and node.target.id == "TRACED"
+    ]
+    return sorted({(module, owner) for _, module, owner, _ in ast.literal_eval(traced)})
+
+
+@pytest.mark.parametrize("module_name, owner", _traced_entries())
+def test_traced_entry_points_resolve(module_name, owner):
+    module = importlib.import_module(module_name)
+    if "." in owner:
+        cls_name, attr = owner.split(".")
+        # the tracer wraps the attribute defined on the class itself
+        assert attr in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, owner))

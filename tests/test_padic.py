@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from superchab.geometry import qp_roots
 from superchab.padic import (
+    MAX_M,
     MAX_PRECISION,
     PadicContext,
     PadicNumber,
@@ -300,6 +301,11 @@ class TestChabautyPrime:
             q, _ = chabauty_prime(m)
             for candidate in range(2, q):
                 assert not (is_prime(candidate) and candidate % m == 1)
+
+    def test_m_limit(self):
+        assert chabauty_prime(MAX_M)[0] == 70001
+        with pytest.raises(ValueError, match=f"MAX_M = {MAX_M}"):
+            chabauty_prime(MAX_M + 1)
 
     @given(st.integers(min_value=2, max_value=64))
     @settings(max_examples=63)

@@ -20,7 +20,13 @@ from superchab.search import (
     is_on_curve,
     verify_bound,
 )
-from superchab.search import _iroot, _rational_mth_roots
+from superchab.search import (
+    _iroot,
+    _rational_mth_roots,
+    _row_pattern,
+    _sieve_primes,
+    _sieve_tables,
+)
 
 
 def _bisect_root(n: int, k: int) -> tuple[int, bool]:
@@ -98,6 +104,27 @@ def _sweep_curve(rng: random.Random, m: int, d: int) -> SuperellipticCurve:
     for r in roots:
         f = ratpoly.mul(f, [-r, Fraction(1)])
     return SuperellipticCurve(m, f)
+
+
+def _horner_row_mask(ints: list[int], den: int, m: int, q: int, powers: set[int],
+                     b: int, height: int) -> int:
+    """The row mask as the sieve first computed it, kept as an oracle: N
+    evaluated by Horner at every residue of a mod q, for each b anew.
+    Bit i is set when a = i - H leaves N = G(a, b) den^(m-1) b^(D-d),
+    with D = m*ceil(d/m), in powers, the m-th power residues mod q."""
+    d = len(ints) - 1
+    scale = pow(den, m - 1, q) * pow(b, m * -(-d // m) - d, q)
+    coeffs = [c * pow(b, d - k, q) * scale % q for k, c in enumerate(ints)][::-1]
+    pattern = 0
+    for j in range(q):
+        r, v = (j - height) % q, 0
+        for c in coeffs:
+            v = (v * r + c) % q
+        if v in powers:
+            pattern |= 1 << j
+    width = 2 * height + 1
+    reps = -(-width // q)
+    return pattern * (((1 << (q * reps)) - 1) // ((1 << q) - 1)) & ((1 << width) - 1)
 
 
 class TestIntegerRoot:
@@ -193,6 +220,41 @@ class TestSieveAgainstFractionLoop:
         assert time.process_time() - start < 5.0
         assert report.to_json_dict() == _fraction_loop(curve, 5).to_json_dict()
         assert [(pt.x, pt.y) for pt in report.points] == [(Fraction(0), Fraction(1))]
+
+
+class TestRowTable:
+    def test_rows_against_horner_oracle(self):
+        """Every row read off the P^1(F_q) table equals the per-row Horner
+        mask, for every b in 1..H and every sieve prime, with H past the
+        largest sieve prime so that each q also divides some b."""
+        rng = random.Random(6121)
+        seen = {"D > d": 0, "D = d": 0, "q | den": 0, "q | b": 0,
+                "N(1, 0) not a power": 0, "negative": 0, "rational": 0}
+        for m in range(2, 8):
+            primes = _sieve_primes(m)
+            height = max(primes) + 2
+            for d in (m - 1, m, m + 1, 2 * m):
+                if d < 1:
+                    continue
+                dens = [1, 1, 2, rng.choice(primes), 3 * 7]
+                f = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(d)]
+                f.append(Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 6]), rng.choice(dens)))
+                den = math.lcm(*(c.denominator for c in f))
+                ints = [c.numerator * (den // c.denominator) for c in f]
+                full = (1 << (2 * height + 1)) - 1
+                for q, table, repeat in _sieve_tables(ints, den, m, height):
+                    powers = {pow(x, m, q) for x in range(q)}
+                    for b in range(1, height + 1):
+                        got = _row_pattern(q, table, b, height) * repeat & full
+                        want = _horner_row_mask(ints, den, m, q, powers, b, height)
+                        assert got == want, (m, f, q, b)
+                        seen["q | b"] += b % q == 0
+                    seen["q | den"] += den % q == 0
+                    seen["N(1, 0) not a power"] += not table[q]
+                seen["D > d" if d % m else "D = d"] += 1
+                seen["negative"] += any(c < 0 for c in f)
+                seen["rational"] += den > 1
+        assert all(seen.values()), seen
 
 
 class TestHeightLimit:
