@@ -22,6 +22,7 @@ from fractions import Fraction
 from .bounds import bound_report, stoll_reference_bound
 from .curve import SuperellipticCurve, genus, validate
 from .geometry import (
+    MAX_PRIME,
     build_cluster_tree,
     curve_branch_points,
     enumerate_maximal_annuli,
@@ -227,6 +228,8 @@ def _run_bound(curve: SuperellipticCurve, cin: CurveInput) -> dict:
 def _run_analyze(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     m = curve.m
     p = cin.prime_override if cin.prime_override is not None else chabauty_prime(m)[0]
+    if p > MAX_PRIME:
+        raise ValueError(f"prime {p} exceeds the limit MAX_PRIME = {MAX_PRIME} for analyze")
     if not is_prime(p) or p % m != 1:
         raise ValueError(f"analyze needs a prime congruent to 1 mod {m}; got {p}")
     ctx = PadicContext(p, cin.precision)

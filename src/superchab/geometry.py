@@ -1,8 +1,8 @@
 """Residue geometry over Q_p: cluster trees of branch points, maximal
 annuli, their classification, and explicit verified chart maps.
 
-Every chart, on an annulus or on any of the three disc cases, is built by
-the same three steps: one branch-factor product h, one residual check of
+Every chart, on an annulus or on a disc of case 1 or 2, is built by the
+same three steps: one branch-factor product h, one residual check of
 the identity y(z)^m = f(x(z)) and one builder for the deck sheets
 y_j = zeta_m^j * y_0.  The residual check takes an explicit budget of
 (exponent, cap) pairs: cap is the number of digits truncation leaves
@@ -43,6 +43,7 @@ __all__ = [
     "ClusterTree",
     "DiscAnalysis",
     "DiscSpec",
+    "MAX_PRIME",
     "ResidueAnnulus",
     "annulus_orbit_count",
     "build_cluster_tree",
@@ -57,6 +58,12 @@ __all__ = [
 
 
 # -- root finding over Q_p -----------------------------------------------------
+
+# qp_roots scans all p residues twice per square-free block, so its time grows
+# linearly in p: about 3 s of CPU at p = 1000003 for a quartic with four
+# rational roots (2-core x86 host, Python 3.11).  The limit admits the least
+# prime = 1 mod m for every m up to padic.MAX_M (the largest is 496747).
+MAX_PRIME = 1_000_000
 
 
 def _hensel_root(P: list[int], a: int, ctx: PadicContext) -> PadicNumber:
@@ -269,7 +276,6 @@ class ResidueAnnulus:
     theta_infty: list[tuple[PadicNumber, int]]
     d: int | None = None
     case: str | None = None
-    from_branch_pair: bool = False
     m: int | None = None
 
     def __post_init__(self) -> None:
@@ -317,7 +323,6 @@ def enumerate_maximal_annuli(
             ]
             a = ResidueAnnulus(center, c_rat, (lo, hi), th0, thinf)
             if m is not None:
-                a.d = math.gcd(a.weighted_inner_count(), m)
                 a.case = classify_annulus(a, m)
             annuli.append(a)
         for ch in node.children:
@@ -331,16 +336,11 @@ def enumerate_maximal_annuli(
 
 
 def classify_annulus(a: ResidueAnnulus, m: int) -> str:
-    """split (d > 1 disjoint annuli permuted), rotation (single annulus,
-    rotated), or inverting (m = 2 only, from two-branch-point discs)."""
-    d = math.gcd(a.weighted_inner_count(), m)
-    a.d = d
+    """split (d > 1 disjoint annuli permuted) or rotation (single annulus,
+    rotated), where d = gcd(k0, m) for k0 branch points inside."""
+    a.d = math.gcd(a.weighted_inner_count(), m)
     a.m = m
-    if m == 2:
-        if a.from_branch_pair:
-            return "inverting"
-        return "split" if d == 2 else "rotation"
-    return "split" if d > 1 else "rotation"
+    return "split" if a.d > 1 else "rotation"
 
 
 def annulus_orbit_count(curve: SuperellipticCurve, ctx: PadicContext) -> int:
@@ -477,7 +477,6 @@ def parameterize_annulus(
     a: ResidueAnnulus,
     curve: SuperellipticCurve,
     ctx: PadicContext,
-    target: int | None = None,
 ) -> AnnulusAnalysis:
     """Verified charts over a maximal annulus.
 
@@ -491,8 +490,7 @@ def parameterize_annulus(
     """
     m = curve.m
     p = ctx.prime
-    if target is None:
-        target = ctx.precision // 2
+    target = ctx.precision // 2
     lo, hi = a.valuation_interval
     L = lo
     beta = hi - lo
@@ -629,7 +627,6 @@ def parameterize_disc(
     spec: DiscSpec,
     curve: SuperellipticCurve,
     ctx: PadicContext,
-    target: int | None = None,
 ) -> DiscAnalysis:
     """Chart construction on a residue disc, split by branch-point count.
 
@@ -637,12 +634,9 @@ def parameterize_disc(
     disc; if it is an m-th power there are m disjoint disc charts, otherwise
     there are no rational points over the disc.  Case 2 (one simple branch
     point): a single chart built over the m-th power map.  Case 3 (two
-    branch points, m even): exact for m = 2; for even m > 2 only the
-    structural count m/2 is reported.
+    branch points, m even) is reported unanalyzed, with no charts.
     """
     m = curve.m
-    if target is None:
-        target = ctx.precision // 2
     lam = spec.radius_valuation
     points, complete = curve_branch_points(curve, ctx)
     if not complete:
@@ -659,7 +653,7 @@ def parameterize_disc(
     distinct = len(inside)
 
     if distinct == 0:
-        return _disc_case_one(spec, curve, ctx, points, target)
+        return _disc_case_one(spec, curve, ctx, points)
     if distinct == 1:
         th, n = inside[0]
         if n > 1:
@@ -667,23 +661,21 @@ def parameterize_disc(
                 spec, 2, "unanalyzed",
                 detail=f"branch point of multiplicity {n}; not charted",
             )
-        return _disc_case_two(spec, curve, ctx, th, points, target)
+        return _disc_case_two(spec, curve, ctx, th, points)
     if distinct == 2:
         if m % 2 == 1:
             raise ValueError("two branch points in a disc require even m")
-        if m == 2:
-            return _disc_case_three_m2(spec, curve, ctx, inside, points, target)
         return DiscAnalysis(
             spec, 3, "unanalyzed",
-            detail=f"{m // 2} annuli over the disc; charts need a degree-"
-            f"{m // 2} cover coordinate not available over Q_p",
+            detail="two branch points in the disc; not charted",
         )
     raise ValueError("disc contains more than two branch points")
 
 
-def _disc_case_one(spec, curve, ctx, points, target) -> DiscAnalysis:
+def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     m = curve.m
     p = ctx.prime
+    target = ctx.precision // 2
     lam = spec.radius_valuation
     fc = curve.evaluate_f(spec.center)
     fc_p = PadicNumber.from_fraction(fc, ctx)
@@ -727,9 +719,10 @@ def _disc_case_one(spec, curve, ctx, points, target) -> DiscAnalysis:
     return _record_charts(analysis, x_series, y0, gamma, m, m, dom, attained)
 
 
-def _disc_case_two(spec, curve, ctx, theta, points, target) -> DiscAnalysis:
+def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     m = curve.m
     p = ctx.prime
+    target = ctx.precision // 2
     lam = spec.radius_valuation
     analysis = DiscAnalysis(spec, 2, "unanalyzed")
     # recenter at the branch point: f(theta + t) = t * G(t)
@@ -782,68 +775,6 @@ def _disc_case_two(spec, curve, ctx, theta, points, target) -> DiscAnalysis:
     return _record_charts(analysis, x_series, y, gamma, 1, m, dom, attained)
 
 
-def _disc_case_three_m2(spec, curve, ctx, inside, points, target) -> DiscAnalysis:
-    analysis = DiscAnalysis(spec, 3, "unanalyzed")
-    (t1, n1), (t2, n2) = inside
-    if n1 != 1 or n2 != 1:
-        analysis.detail = "non-simple branch pair"
-        return analysis
-    two = PadicNumber.from_int(2, ctx)
-    c = (t1 + t2) / two
-    half_diff = (t1 - t2) / two
-    b_const = half_diff * half_diff
-    v_b = b_const.valuation
-    # g = f with the two inner factors removed; gamma^2 = g(c)
-    g_at_c = PadicNumber.from_fraction(curve.leading_coefficient, ctx)
-    for th, n in points:
-        rel = c - th
-        if (th - t1).is_zero or (th - t2).is_zero:
-            continue
-        g_at_c = g_at_c * rel**n
-    ok = is_mth_power(g_at_c, 2)
-    analysis.power_tests["square(g(center))"] = str(ok)
-    if not ok:
-        analysis.status = "no_points"
-        analysis.detail = "no rational points off the branch pair"
-        return analysis
-    gamma = mth_root(g_at_c, 2)
-    order = max(24, 2 * target + 8)
-    dom = AnnulusSpec.annulus(Fraction(v_b))
-    quarter_b = b_const / PadicNumber.from_int(4, ctx)
-    # x(z) = c + z + B/(4z); the branch factor part is (z - B/(4z))^2
-    w_plus = LaurentSeries(
-        ctx, {1: PadicNumber.from_int(1, ctx), -1: quarter_b}, dom, -1, 1
-    )
-    w_minus = LaurentSeries(
-        ctx, {1: PadicNumber.from_int(1, ctx), -1: -quarter_b}, dom, -1, 1
-    )
-    x_series = LaurentSeries(
-        ctx, {0: c, 1: PadicNumber.from_int(1, ctx), -1: quarter_b}, dom, -1, 1
-    )
-    # h^2 = g(x)/g(c): evaluate the square-root branch factors at x - c
-    h = LaurentSeries.one(ctx, dom)
-    for th, n in points:
-        if (th - t1).is_zero or (th - t2).is_zero:
-            continue
-        rel = th - c
-        fac = branch_root_series(rel, 2, "minus", order=order, domain=AnnulusSpec.disc())
-        # substitute the two-sided coordinate w = z + B/4z
-        fac_coeffs = [fac.coefficient(n) for n in range(fac.hi + 1)]
-        comp = _eval_at_laurent(fac_coeffs, w_plus, order)
-        for _ in range(n):
-            h = (h * comp).window_clipped(-order, order)
-    y = (_pseudo_entire(w_minus) * h).scaled(gamma).window_clipped(-order, order)
-    ysq = (y * y).window_clipped(-order, order)
-    f_coeffs = [PadicNumber.from_fraction(c, ctx) for c in curve.f]
-    f_x = _eval_at_laurent(f_coeffs, x_series, order)
-    resid = ysq - f_x
-    guard = max(2, int(2 * target / max(v_b, 1)))
-    budget = ((k, ctx.precision) for k in range(-(order - guard), order - guard + 1))
-    attained = _verified_digits(resid, budget, target)
-    analysis.detail = "deck action: z -> B/(4z) with y -> -y"
-    return _record_charts(analysis, x_series, y, gamma, 1, 2, dom, attained)
-
-
 def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:
     """Tag an exact Laurent polynomial with explicit huge tail floors.
 
@@ -862,18 +793,3 @@ def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:
         s.tail_above if s.tail_above is not None else big,
     )
 
-
-def _eval_at_laurent(
-    coeffs: list[PadicNumber], inner: LaurentSeries, clip: int
-) -> LaurentSeries:
-    """Horner substitution of a two-sided Laurent argument into the power
-    series sum coeffs[k] w^k; callers guarantee coefficient decay makes
-    this converge."""
-    ctx = inner.context
-    inner = _pseudo_entire(inner)
-    result = LaurentSeries.zero(ctx, inner.domain)
-    for coef in reversed(coeffs):
-        result = (result * inner).window_clipped(-clip, clip)
-        if not coef.is_zero:
-            result = result + LaurentSeries(ctx, {0: coef}, inner.domain, 0, 0)
-    return result

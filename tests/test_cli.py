@@ -13,7 +13,8 @@ from superchab.cli import (
     main,
     parse_curve_input,
 )
-from superchab.padic import MAX_M
+from superchab.geometry import MAX_PRIME
+from superchab.padic import MAX_M, chabauty_prime
 
 
 def _run(capsys, argv):
@@ -241,6 +242,22 @@ class TestSubcommands:
         assert code == 0
         assert payloads[0]["prime"] == 70001
         assert payloads[0]["cap"] == 2 ** 4000 - 1
+
+    def test_analyze_prime_limit(self, capsys):
+        # 1000000000039 is prime and 1 mod 3: scanning its residues would take days
+        start = time.process_time()
+        code, payloads, captured = _run(
+            capsys,
+            ["analyze", "--m", "3", "--f", "prod[(1,1),(-1,1),(7,1),(-7,1)]",
+             "--prime", "1000000000039", "--json"],
+        )
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert f"MAX_PRIME = {MAX_PRIME}" in payloads[0]["error"]
+        assert "Traceback" not in captured.err
+
+    def test_prime_limit_admits_every_default_prime(self):
+        assert max(chabauty_prime(m)[0] for m in range(2, MAX_M + 1)) <= MAX_PRIME
 
     def test_genus_and_search_take_any_m(self, capsys):
         m = "1000000000039"

@@ -1,10 +1,11 @@
 """Every name a superchab module exports in __all__ resolves, so a deleted
 function cannot leave a stale export behind; every entry point that the
-benchmark's tracer wraps exists."""
+benchmark's tracer wraps exists; every private helper is still used."""
 
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,32 @@ def test_traced_entry_points_resolve(module_name, owner):
         assert attr in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, owner))
+
+
+def _references(node) -> Counter:
+    """How often each name or attribute appears under node."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_private_helpers_are_referenced():
+    """A _private function or class that nothing in the package refers to,
+    apart from its own body, is dead code left behind by a deletion."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(superchab.__file__).parent.glob("*.py"))
+    ]
+    total = sum((_references(tree) for tree in trees), Counter())
+    unused = [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and total[node.name] == _references(node)[node.name]
+    ]
+    assert unused == []

@@ -10,7 +10,6 @@ from superchab.geometry import (
     DiscSpec,
     annulus_orbit_count,
     build_cluster_tree,
-    classify_annulus,
     curve_branch_points,
     enumerate_maximal_annuli,
     parameterize_annulus,
@@ -142,18 +141,11 @@ class TestClassification:
         assert a.d == 1
 
     def test_split_when_d_exceeds_one(self):
-        tree = build_cluster_tree(from_ints([1, -1, 13, -13], Q13))
-        a = enumerate_maximal_annuli(tree, m=4)[0]
-        assert a.case == "split"
-        assert a.d == 2
-
-    def test_legacy_inverting_label(self):
-        tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7))
-        a = enumerate_maximal_annuli(tree)[0]
-        a.from_branch_pair = True
-        assert classify_annulus(a, 2) == "inverting"
-        a.from_branch_pair = False
-        assert classify_annulus(a, 2) == "split"
+        for values, ctx, m in (([1, -1, 13, -13], Q13, 4), ([1, -1, 7, -7], Q7, 2)):
+            tree = build_cluster_tree(from_ints(values, ctx))
+            a = enumerate_maximal_annuli(tree, m=m)[0]
+            assert a.case == "split"
+            assert a.d == 2
 
     def test_seeded_sweep_never_inverts(self):
         rng = random.Random(11)
@@ -310,20 +302,15 @@ class TestDiscCharts:
         with pytest.raises(ValueError, match="even"):
             parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
 
-    def test_case_three_hyperelliptic_chart(self):
-        # y^2 = -(x^2 - 49)(x^2 - 2); g(0) = 2 is a square in Q7
-        curve = SuperellipticCurve(2, [-98, 0, 51, 0, -1])
-        analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
-        assert analysis.case == 3
-        assert analysis.status == "charts"
-        assert "B/(4z)" in analysis.detail
-        assert analysis.attained >= 10
-
-    def test_case_three_no_points_off_branch_pair(self):
-        curve = SuperellipticCurve(2, [98, 0, -51, 0, 1])
-        analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
-        assert analysis.case == 3
-        assert analysis.status == "no_points"
+    def test_case_three_even_m_unanalyzed(self):
+        # y^m = ±(x^2 - 49)(x^2 - 2): both 7 and -7 in the center disc
+        for m in (2, 4):
+            for sign in (1, -1):
+                curve = SuperellipticCurve(m, [sign * c for c in (98, 0, -51, 0, 1)])
+                analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
+                assert analysis.case == 3
+                assert analysis.status == "unanalyzed"
+                assert analysis.charts == []
 
 
 class TestInertBranch:
@@ -358,9 +345,6 @@ CHART_CASES = {
     ),
     "disc_case_two": lambda: parameterize_disc(
         DiscSpec(Fraction(0)), SuperellipticCurve(3, [0, -2, 0, 1]), Q7
-    ),
-    "disc_case_three": lambda: parameterize_disc(
-        DiscSpec(Fraction(0)), SuperellipticCurve(2, [-98, 0, 51, 0, -1]), Q7
     ),
 }
 
@@ -430,14 +414,6 @@ CHART_GOLDEN = {
          25: 203212308, 31: 218640218, 37: 200290265, 43: 104147914,
          49: 249317053, 55: 155368831, 61: 12740418, 67: 24702994,
          73: 98811976},
-    )]),
-    "disc_case_three": (20, [(
-        266983762,
-        {-1: 211856449, 1: 1},
-        {-3: 148943634, -1: 99721811, 1: 164803474, 3: 10070404,
-         5: 244832533, 7: 75671941, 9: 5599186, 11: 127457001,
-         13: 194437334, 15: 124849458, 17: 275095144, 19: 267833302,
-         21: 185490470, 23: 108857164, 25: 115741122, 27: 204051736},
     )]),
 }
 
