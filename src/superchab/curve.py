@@ -11,11 +11,25 @@ from . import ratpoly
 __all__ = [
     "CurveStats",
     "HypothesisViolation",
+    "MAX_DEGREE",
     "SuperellipticCurve",
     "genus",
     "move_branch_from_infinity",
     "validate",
 ]
+
+
+# Every curve is expanded and decomposed in exact rational arithmetic whose
+# cost grows faster than quadratically in deg f.  Near this limit `genus`
+# takes 0.39 s of CPU on prod[(1,250)] and 0.47 s on 250 distinct 7-digit
+# roots (2-core x86 host, Python 3.11); the benchmark's survey corpus
+# reaches degree 60.  Checked before any expansion or decomposition.
+MAX_DEGREE = 256
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise ValueError(f"deg(f) = {d} exceeds the limit MAX_DEGREE = {MAX_DEGREE}")
 
 
 class HypothesisViolation(ValueError):
@@ -36,30 +50,25 @@ class CurveStats:
 class SuperellipticCurve:
     """y^m = f(x) with f given by exact rational coefficients.
 
-    Branch data (distinct roots with multiplicities) is either supplied
-    exactly in factored form or recovered as square-free blocks; the genus
-    formula only consumes block degrees and multiplicities, so no algebraic
-    factorization is ever needed.
+    Branch data (distinct roots with multiplicities) is known exactly for a
+    curve built by `from_branch_points`; otherwise it is recovered as
+    square-free blocks, once, on first use.  The genus formula only consumes
+    block degrees and multiplicities, so no algebraic factorization is ever
+    needed.
     """
 
-    def __init__(
-        self,
-        m: int,
-        f_coefficients: list[Fraction | int],
-        branch_data: list[tuple[Fraction, int]] | None = None,
-    ):
+    def __init__(self, m: int, f_coefficients: list[Fraction | int]):
         if m < 2:
             raise ValueError("m must be at least 2")
         coeffs = ratpoly.normalize([Fraction(a) for a in f_coefficients])
-        if ratpoly.degree(coeffs) < 1:
+        d = ratpoly.degree(coeffs)
+        _check_degree(d)
+        if d < 1:
             raise ValueError("f must be non-constant")
         self.m = m
         self.f = coeffs
-        self.branch_data = None
-        if branch_data is not None:
-            if _branch_product(self.leading_coefficient, branch_data) != coeffs:
-                raise ValueError("branch data does not reproduce f")
-            self.branch_data = [(Fraction(t), int(n)) for t, n in branch_data]
+        self.branch_data: list[tuple[Fraction, int]] | None = None
+        self._blocks: list[tuple[ratpoly.Poly, int]] | None = None
 
     @staticmethod
     def from_branch_points(
@@ -70,10 +79,12 @@ class SuperellipticCurve:
             if Fraction(theta) in seen:
                 raise ValueError("repeated branch point; merge multiplicities")
             seen.add(Fraction(theta))
+        _check_degree(sum(int(n) for _, n in roots))
         # f is expanded from the branch data itself, so the data reproduces
-        # f by construction and __init__ need not check it
+        # f by construction
         curve = SuperellipticCurve(m, _branch_product(c, roots))
         curve.branch_data = [(Fraction(t), int(n)) for t, n in roots]
+        curve._blocks = [([-t, Fraction(1)], n) for t, n in curve.branch_data]
         return curve
 
     @property
@@ -88,12 +99,11 @@ class SuperellipticCurve:
         """Square-free blocks (monic factor, multiplicity), pairwise coprime.
 
         Each block of degree k carries k distinct branch points sharing one
-        multiplicity.
+        multiplicity.  The decomposition runs once per curve.
         """
-        if self.branch_data is not None:
-            return [([-t, Fraction(1)], n) for t, n in self.branch_data]
-        _, blocks = ratpoly.squarefree_decomposition(self.f)
-        return blocks
+        if self._blocks is None:
+            self._blocks = ratpoly.squarefree_decomposition(self.f)[1]
+        return list(self._blocks)
 
     def branch_multiplicities(self) -> list[tuple[int, int]]:
         """(count of distinct points, shared multiplicity) per block."""
@@ -164,24 +174,21 @@ def move_branch_from_infinity(curve: SuperellipticCurve) -> SuperellipticCurve:
     First translate x by the least nonnegative integer t with f(t) != 0,
     then substitute x -> 1/x, y -> y/x^ceil(deg f / m).  When m does not
     divide deg f a new branch point appears at 0 with multiplicity
-    m - (deg f mod m); the genus never changes.
+    m - (deg f mod m); the genus never changes.  The new degree is
+    m * ceil(deg f / m), which must stay within MAX_DEGREE.
     """
     t = 0
-    while ratpoly.evaluate(curve.f, Fraction(t)) == 0:
+    while (value := curve.evaluate_f(Fraction(t))) == 0:
         t += 1
-    shifted = ratpoly.compose_linear(curve.f, Fraction(t), Fraction(1))
     d = curve.degree
     m = curve.m
     target = m * ((d + m - 1) // m)
-    flipped = ratpoly.reverse(shifted, target)
-    new_data = None
     if curve.branch_data is not None:
-        new_data = []
-        for theta, mult in curve.branch_data:
-            moved = theta - t
-            # a root at the shift target would have made f(t) = 0
-            new_data.append((Fraction(1, 1) / moved, mult))
-        extra = target - d
-        if extra:
-            new_data.append((Fraction(0), extra))
-    return SuperellipticCurve(m, flipped, new_data)
+        # x^target f(t + 1/x) = f(t) * x^(target - d) * prod (x - 1/(theta - t))^n;
+        # theta - t != 0, since a root at t would have made f(t) = 0
+        moved = [(1 / (theta - t), n) for theta, n in curve.branch_data]
+        if target > d:
+            moved.append((Fraction(0), target - d))
+        return SuperellipticCurve.from_branch_points(m, value, moved)
+    shifted = ratpoly.compose_linear(curve.f, Fraction(t), Fraction(1))
+    return SuperellipticCurve(m, ratpoly.reverse(shifted, target))

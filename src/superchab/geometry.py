@@ -379,7 +379,6 @@ class AnnulusAnalysis:
     power_tests: dict[str, str] = field(default_factory=dict)
     attained: int | None = None
     detail: str = ""
-    scale: PadicNumber | None = None
 
     def report(self) -> dict:
         lo, hi = self.annulus.valuation_interval
@@ -547,7 +546,6 @@ def parameterize_annulus(
         sigma = sigma - md
     gamma = mth_root(q0 * scale**k0, m)
     analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
-    analysis.scale = scale
 
     order = max(24, (target + 2) // max(beta, 1) + 12)
     z_beta = Fraction(beta + abs(sigma), md)
@@ -585,13 +583,12 @@ def parameterize_annulus(
 
 @dataclass
 class DiscSpec:
+    """The residue disc v(x - center) >= 1 of reduction mod p."""
+
     center: Fraction
-    radius_valuation: int = 1
 
     def __post_init__(self) -> None:
         self.center = Fraction(self.center)
-        if self.radius_valuation < 1:
-            raise ValueError("disc radius valuation must be at least 1")
 
 
 @dataclass
@@ -637,7 +634,6 @@ def parameterize_disc(
     branch points, m even) is reported unanalyzed, with no charts.
     """
     m = curve.m
-    lam = spec.radius_valuation
     points, complete = curve_branch_points(curve, ctx)
     if not complete:
         return DiscAnalysis(
@@ -648,7 +644,7 @@ def parameterize_disc(
     inside = []
     for th, n in points:
         diff = th - center_p
-        if diff.is_zero or diff.valuation >= lam:
+        if diff.is_zero or diff.valuation >= 1:
             inside.append((th, n))
     distinct = len(inside)
 
@@ -674,9 +670,7 @@ def parameterize_disc(
 
 def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     m = curve.m
-    p = ctx.prime
     target = ctx.precision // 2
-    lam = spec.radius_valuation
     fc = curve.evaluate_f(spec.center)
     fc_p = PadicNumber.from_fraction(fc, ctx)
     analysis = DiscAnalysis(spec, 1, "unanalyzed")
@@ -688,25 +682,20 @@ def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
         return analysis
     gamma = mth_root(fc_p, m)
     center_p = PadicNumber.from_fraction(spec.center, ctx)
-    unit_scale = PadicNumber.from_int(p ** (lam - 1), ctx)
     order = max(24, target + 8)
     dom = AnnulusSpec.disc()
-    theta_rel = [((th - center_p) / unit_scale, n) for th, n in points]
+    theta_rel = [(th - center_p, n) for th, n in points]
     h = _branch_series_product([], theta_rel, m, order, dom, ctx)
     x_series = LaurentSeries(
-        ctx,
-        {0: center_p, 1: unit_scale},
-        dom,
-        0,
-        1,
+        ctx, {0: center_p, 1: PadicNumber.from_int(1, ctx)}, dom, 0, 1
     )
-    # residual check: (gamma h)^m - f(center + scale z), one-sided and exact
+    # residual check: (gamma h)^m - f(center + z), one-sided and exact
     y0 = h.scaled(gamma)
     ypow = (y0**m).window_clipped(0, order)
     shifted = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
     f_comp = LaurentSeries.from_dict(
         {
-            k: PadicNumber.from_fraction(c, ctx) * unit_scale**k
+            k: PadicNumber.from_fraction(c, ctx)
             for k, c in enumerate(shifted)
             if c != 0
         },
@@ -723,7 +712,6 @@ def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     m = curve.m
     p = ctx.prime
     target = ctx.precision // 2
-    lam = spec.radius_valuation
     analysis = DiscAnalysis(spec, 2, "unanalyzed")
     # recenter at the branch point: f(theta + t) = t * G(t)
     F = _shift_poly_padic(curve.f, theta, ctx)
@@ -735,11 +723,11 @@ def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
         raise ValueError("branch point is not simple")
     # effective radius: valuations of x - theta on the curve satisfy
     # v + v(f'(theta)) = 0 mod m
-    lam_eff = lam
+    lam_eff = 1
     while (lam_eff + g0.valuation) % m:
         lam_eff += 1
     analysis.power_tests["radius_condition"] = (
-        "exact" if lam_eff == lam else f"deepened to {lam_eff}"
+        "exact" if lam_eff == 1 else f"deepened to {lam_eff}"
     )
     # anchor the chart on the open unit disc: v(x - theta) = lam_eff + m(v(z) - 1)
     scale = None

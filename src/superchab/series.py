@@ -362,7 +362,7 @@ class LaurentSeries:
 
     def __pow__(self, m: int) -> "LaurentSeries":
         if m < 0:
-            raise ValueError("negative series powers go through invert")
+            raise ValueError("series powers must be nonnegative")
         result = LaurentSeries.one(self.context, self.domain)
         base = self
         while m:
@@ -373,7 +373,7 @@ class LaurentSeries:
                 base = base * base
         return result
 
-    # -- composition and inversion -------------------------------------------
+    # -- composition ---------------------------------------------------------
 
     def compose_monomial(
         self, c: PadicNumber, k: int, domain: AnnulusSpec | None = None
@@ -438,79 +438,6 @@ class LaurentSeries:
                 _merge_tails(result.tail_above, TailBound(slope, off)),
             )
         return result
-
-    def invert(self) -> "LaurentSeries":
-        """Reciprocal via a geometric series, verified a posteriori.
-
-        Requires a dominant monomial: a unique stored exponent of minimal
-        valuation whose removal leaves only terms that vanish on the domain
-        (positive exponents of nonnegative valuation, negative exponents
-        with per-step decay).  Raises if the residual check fails.
-        """
-        if not self.coefficients:
-            raise ZeroDivisionError("inverting the zero series")
-        ctx = self.context
-        n_prec = ctx.precision
-        min_val = min(c.valuation for c in self.coefficients.values())
-        leads = [n for n, c in self.coefficients.items() if c.valuation == min_val]
-        e = min(leads)
-        lead = self.coefficients[e]
-        if self.domain.is_disc and e != 0:
-            raise ValueError("series vanishes at the disc center")
-        beta = Fraction(0) if self.domain.is_disc else self.domain.inner_valuation
-        eps = {}
-        decay = None
-        for n, c in self.coefficients.items():
-            if n == e:
-                rest = c / lead - PadicNumber.from_int(1, ctx)
-                if not rest.is_zero:
-                    eps[0] = rest
-                continue
-            t = c / lead
-            rel = n - e
-            if rel < 0:
-                # the term must still vanish at the inner edge of the annulus
-                step = Fraction(t.valuation, -rel)
-                if step < beta or step <= 0:
-                    raise ValueError("series has zeros inside the annulus")
-                decay = step if decay is None else min(decay, step)
-            elif t.valuation < 0:
-                raise ValueError("series has zeros inside the annulus")
-            eps[rel] = t
-        span = self.hi - self.lo
-        iters = span + 4
-        if decay is not None:
-            iters += (n_prec + 4) * max(1, int(1 / decay) + 1)
-        iters = min(iters, MAX_WINDOW)
-        eps_series = LaurentSeries(
-            ctx, eps, self.domain, self.lo - e, self.hi - e,
-            self.tail_below, self.tail_above,
-        )
-        geom = LaurentSeries.one(ctx, self.domain)
-        power = LaurentSeries.one(ctx, self.domain)
-        sign = -1
-        for _ in range(iters):
-            power = (power * eps_series).window_clipped(self.lo - e, self.hi - e)
-            if not power.coefficients:
-                break
-            geom = geom + (power if sign > 0 else -power)
-            sign = -sign
-            if all(c.valuation >= n_prec for c in power.coefficients.values()):
-                break
-        inv = geom.scaled(PadicNumber.from_int(1, ctx) / lead).shifted(-e)
-        check = (inv * self).window_clipped(
-            max(inv.lo + self.lo, -span), min(inv.hi + self.hi, span)
-        )
-        one = LaurentSeries.one(ctx, self.domain)
-        resid = check - one
-        floor = n_prec if decay is None else max(2, n_prec - int(1 / decay) - 1)
-        for n, c in resid.coefficients.items():
-            margin = floor if decay is None else min(
-                floor, int((span - abs(n)) * decay)
-            )
-            if margin > 0 and c.valuation < min(margin, floor):
-                raise ValueError("series is not invertible on its domain")
-        return inv
 
     def window_clipped(self, lo: int, hi: int) -> "LaurentSeries":
         """Restrict to a subwindow, folding clipped mass into tail floors."""

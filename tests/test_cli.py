@@ -8,11 +8,14 @@ from fractions import Fraction
 import pytest
 
 import superchab.bounds
+import superchab.ratpoly
 from superchab.cli import (
     CurveParseError,
     main,
     parse_curve_input,
+    run,
 )
+from superchab.curve import MAX_DEGREE
 from superchab.geometry import MAX_PRIME
 from superchab.padic import MAX_M, chabauty_prime
 
@@ -268,6 +271,52 @@ class TestSubcommands:
         )
         assert code == 0
         assert payloads[0]["count"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 14 characters that expand to a degree-2000 product
+            ["genus", "--m", "2001", "--f", "prod[(1,2000)]"],
+            ["search", "--m", "3", "--f",
+             "prod[" + ",".join(f"({k},1)" for k in range(MAX_DEGREE + 1)) + "]"],
+            ["genus", "--m", "3", "--f", "[1" + ",0" * MAX_DEGREE + ",1]"],
+            ["bound", "--rank", "0", "--m", "3", "--f", "[1" + ",0" * MAX_DEGREE + ",1]"],
+        ],
+    )
+    def test_degree_limit(self, capsys, argv):
+        start = time.process_time()
+        code, payloads, captured = _run(capsys, argv)
+        assert time.process_time() - start < 1.0
+        assert code == 2
+        assert f"MAX_DEGREE = {MAX_DEGREE}" in payloads[0]["error"]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            "[1" + ",0" * (MAX_DEGREE - 1) + ",1]",
+            "prod[" + ",".join(f"({k},1)" for k in range(MAX_DEGREE)) + "]",
+        ],
+    )
+    def test_degree_at_the_limit(self, capsys, f):
+        code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", f, "--json"])
+        assert code == 0
+        assert payloads[0]["degree"] == MAX_DEGREE
+
+    @pytest.mark.parametrize("command", ["bound", "genus", "verify"])
+    def test_coefficient_input_decomposed_once(self, monkeypatch, command):
+        calls = []
+        original = superchab.ratpoly.squarefree_decomposition
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        monkeypatch.setattr(superchab.ratpoly, "squarefree_decomposition", counted)
+        cin = parse_curve_input(f"m=3; f={F12}")
+        cin.rank_claim = 0
+        run(command, cin)
+        assert len(calls) == 1
 
     def test_parse_error_exit_code(self, capsys):
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", "[1,0,oops]"])

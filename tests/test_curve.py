@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from superchab import ratpoly
 from superchab.curve import (
+    MAX_DEGREE,
     HypothesisViolation,
     SuperellipticCurve,
     genus,
@@ -15,6 +17,10 @@ from superchab.curve import (
 
 def curve_x4_plus_1(m=3):
     return SuperellipticCurve(m, [1, 0, 0, 0, 1])
+
+
+def _point_multiplicities(curve):
+    return sorted(e for k, e in curve.branch_multiplicities() for _ in range(k))
 
 
 class TestValidation:
@@ -38,10 +44,6 @@ class TestValidation:
         with pytest.raises(HypothesisViolation) as exc:
             validate(c)
         assert any("below 4" in v for v in exc.value.violations)
-
-    def test_branch_data_must_match(self):
-        with pytest.raises(ValueError):
-            SuperellipticCurve(3, [1, 0, 0, 0, 1], branch_data=[(Fraction(1), 4)])
 
 
 class TestGenus:
@@ -111,3 +113,50 @@ class TestMoveBranchFromInfinity:
                 continue
             assert genus(move_branch_from_infinity(c)) == genus(c)
             done += 1
+
+    def test_factored_flip_matches_coefficient_flip(self):
+        """A factored curve flips by moving its branch data; the same f given
+        as coefficients flips by expansion and square-free decomposition.
+        Both must give the same curve."""
+        rng = random.Random(31)
+        divisible = Counter()
+        for _ in range(120):
+            m = rng.randrange(3, 7)
+            count = rng.randrange(2, 7)
+            thetas = []
+            while len(thetas) < count:
+                theta = Fraction(rng.randrange(-30, 31), rng.randrange(1, 7))
+                if theta not in thetas:
+                    thetas.append(theta)
+            # one simple root keeps the cover irreducible
+            roots = [(t, 1 if i == 0 else rng.randrange(1, m)) for i, t in enumerate(thetas)]
+            if rng.random() < 0.5:
+                while sum(n for _, n in roots) % m:
+                    theta = Fraction(rng.randrange(31, 99), rng.randrange(1, 7))
+                    if all(theta != t for t, _ in roots):
+                        roots.append((theta, 1))
+            c = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 5]))
+            factored = SuperellipticCurve.from_branch_points(m, c, roots)
+            divisible[factored.degree % m == 0] += 1
+            moved = move_branch_from_infinity(factored)
+            oracle = move_branch_from_infinity(SuperellipticCurve(m, factored.f))
+            assert moved.branch_data is not None and oracle.branch_data is None
+            assert moved.f == oracle.f
+            assert _point_multiplicities(moved) == _point_multiplicities(oracle)
+            assert genus(moved) == genus(oracle) == genus(factored)
+        assert divisible[True] > 20 and divisible[False] > 20
+
+
+class TestDegreeLimit:
+    def test_coefficients_above_the_limit(self):
+        with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+            SuperellipticCurve(3, [1] + [0] * MAX_DEGREE + [1])
+
+    def test_trailing_zeros_do_not_count(self):
+        curve = SuperellipticCurve(3, [1] + [0] * (MAX_DEGREE - 1) + [1] + [0] * 10)
+        assert curve.degree == MAX_DEGREE
+
+    def test_factored_above_the_limit_is_not_expanded(self, monkeypatch):
+        monkeypatch.setattr(ratpoly, "mul", None)
+        with pytest.raises(ValueError, match=f"MAX_DEGREE = {MAX_DEGREE}"):
+            SuperellipticCurve.from_branch_points(3, 1, [(0, 2), (1, MAX_DEGREE - 1)])

@@ -297,7 +297,7 @@ class TestDiscCharts:
         assert "multiplicity" in analysis.detail
 
     def test_case_three_odd_m_rejected(self):
-        curve = SuperellipticCurve(3, [98, 0, -51, 0, 1], None)
+        curve = SuperellipticCurve(3, [98, 0, -51, 0, 1])
         # (x^2 - 49)(x^2 - 2): both 7 and -7 in the center disc
         with pytest.raises(ValueError, match="even"):
             parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
@@ -316,7 +316,7 @@ class TestDiscCharts:
 class TestInertBranch:
     def test_incomplete_split_flagged(self):
         # x^2 + 1 is inert over Q7
-        curve = SuperellipticCurve(3, [1, 0, 1], None)
+        curve = SuperellipticCurve(3, [1, 0, 1])
         pts, complete = curve_branch_points(curve, Q7)
         assert not complete
         analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
