@@ -134,8 +134,31 @@ def _branch_product(
     return f
 
 
+def _reducibility(curve: SuperellipticCurve) -> str | None:
+    """The failed irreducibility hypothesis, or None when it holds.
+
+    y^m = f(x) is geometrically irreducible exactly when d = gcd(m, n_1, ...,
+    n_s) = 1 over the branch multiplicities n_i; otherwise f is a d-th power
+    over the algebraic closure and the curve splits into d components.
+    """
+    d = math.gcd(curve.m, *(e for _, e in curve.branch_multiplicities()))
+    if d == 1:
+        return None
+    return (
+        f"y^m = f(x) is not irreducible: gcd(m, branch multiplicities) = {d}, "
+        f"so the curve splits into {d} components"
+    )
+
+
 def genus(curve: SuperellipticCurve) -> int:
-    """Riemann-Hurwitz: 2g - 2 = m(s-1) - gcd(m, deg f) - sum gcd(m, n_i)."""
+    """Riemann-Hurwitz: 2g - 2 = m(s-1) - gcd(m, deg f) - sum gcd(m, n_i).
+
+    Raises:
+        HypothesisViolation: if the curve is reducible (no genus is defined).
+    """
+    split = _reducibility(curve)
+    if split is not None:
+        raise HypothesisViolation([split])
     m = curve.m
     s = curve.branch_point_count
     ram = sum(k * math.gcd(m, e) for k, e in curve.branch_multiplicities())
@@ -149,9 +172,11 @@ def genus(curve: SuperellipticCurve) -> int:
 
 
 def validate(curve: SuperellipticCurve) -> CurveStats:
-    """Main-theorem hypotheses: multiplicities below m, degree at least 4,
-    genus at least 3.  All violations are reported together."""
-    violations = []
+    """Main-theorem hypotheses: an irreducible curve, multiplicities below m,
+    degree at least 4, genus at least 3.  All violations are reported
+    together."""
+    split = _reducibility(curve)
+    violations = [] if split is None else [split]
     for k, e in curve.branch_multiplicities():
         if e >= curve.m:
             violations.append(
@@ -160,9 +185,10 @@ def validate(curve: SuperellipticCurve) -> CurveStats:
             )
     if curve.degree < 4:
         violations.append(f"deg(f) = {curve.degree} is below 4")
-    g = genus(curve)
-    if g < 3:
-        violations.append(f"genus {g} is below 3")
+    if split is None:
+        g = genus(curve)
+        if g < 3:
+            violations.append(f"genus {g} is below 3")
     if violations:
         raise HypothesisViolation(violations)
     return CurveStats(s=curve.branch_point_count, degree=curve.degree, genus=g)

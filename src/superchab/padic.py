@@ -7,9 +7,10 @@ additive cancellation eats into the window.  Nothing here uses floating
 point.
 
 The sum rule (the additive window, the digits lost to cancellation, the
-collapse to exact zero) is one function, `_sum_triples`, on plain
-(valuation, unit, known) integer triples.  `PadicNumber.__add__` and the
-product kernel of `series.LaurentSeries` both call it.  Each `PadicContext`
+collapse to exact zero) is written once, as `_sum_triples`, on plain
+(valuation, unit, known) integer triples, which `PadicNumber.__add__`
+calls.  The product kernel of `series.LaurentSeries` applies the same rule
+inline, without a call or a tuple per pair.  Each `PadicContext`
 builds its table p^0..p^precision once (`PadicContext.powers`), and the
 arithmetic reads moduli from it.  The precision is capped at MAX_PRECISION,
 so the table stays small.

@@ -1,12 +1,14 @@
 """Dense polynomials over Q as plain coefficient lists (ascending powers).
 
 Just enough exact machinery for the curve model: evaluation, arithmetic,
-gcd, and Yun's square-free decomposition.  Lists are never mutated in place
+gcd (on the integer form, so coefficient sizes stay bounded), and Yun's
+square-free decomposition.  Lists are never mutated in place
 by the exported helpers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Poly = list[Fraction]
@@ -72,14 +74,49 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return normalize(quo), normalize(rem)
 
 
+def _primitive(f: Poly) -> list[int]:
+    """A primitive integer multiple of a nonzero f: clear the denominators,
+    then divide out the content."""
+    den = math.lcm(*(c.denominator for c in f))
+    return _primitive_part([c.numerator * (den // c.denominator) for c in f])
+
+
+def _primitive_part(f: list[int]) -> list[int]:
+    content = math.gcd(*f)
+    return [c // content for c in f]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lead(b)^k * a on division by b, with k the number of
+    division steps that met a nonzero leading term; trailing zeros stripped."""
+    lead = b[-1]
+    shift = len(a) - len(b)
+    rem = list(a)
+    while shift >= 0:
+        top = rem[-1]
+        if top:
+            rem = [lead * c for c in rem]
+            for i, c in enumerate(b):
+                rem[shift + i] -= top * c
+        rem.pop()
+        shift -= 1
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
 def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd via the Euclidean algorithm."""
-    a, b = normalize(f), normalize(g)
+    """Monic gcd by a primitive pseudo-remainder sequence on the integer forms.
+
+    Each remainder is divided by its content, so the coefficients stay as
+    small as the gcd allows; over Fraction, Euclid's remainders grow so fast
+    that degree 128 takes minutes.
+    """
+    a, b = (_primitive(h) if h else [] for h in (normalize(f), normalize(g)))
     while b:
-        a, b = b, divmod_poly(a, b)[1]
-    if a:
-        a = scale(a, 1 / a[-1])
-    return a
+        r = _pseudo_remainder(a, b)
+        a, b = b, (_primitive_part(r) if r else r)
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def derivative(f: Poly) -> Poly:

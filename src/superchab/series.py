@@ -9,13 +9,14 @@ is the standard domain; a disc is the same with nonnegative exponents only.
 The window never silently swallows known-nonzero mass: shifting or growing
 past the hard cap raises instead of truncating.
 
-Products convolve plain (valuation, unit, known) integer triples and build
-one PadicNumber per output coefficient.  Each pair's product keeps the
-lesser `known`, as `PadicNumber.__mul__` does; each sum goes through the one
-p-adic sum rule, `padic._sum_triples`, with moduli read from the context's
-power table.  The pairs are summed in the order of a double loop over the
-two coefficient dicts, so every `known` is the one PadicNumber arithmetic
-would give.
+Products convolve plain (valuation, unit, known) integers in one fused
+loop over flat per-exponent lists and build one PadicNumber per output
+coefficient.  Each pair's product keeps the lesser `known`, as
+`PadicNumber.__mul__` does; each sum applies the p-adic sum rule of
+`padic._sum_triples` inline, with moduli read from the context's power
+table.  The pairs are summed in the order of a double loop over the two
+coefficient dicts, so every `known`, every collapse to exact zero and the
+key order of the result are the ones PadicNumber arithmetic would give.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicContext, PadicNumber, PrecisionError, _ilog, _sum_triples
+from .padic import PadicContext, PadicNumber, PrecisionError, _ilog
 
 __all__ = [
     "AnnulusSpec",
@@ -296,25 +297,64 @@ class LaurentSeries:
         if other.context != ctx:
             raise ValueError("mixed p-adic contexts")
         domain = self._join_domain(other)
-        lo = self.lo + other.lo
+        lo = base = self.lo + other.lo
         hi = self.hi + other.hi
-        # Convolve (valuation, unit, known) triples in the pair order of a
-        # PadicNumber double loop: each product as in PadicNumber.__mul__,
-        # each sum through the shared rule.  None marks an exact zero; like a
-        # missing exponent it takes the next product as it is, and it keeps
-        # its place in the key order.
+        # Convolve in the pair order of a PadicNumber double loop, each
+        # product as in PadicNumber.__mul__ and each sum by the p-adic sum
+        # rule (padic._sum_triples), written out inline over three flat
+        # lists indexed by exponent - base.  A pair's unit product is reduced
+        # mod p^k only when it starts a state: a sum's window is at most k
+        # when the product is the lower term, and at most k + d when it is
+        # the higher term shifted by p^d, so the raw product gives the same
+        # residue.  `val[n] is None` marks a fresh state: never reached
+        # (known -1) or collapsed to exact zero, which keeps its place in
+        # the first-reached order and takes the next product as it is.
         powers = ctx.powers
-        right = [(j, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
-        acc: dict[int, tuple[int, int, int] | None] = {}
-        get = acc.get
+        p = ctx.prime
+        size = hi - base + 1
+        val: list[int | None] = [None] * size
+        unit = [0] * size
+        known = [-1] * size
+        order: list[int] = []
+        right = [(j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
         for i, a in self.coefficients.items():
             va, ua, ka = a.valuation, a.unit, a.known
             for j, vb, ub, kb in right:
                 n = i + j
                 k = ka if ka < kb else kb
-                prod = (va + vb, ua * ub % powers[k], k)
-                prev = get(n)
-                acc[n] = prod if prev is None else _sum_triples(prev, prod, powers)
+                v = va + vb
+                u = ua * ub
+                vs = val[n]
+                if vs is None:
+                    if known[n] < 0:
+                        order.append(n)
+                    val[n] = v
+                    unit[n] = u % powers[k]
+                    known[n] = k
+                    continue
+                ks = known[n]
+                if v < vs:
+                    d = vs - v
+                    window = ks + d if ks + d < k else k
+                    s = u + unit[n] * powers[d] if d < window else u
+                else:
+                    d = v - vs
+                    window = k + d if k + d < ks else ks
+                    s = unit[n] + u * powers[d] if d < window else unit[n]
+                    v = vs
+                if window <= 0:
+                    raise PrecisionError("additive window exhausted")
+                s %= powers[window]
+                if s == 0:
+                    val[n] = None
+                    continue
+                while s % p == 0:
+                    s //= p
+                    v += 1
+                    window -= 1
+                val[n] = v
+                unit[n] = s
+                known[n] = window
         # Knowledge boundaries: an entire side of one factor extends the other
         # factor's window by its extreme stored exponent; a truncated side pins
         # the result at the sum of the truncated edges.
@@ -335,9 +375,9 @@ class LaurentSeries:
         if lo > hi:
             raise PrecisionError("product window collapsed")
         coeffs = {
-            n: PadicNumber(ctx, *c)
-            for n, c in acc.items()
-            if c is not None and lo <= n <= hi
+            n + base: PadicNumber(ctx, val[n], unit[n], known[n])
+            for n in order
+            if val[n] is not None and lo <= n + base <= hi
         }
         below = above = None
         if not (self.tail_below is None and other.tail_below is None):

@@ -15,7 +15,7 @@ from superchab.cli import (
     parse_curve_input,
     run,
 )
-from superchab.curve import MAX_DEGREE
+from superchab.curve import MAX_DEGREE, HypothesisViolation
 from superchab.geometry import MAX_PRIME
 from superchab.padic import MAX_M, chabauty_prime
 
@@ -302,6 +302,34 @@ class TestSubcommands:
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", f, "--json"])
         assert code == 0
         assert payloads[0]["degree"] == MAX_DEGREE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["genus", "--m", "4", "--f", "prod[(1,2),(2,2),(3,2)]"],
+            ["bound", "--m", "4", "--rank", "0", "--f",
+             "prod[(1,2),(2,2),(3,2),(4,2),(5,2),(6,2),(7,2),(8,2)]"],
+            # (x^2 + 1)^2 as coefficients
+            ["genus", "--m", "4", "--f", "[1,0,2,0,1]"],
+            ["verify", "--m", "6", "--rank", "0", "--f", "prod[(1,2),(2,4),(3,2),(4,2)]"],
+        ],
+    )
+    def test_reducible_cover_rejected(self, capsys, argv):
+        # y^m = f(x) splits into gcd(m, n_1, ..., n_s) = 2 components
+        code, payloads, captured = _run(capsys, argv)
+        assert code == 2
+        assert "not irreducible: gcd(m, branch multiplicities) = 2" in payloads[0]["error"]
+        assert "genus" not in payloads[0]
+        assert "Traceback" not in captured.err
+
+    def test_reducible_cover_listed_with_other_violations(self):
+        cin = parse_curve_input("m=4; f=prod[(1,2)]")
+        cin.rank_claim = 0
+        with pytest.raises(HypothesisViolation) as info:
+            run("bound", cin)
+        assert len(info.value.violations) == 2
+        assert "not irreducible" in info.value.violations[0]
+        assert "deg(f) = 2 is below 4" in info.value.violations[1]
 
     @pytest.mark.parametrize("command", ["bound", "genus", "verify"])
     def test_coefficient_input_decomposed_once(self, monkeypatch, command):

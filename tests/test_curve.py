@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -100,7 +101,7 @@ class TestMoveBranchFromInfinity:
 
     def test_genus_invariant_random(self):
         rng = random.Random(23)
-        done = 0
+        done = reducible = 0
         while done < 100:
             m = rng.randrange(2, 7)
             s = rng.randrange(4, 8)
@@ -111,8 +112,18 @@ class TestMoveBranchFromInfinity:
             c = SuperellipticCurve.from_branch_points(m, rng.randrange(1, 5), roots)
             if c.degree < 4:
                 continue
-            assert genus(move_branch_from_infinity(c)) == genus(c)
+            moved = move_branch_from_infinity(c)
+            d = math.gcd(m, *(n for _, n in roots))
+            if d > 1:
+                # a reducible cover has no genus, before or after the flip
+                for side in (c, moved):
+                    with pytest.raises(HypothesisViolation, match=f"= {d}, "):
+                        genus(side)
+                reducible += 1
+            else:
+                assert genus(moved) == genus(c)
             done += 1
+        assert reducible >= 1
 
     def test_factored_flip_matches_coefficient_flip(self):
         """A factored curve flips by moving its branch data; the same f given

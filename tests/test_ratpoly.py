@@ -1,0 +1,109 @@
+"""Polynomials over Q: the integer-form gcd against Euclid over Fraction,
+and Yun's square-free decomposition built on it."""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from superchab import ratpoly
+
+
+def _fraction_euclid(f, g):
+    """The monic gcd by Euclid over Fraction, as ratpoly.gcd computed it
+    before the integer form."""
+    a, b = ratpoly.normalize(f), ratpoly.normalize(g)
+    while b:
+        a, b = b, ratpoly.divmod_poly(a, b)[1]
+    if a:
+        a = ratpoly.scale(a, 1 / a[-1])
+    return a
+
+
+def _random_poly(rng, degree, dens=(1,)):
+    coeffs = [Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(degree)]
+    return coeffs + [Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice(dens))]
+
+
+def _product(factors):
+    out = [Fraction(1)]
+    for g, e in factors:
+        for _ in range(e):
+            out = ratpoly.mul(out, g)
+    return out
+
+
+def _planted_pair(rng):
+    """f and g sharing planted factors, some repeated, with denominators."""
+    dens = rng.choice(((1,), (1, 2, 3), (5, 7, 12)))
+    shared = [(_random_poly(rng, rng.randint(1, 3), dens), rng.randint(1, 3))
+              for _ in range(rng.randint(0, 2))]
+    f = _product(shared + [(_random_poly(rng, rng.randint(0, 4), dens), rng.randint(1, 2))])
+    g = _product(shared[: rng.randint(0, len(shared))]
+                 + [(_random_poly(rng, rng.randint(0, 4), dens), 1)])
+    return ratpoly.scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9))), g
+
+
+class TestGcd:
+    def test_matches_fraction_euclid(self):
+        rng = random.Random(909)
+        nontrivial = 0
+        for _ in range(300):
+            f, g = _planted_pair(rng)
+            want = _fraction_euclid(f, g)
+            assert ratpoly.gcd(f, g) == want
+            assert ratpoly.gcd(g, f) == want
+            df = ratpoly.derivative(f)
+            assert ratpoly.gcd(f, df) == _fraction_euclid(f, df)
+            nontrivial += ratpoly.degree(want) > 0
+        assert nontrivial >= 100
+
+    @pytest.mark.parametrize(
+        "f, g, want",
+        [
+            ([], [], []),
+            ([], [Fraction(-4), Fraction(2)], [Fraction(-2), Fraction(1)]),
+            ([Fraction(2), Fraction(6)], [], [Fraction(1, 3), Fraction(1)]),
+            ([Fraction(5)], [Fraction(1), Fraction(1)], [Fraction(1)]),
+            ([Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)],
+             [Fraction(3, 2), Fraction(1)]),
+        ],
+    )
+    def test_edge_cases(self, f, g, want):
+        assert ratpoly.gcd(f, g) == want == _fraction_euclid(f, g)
+
+    def test_degree_128_within_cpu_bound(self):
+        # Euclid over Fraction takes minutes here; the integer form takes
+        # about 0.12 s of CPU on a 2-core x86 host with Python 3.11
+        rng = random.Random(128)
+        f = _random_poly(rng, 128)
+        start = time.process_time()
+        g = ratpoly.gcd(f, ratpoly.derivative(f))
+        assert time.process_time() - start < 2.0
+        assert g == [Fraction(1)]
+
+
+class TestSquarefreeDecomposition:
+    def test_recovers_planted_blocks(self):
+        rng = random.Random(56)
+        for _ in range(40):
+            dens = rng.choice(((1,), (2, 3)))
+            blocks = []
+            for e in rng.sample(range(1, 5), rng.randint(1, 3)):
+                roots = {Fraction(rng.randint(-20, 20), rng.choice(dens))
+                         for _ in range(rng.randint(1, 3))}
+                blocks.append((roots, e))
+            # distinct roots across blocks keep the blocks coprime
+            used = set()
+            factors = []
+            for roots, e in blocks:
+                roots -= used
+                used |= roots
+                if roots:
+                    factors.append((_product([([-t, Fraction(1)], 1) for t in sorted(roots)]), e))
+            lead = Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 5)))
+            f = ratpoly.scale(_product(factors), lead)
+            got_lead, got = ratpoly.squarefree_decomposition(f)
+            assert got_lead == lead
+            assert sorted((e, g) for g, e in got) == sorted((e, g) for g, e in factors)

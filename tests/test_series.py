@@ -157,15 +157,16 @@ def _truncated(c, known):
     return PadicNumber(c.context, c.valuation, c.unit % p**known, known)
 
 
-def _random_pair(rng):
-    """Two annulus series over one context; often with a planted cancellation
+def _random_coefficients(rng, ctx, exps):
+    return {rng.randint(*exps): _random_coefficient(rng, ctx) for _ in range(rng.randint(1, 6))}
+
+
+def _random_pair(rng, domain=ANN1, exps=(-5, 5)):
+    """Two series over one context; often with a planted cancellation
     and sometimes with a truncated side that clips the product window."""
     ctx = PadicContext(rng.choice((3, 5, 7, 13)), rng.randint(2, 40))
     p = ctx.prime
-    xs, ys = (
-        {rng.randint(-5, 5): _random_coefficient(rng, ctx) for _ in range(rng.randint(1, 6))}
-        for _ in range(2)
-    )
+    xs, ys = (_random_coefficients(rng, ctx, exps) for _ in range(2))
     if len(xs) >= 2 and rng.random() < 0.6:
         # plant x_i1*y_j1 + x_i2*y_j2 = p^r*w, exactly 0 when w = 0
         i1, i2 = rng.sample(sorted(xs), 2)
@@ -174,18 +175,54 @@ def _random_pair(rng):
         w = rng.choice((0, rng.randint(1, 50)))
         r = xs[i1].valuation + ys[j1].valuation + rng.randint(1, 8)
         target = Fraction(p) ** r * w - xs[i1].lift_fraction() * ys[j1].lift_fraction()
-        if target and all(xs[i].known and ys[j1].known for i in (i1, i2)):
+        if (
+            target
+            and all(xs[i].known and ys[j1].known for i in (i1, i2))
+            and not (domain.is_disc and j2 < 0)
+        ):
             exact = PadicNumber.from_fraction(target / xs[i2].lift_fraction(), ctx)
             keep = ctx.precision if rng.random() < 0.6 else rng.randint(1, ctx.precision)
             ys[j2] = _truncated(exact, keep)
-    x = LaurentSeries.from_dict(xs, ctx, ANN1)
-    y = LaurentSeries.from_dict(ys, ctx, ANN1)
+    x = LaurentSeries.from_dict(xs, ctx, domain)
+    y = LaurentSeries.from_dict(ys, ctx, domain)
     if rng.random() < 0.25:
         x = LaurentSeries(
-            ctx, x.coefficients, ANN1, x.lo, x.hi + rng.randint(0, 2),
+            ctx, x.coefficients, domain, x.lo, x.hi + rng.randint(0, 2),
             None, TailBound(Fraction(1)),
         )
     return x, y
+
+
+def _checked_product(x, y, seen):
+    """x * y, asserted equal to the oracle loop in every coefficient and in
+    key order; a PrecisionError of the oracle must be raised by x * y too."""
+    try:
+        acc = _oracle_products(x, y, seen)
+    except PrecisionError:
+        seen["raised"] += 1
+        with pytest.raises(PrecisionError):
+            x * y
+        raise
+    got = x * y
+    want = [(n, c) for n, c in acc.items() if not c.is_zero and got.lo <= n <= got.hi]
+    assert _triples(got.coefficients.items()) == _triples(want)
+    seen["collapsed"] += any(c.is_zero for c in acc.values())
+    seen["unsorted"] += list(got.coefficients) != got.support()
+    return got
+
+
+def _checked_power(x, e, seen):
+    """x ** e by the square-and-multiply of LaurentSeries.__pow__, each
+    product checked against the oracle."""
+    result = LaurentSeries.one(x.context, x.domain)
+    base = x
+    while e:
+        if e & 1:
+            result = _checked_product(result, base, seen)
+        e >>= 1
+        if e:
+            base = _checked_product(base, base, seen)
+    return result
 
 
 class TestProductOracle:
@@ -211,6 +248,38 @@ class TestProductOracle:
         assert seen["partial"] >= 150
         assert seen["raised"] >= 30
         assert seen["clipped"] >= 100
+
+    @pytest.mark.parametrize(
+        "domain, exps, seed",
+        [(ANN1, (-5, 5), 20261018), (AnnulusSpec.disc(), (0, 8), 20261019)],
+    )
+    def test_chained_products_and_powers(self, domain, exps, seed):
+        """A product's output, with the key order it produced and its
+        collapsed exponents dropped, feeds a second product and a power."""
+        rng = random.Random(seed)
+        seen = {"exact": 0, "partial": 0, "raised": 0, "collapsed": 0, "unsorted": 0}
+        chained = 0
+        for _ in range(500):
+            x, y = _random_pair(rng, domain, exps)
+            w = LaurentSeries.from_dict(_random_coefficients(rng, x.context, exps), x.context, domain)
+            e = rng.randint(2, 4)
+            try:
+                xy = _checked_product(x, y, seen)
+                _checked_product(xy, w, seen)
+                _checked_product(w, xy, seen)
+                want = _checked_power(xy, e, seen)
+            except PrecisionError:
+                continue
+            got = xy**e
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+            assert _triples(got.coefficients.items()) == _triples(want.coefficients.items())
+            chained += 1
+        assert chained >= 350
+        assert seen["exact"] >= 500
+        assert seen["partial"] >= 1000
+        assert seen["raised"] >= 30
+        assert seen["collapsed"] >= 100
+        assert seen["unsorted"] >= 1000
 
     def test_mixed_contexts_rejected(self):
         a = series({0: 1, 1: 2})
