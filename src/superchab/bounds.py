@@ -57,13 +57,7 @@ def pullback_exponent(i: int, a: ResidueAnnulus, m: int) -> int:
     common unit factor, with exponent (i+1)m/d - k0/d.
     """
     k0 = a.weighted_inner_count()
-    d = a.d if a.d is not None else math.gcd(m, k0)
-    num = (i + 1) * m - k0
-    if num % d:
-        raise ValueError(
-            f"exponent {num} not divisible by d = {d}; inconsistent annulus data"
-        )
-    return num // d
+    return ((i + 1) * m - k0) // math.gcd(m, k0)
 
 
 @dataclass
@@ -136,7 +130,6 @@ def minimal_width_differential(
     if a.m is None:
         raise ValueError("annulus has not been classified; m is unknown")
     m = a.m
-    d = a.d if a.d is not None else math.gcd(m, a.weighted_inner_count())
     n = r + 3
     if len(constraints) > r + 2:
         raise ValueError(
@@ -155,7 +148,7 @@ def minimal_width_differential(
         pullback_exponent(i, a, m) for i, c in enumerate(vec) if not c.is_zero
     ]
     width = max(occupied) - min(occupied) if occupied else 0
-    cap = m * (r + 2) // d + 1
+    cap = m * (r + 2) // a.d + 1
     _check_cap(width, cap, "width", "the certificate cap")
     return DifferentialVector(vec), width
 

@@ -226,6 +226,7 @@ def _run_bound(curve: SuperellipticCurve, cin: CurveInput) -> dict:
 
 
 def _run_analyze(curve: SuperellipticCurve, cin: CurveInput) -> dict:
+    genus(curve)  # rejects a reducible cover before any prime is chosen
     m = curve.m
     p = cin.prime_override if cin.prime_override is not None else chabauty_prime(m)[0]
     if p > MAX_PRIME:

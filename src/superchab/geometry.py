@@ -59,8 +59,8 @@ __all__ = [
 
 # -- root finding over Q_p -----------------------------------------------------
 
-# qp_roots scans all p residues twice per square-free block, so its time grows
-# linearly in p: about 3 s of CPU at p = 1000003 for a quartic with four
+# qp_roots scans all p residues once per square-free block, so its time grows
+# linearly in p: about 1 s of CPU at p = 999979 for a quartic with four
 # rational roots (2-core x86 host, Python 3.11).  The limit admits the least
 # prime = 1 mod m for every m up to padic.MAX_M (the largest is 496747).
 MAX_PRIME = 1_000_000
@@ -85,34 +85,43 @@ def _zp_roots_squarefree(
     p = ctx.prime
     if depth > 3 * ctx.precision:
         return [], False
-    dP = _poly_derivative_int(P)
     roots: list[PadicNumber] = []
     complete = True
     for a in range(p):
-        if _poly_eval_mod(P, a, p) != 0:
-            continue
-        if _poly_eval_mod(dP, a, p) != 0:
-            roots.append(_hensel_root(P, a, ctx))
-            continue
-        # repeated residue root: zoom in on the sub-disc a + pZ_p
-        zoomed = ratpoly.compose_linear(P, Fraction(a), Fraction(p))
-        rescaled = [int(c) for c in zoomed]
-        content = min(_vp(q, p) for q in rescaled if q != 0)
-        Q = [q // p**content for q in rescaled]
-        sub, sub_ok = _zp_roots_squarefree(Q, ctx, depth + 1)
-        complete = complete and sub_ok
-        a_p = PadicNumber.from_int(a, ctx)
-        p_p = PadicNumber.from_int(p, ctx)
-        for y in sub:
-            roots.append(a_p + p_p * y)
+        if _poly_eval_mod(P, a, p) == 0:
+            sub, ok = _zp_roots_in_residue(P, a, ctx, depth)
+            roots.extend(sub)
+            complete = complete and ok
     return roots, complete
+
+
+def _zp_roots_in_residue(
+    P: list[int], a: int, ctx: PadicContext, depth: int
+) -> tuple[list[PadicNumber], bool]:
+    """Roots in a + pZ_p of a square-free integer polynomial with a root a
+    mod p, plus a flag telling whether that disc was searched to the end."""
+    p = ctx.prime
+    if _poly_eval_mod(_poly_derivative_int(P), a, p) != 0:
+        return [_hensel_root(P, a, ctx)], True
+    # repeated residue root: zoom in on the sub-disc a + pZ_p
+    zoomed = ratpoly.compose_linear(P, Fraction(a), Fraction(p))
+    rescaled = [int(c) for c in zoomed]
+    content = min(_vp(q, p) for q in rescaled if q != 0)
+    Q = [q // p**content for q in rescaled]
+    sub, ok = _zp_roots_squarefree(Q, ctx, depth + 1)
+    a_p = PadicNumber.from_int(a, ctx)
+    p_p = PadicNumber.from_int(p, ctx)
+    return [a_p + p_p * y for y in sub], ok
 
 
 def qp_roots(
     coeffs: list[Fraction], ctx: PadicContext
 ) -> tuple[list[PadicNumber], bool]:
     """All Q_p roots of a square-free rational polynomial, plus a flag
-    telling whether the polynomial splits completely over Q_p."""
+    telling whether the polynomial splits completely over Q_p.  Roots of
+    negative valuation invert the roots in pZ_p of the reversal R, so R is
+    searched at residue 0 alone, and the flag covers only that residue of R.
+    """
     poly = ratpoly.normalize([Fraction(c) for c in coeffs])
     deg = ratpoly.degree(poly)
     if deg < 1:
@@ -124,19 +133,14 @@ def qp_roots(
     if poly[0] == 0:
         roots.append(PadicNumber.zero(ctx))
         poly = poly[1:]
-    den = math.lcm(*(c.denominator for c in poly))
-    P = [int(c * den) for c in poly]
-    g = math.gcd(*(abs(c) for c in P))
-    P = [c // g for c in P]
+    P = ratpoly._primitive(poly)
     nonneg, ok1 = _zp_roots_squarefree(P, ctx)
     roots.extend(nonneg)
-    # negative-valuation roots are inverses of small roots of the reversal
-    R = list(reversed(P))
-    small, ok2 = _zp_roots_squarefree(R, ctx)
+    small, ok2 = [], True
+    if P[-1] % ctx.prime == 0:
+        small, ok2 = _zp_roots_in_residue(P[::-1], 0, ctx, 0)
     one = PadicNumber.from_int(1, ctx)
-    for r in small:
-        if not r.is_zero and r.valuation >= 1:
-            roots.append(one / r)
+    roots.extend(one / r for r in small if not r.is_zero)
     complete = ok1 and ok2 and len(roots) == deg
     return roots, complete
 
@@ -269,13 +273,15 @@ def pruned_annulus_count(tree: ClusterTree, infinity_is_branch: bool = False) ->
 
 @dataclass
 class ResidueAnnulus:
+    """A maximal annulus with theta_0 the branch points inside.  Its sheet
+    count d = gcd(k0, m) and case follow from m (see classify_annulus);
+    both are None while m is unknown."""
+
     center: PadicNumber
     rational_center: int
     valuation_interval: tuple[int, int]
     theta_0: list[tuple[PadicNumber, int]]
     theta_infty: list[tuple[PadicNumber, int]]
-    d: int | None = None
-    case: str | None = None
     m: int | None = None
 
     def __post_init__(self) -> None:
@@ -289,6 +295,14 @@ class ResidueAnnulus:
 
     def weighted_inner_count(self) -> int:
         return sum(n for _, n in self.theta_0)
+
+    @property
+    def d(self) -> int | None:
+        return None if self.m is None else math.gcd(self.weighted_inner_count(), self.m)
+
+    @property
+    def case(self) -> str | None:
+        return None if self.m is None else ("split" if self.d > 1 else "rotation")
 
 
 def enumerate_maximal_annuli(
@@ -321,10 +335,7 @@ def enumerate_maximal_annuli(
                 for i in range(len(tree.points))
                 if i not in members
             ]
-            a = ResidueAnnulus(center, c_rat, (lo, hi), th0, thinf)
-            if m is not None:
-                a.case = classify_annulus(a, m)
-            annuli.append(a)
+            annuli.append(ResidueAnnulus(center, c_rat, (lo, hi), th0, thinf, m))
         for ch in node.children:
             walk(ch)
 
@@ -336,11 +347,11 @@ def enumerate_maximal_annuli(
 
 
 def classify_annulus(a: ResidueAnnulus, m: int) -> str:
-    """split (d > 1 disjoint annuli permuted) or rotation (single annulus,
-    rotated), where d = gcd(k0, m) for k0 branch points inside."""
-    a.d = math.gcd(a.weighted_inner_count(), m)
+    """Record m on the annulus and return its case: split (d > 1 disjoint
+    annuli permuted) or rotation (single annulus, rotated), where
+    d = gcd(k0, m) for k0 branch points inside."""
     a.m = m
-    return "split" if a.d > 1 else "rotation"
+    return a.case
 
 
 def annulus_orbit_count(curve: SuperellipticCurve, ctx: PadicContext) -> int:
@@ -510,7 +521,6 @@ def parameterize_annulus(
 
     k0 = a.weighted_inner_count()
     d = math.gcd(k0, m)
-    a.d = d
     md = m // d
     lead = PadicNumber.from_fraction(scaled[-1], ctx)
     q0 = math.prod(((-th) ** n for th, n in thetainf), start=lead)
@@ -562,11 +572,7 @@ def parameterize_annulus(
     # exact constant identity gamma^m = Q0 * U^k0.
     h_pow = h**m
     lhs = h_pow.shifted(k0).scaled(q0)
-    rhs = LaurentSeries.from_dict(
-        {k: PadicNumber.from_fraction(c, ctx) for k, c in enumerate(scaled) if c != 0},
-        ctx,
-        x_dom,
-    )
+    rhs = LaurentSeries.from_dict(dict(enumerate(scaled)), ctx, x_dom)
     resid = lhs - rhs
     vq = min(0, q0.valuation)
     budget = (
@@ -671,8 +677,8 @@ def parameterize_disc(
 def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     m = curve.m
     target = ctx.precision // 2
-    fc = curve.evaluate_f(spec.center)
-    fc_p = PadicNumber.from_fraction(fc, ctx)
+    shifted = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
+    fc_p = PadicNumber.from_fraction(shifted[0], ctx)
     analysis = DiscAnalysis(spec, 1, "unanalyzed")
     ok = is_mth_power(fc_p, m)
     analysis.power_tests["m_th_power(f(center))"] = str(ok)
@@ -692,16 +698,7 @@ def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     # residual check: (gamma h)^m - f(center + z), one-sided and exact
     y0 = h.scaled(gamma)
     ypow = (y0**m).window_clipped(0, order)
-    shifted = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
-    f_comp = LaurentSeries.from_dict(
-        {
-            k: PadicNumber.from_fraction(c, ctx)
-            for k, c in enumerate(shifted)
-            if c != 0
-        },
-        ctx,
-        dom,
-    )
+    f_comp = LaurentSeries.from_dict(dict(enumerate(shifted)), ctx, dom)
     resid = ypow - f_comp.window_clipped(0, order)
     budget = ((k, ctx.precision) for k in range(order - 2))
     attained = _verified_digits(resid, budget, target)

@@ -74,11 +74,17 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return normalize(quo), normalize(rem)
 
 
+def integer_form(f: Poly) -> tuple[list[int], int]:
+    """(den*f as integers, den), with den the lcm of the coefficient
+    denominators (1 for the zero polynomial)."""
+    den = math.lcm(*(c.denominator for c in f))
+    return [c.numerator * (den // c.denominator) for c in f], den
+
+
 def _primitive(f: Poly) -> list[int]:
     """A primitive integer multiple of a nonzero f: clear the denominators,
     then divide out the content."""
-    den = math.lcm(*(c.denominator for c in f))
-    return _primitive_part([c.numerator * (den // c.denominator) for c in f])
+    return _primitive_part(integer_form(f)[0])
 
 
 def _primitive_part(f: list[int]) -> list[int]:
@@ -161,11 +167,9 @@ def compose_linear(f: Poly, a: Fraction, b: Fraction) -> Poly:
     return out
 
 
-def reverse(f: Poly, n: int | None = None) -> Poly:
-    """x^n * f(1/x) for n >= deg f (defaults to deg f)."""
+def reverse(f: Poly, n: int) -> Poly:
+    """x^n * f(1/x) for n >= deg f."""
     f = normalize(f)
-    if n is None:
-        n = degree(f)
     if n < degree(f):
         raise ValueError("reversal order below degree")
     out = [Fraction(0)] * (n + 1)

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import ratpoly
 from .bounds import bound_report, rank_hypothesis
 from .curve import SuperellipticCurve
 
@@ -47,9 +48,10 @@ _MAX_SIEVE_PRIMES = 8
 
 @dataclass(frozen=True)
 class RationalPoint:
+    """An affine point (x, y); points at infinity are only counted."""
+
     x: Fraction
     y: Fraction
-    at_infinity: bool = False
 
 
 @dataclass
@@ -126,9 +128,7 @@ def _rational_mth_roots(v: Fraction, m: int) -> list[Fraction]:
 
 
 def is_on_curve(pt: RationalPoint, curve: SuperellipticCurve) -> bool:
-    """Exact check y^m = f(x); infinity points hold by the place count."""
-    if pt.at_infinity:
-        return True
+    """Exact check y^m = f(x) for an affine point."""
     return pt.y ** curve.m == curve.evaluate_f(pt.x)
 
 
@@ -219,8 +219,7 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
             f"height {height} exceeds the search limit {MAX_SEARCH_HEIGHT}"
         )
     m = curve.m
-    den = math.lcm(*(c.denominator for c in curve.f))
-    ints = [c.numerator * (den // c.denominator) for c in curve.f]
+    ints, den = ratpoly.integer_form(curve.f)
     d = len(ints) - 1
     tables = _sieve_tables(ints, den, m, height)
     full = (1 << (2 * height + 1)) - 1

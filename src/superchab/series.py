@@ -49,26 +49,26 @@ DEFAULT_ORDER = 64
 
 @dataclass(frozen=True)
 class AnnulusSpec:
-    """Domain marker: open annulus 0 < v(z) < inner_valuation, or open disc."""
+    """Domain marker: open annulus 0 < v(z) < inner_valuation, or the open
+    disc v(z) > 0 when inner_valuation is None."""
 
     inner_valuation: Fraction | None
-    is_disc: bool
 
     def __post_init__(self) -> None:
-        if self.is_disc:
-            if self.inner_valuation is not None:
-                raise ValueError("disc domain carries no inner radius")
-        else:
-            if self.inner_valuation is None or self.inner_valuation <= 0:
-                raise ValueError("annulus needs a positive inner valuation")
+        if self.inner_valuation is not None and self.inner_valuation <= 0:
+            raise ValueError("annulus needs a positive inner valuation")
+
+    @property
+    def is_disc(self) -> bool:
+        return self.inner_valuation is None
 
     @staticmethod
     def disc() -> "AnnulusSpec":
-        return AnnulusSpec(None, True)
+        return AnnulusSpec(None)
 
     @staticmethod
     def annulus(beta: Fraction | int) -> "AnnulusSpec":
-        return AnnulusSpec(Fraction(beta), False)
+        return AnnulusSpec(Fraction(beta))
 
     def contains_valuation(self, t: Fraction) -> bool:
         if self.is_disc:
@@ -97,6 +97,18 @@ def _merge_tails(a: TailBound | None, b: TailBound | None) -> TailBound | None:
     if b is None:
         return a
     return TailBound(min(a.slope, b.slope), min(a.offset, b.offset))
+
+
+def _fold_clipped(coeffs: dict[int, PadicNumber], lo: int, hi: int, below, above):
+    """The tail floors below and above, each merged with a constant floor at
+    the least valuation of the coeffs clipped on its side of [lo, hi]."""
+    dropped_lo = [c.valuation for n, c in coeffs.items() if n < lo]
+    dropped_hi = [c.valuation for n, c in coeffs.items() if n > hi]
+    if dropped_lo:
+        below = _merge_tails(below, TailBound(Fraction(0), Fraction(min(dropped_lo))))
+    if dropped_hi:
+        above = _merge_tails(above, TailBound(Fraction(0), Fraction(min(dropped_hi))))
+    return below, above
 
 
 class LaurentSeries:
@@ -142,10 +154,9 @@ class LaurentSeries:
         data: dict[int, object],
         ctx: PadicContext,
         domain: AnnulusSpec | None = None,
-        lo: int | None = None,
-        hi: int | None = None,
     ) -> "LaurentSeries":
-        """Exact Laurent polynomial from int/Fraction/PadicNumber values."""
+        """Exact Laurent polynomial from int/Fraction/PadicNumber values, zeros
+        dropped, on the window of its nonzero exponents (from 0 on a disc)."""
         coeffs: dict[int, PadicNumber] = {}
         for n, v in data.items():
             c = v if isinstance(v, PadicNumber) else PadicNumber.from_fraction(Fraction(v), ctx)
@@ -156,11 +167,7 @@ class LaurentSeries:
         if domain is None:
             domain = AnnulusSpec.disc() if w_lo >= 0 else AnnulusSpec.annulus(1)
         return LaurentSeries(
-            ctx,
-            coeffs,
-            domain,
-            min(w_lo, 0 if domain.is_disc else w_lo) if lo is None else lo,
-            w_hi if hi is None else hi,
+            ctx, coeffs, domain, min(w_lo, 0 if domain.is_disc else w_lo), w_hi
         )
 
     @staticmethod
@@ -243,12 +250,7 @@ class LaurentSeries:
         # Stored mass of one operand dropped past the shared window folds
         # into the tail bound as a constant floor.
         for s in (self, other):
-            dropped_lo = [c.valuation for n, c in s.coefficients.items() if n < lo]
-            dropped_hi = [c.valuation for n, c in s.coefficients.items() if n > hi]
-            if dropped_lo:
-                below = _merge_tails(below, TailBound(Fraction(0), Fraction(min(dropped_lo))))
-            if dropped_hi:
-                above = _merge_tails(above, TailBound(Fraction(0), Fraction(min(dropped_hi))))
+            below, above = _fold_clipped(s.coefficients, lo, hi, below, above)
         if domain.is_disc and lo < 0:
             lo = 0
         return LaurentSeries(self.context, coeffs, domain, lo, hi, below, above)
@@ -485,13 +487,9 @@ class LaurentSeries:
         hi = min(hi, self.hi) if self.tail_above is not None else hi
         lo = max(lo, -MAX_WINDOW)
         hi = min(hi, MAX_WINDOW)
-        below, above = self.tail_below, self.tail_above
-        dropped_lo = [c.valuation for n, c in self.coefficients.items() if n < lo]
-        dropped_hi = [c.valuation for n, c in self.coefficients.items() if n > hi]
-        if dropped_lo:
-            below = _merge_tails(below, TailBound(Fraction(0), Fraction(min(dropped_lo))))
-        if dropped_hi:
-            above = _merge_tails(above, TailBound(Fraction(0), Fraction(min(dropped_hi))))
+        below, above = _fold_clipped(
+            self.coefficients, lo, hi, self.tail_below, self.tail_above
+        )
         coeffs = {n: c for n, c in self.coefficients.items() if lo <= n <= hi}
         return LaurentSeries(self.context, coeffs, self.domain, lo, hi, below, above)
 

@@ -77,12 +77,6 @@ class TestPullbackExponents:
             step = m // a.d
             assert [e2 - e1 for e1, e2 in zip(exps, exps[1:])] == [step] * 4
 
-    def test_divisibility_guard(self):
-        a = _annulus(2, 3, Q7)
-        a.d = 4
-        with pytest.raises(ValueError, match="divisible"):
-            pullback_exponent(0, a, 3)
-
 
 class TestMinimalWidth:
     def test_no_constraints(self):

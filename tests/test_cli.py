@@ -312,6 +312,7 @@ class TestSubcommands:
             # (x^2 + 1)^2 as coefficients
             ["genus", "--m", "4", "--f", "[1,0,2,0,1]"],
             ["verify", "--m", "6", "--rank", "0", "--f", "prod[(1,2),(2,4),(3,2),(4,2)]"],
+            ["analyze", "--m", "4", "--f", "prod[(1,2),(6,2),(31,2),(2,2)]"],
         ],
     )
     def test_reducible_cover_rejected(self, capsys, argv):

@@ -125,3 +125,11 @@ def test_public_names_are_reached():
         and total[node.name] == _references(node)[node.name]
     )
     assert unreached == sorted(UNREACHED_ALLOWED)
+
+
+def test_denominators_cleared_only_in_ratpoly():
+    """The integer form den*f of a rational polynomial has one builder,
+    ratpoly.integer_form: no other module takes an lcm of denominators."""
+    paths = sorted(Path(superchab.__file__).parent.glob("*.py"))
+    users = [path.name for path, tree in zip(paths, _parse(paths)) if _references(tree)["lcm"]]
+    assert users == ["ratpoly.py"]

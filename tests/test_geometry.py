@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import superchab.geometry
+from superchab import ratpoly
 from superchab.curve import SuperellipticCurve, genus
 from superchab.geometry import (
     ChartVerificationError,
@@ -80,6 +82,81 @@ class TestQpRoots:
         assert any(r.is_zero for r in roots)
 
 
+def _two_scan_qp_roots(coeffs, ctx):
+    """qp_roots as it was when the reversal was scanned over all p residues
+    and its roots were kept only at valuation >= 1; the oracle for the
+    residue-0 search."""
+    poly = ratpoly.normalize([Fraction(c) for c in coeffs])
+    deg = ratpoly.degree(poly)
+    roots = []
+    if poly[0] == 0:
+        roots.append(PadicNumber.zero(ctx))
+        poly = poly[1:]
+    den = math.lcm(*(c.denominator for c in poly))
+    P = [int(c * den) for c in poly]
+    g = math.gcd(*(abs(c) for c in P))
+    P = [c // g for c in P]
+    nonneg, ok1 = superchab.geometry._zp_roots_squarefree(P, ctx)
+    roots.extend(nonneg)
+    small, ok2 = superchab.geometry._zp_roots_squarefree(list(reversed(P)), ctx)
+    one = PadicNumber.from_int(1, ctx)
+    for r in small:
+        if not r.is_zero and r.valuation >= 1:
+            roots.append(one / r)
+    return roots, ok1 and ok2 and len(roots) == deg
+
+
+def _sweep_polynomial(rng, p):
+    """A square-free product of linear factors b*x - a over distinct roots
+    a/b drawn from: 0, units, valuation -1 to -3 (so p divides the leading
+    coefficient), pairs agreeing to 2 or 3 digits (the zoom branch, also
+    among the inverses of roots of the reversal), and at times a quadratic
+    with no root in Q_p or one of valuation -1/2."""
+    roots = set()
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(["zero", "unit", "negative", "close", "close_negative"])
+        u = rng.choice([k for k in range(1, 4 * p) if k % p])
+        if kind == "zero":
+            roots.add(Fraction(0))
+        elif kind == "unit":
+            roots.add(Fraction(u, rng.choice([1, 2, 3, 4]) if p > 4 else 1))
+        elif kind == "negative":
+            roots.add(Fraction(u, p ** rng.randint(1, 3)))
+        elif kind == "close":
+            k = rng.randint(2, 3)
+            roots.update({Fraction(u), Fraction(u + p**k * rng.randint(1, 5))})
+        else:
+            k = rng.randint(2, 3)
+            roots.update({Fraction(1, p * u), Fraction(1, p * u + p**k)})
+    poly = [Fraction(rng.choice([1, -2, p, 3 * p]))]
+    for r in sorted(roots):
+        poly = ratpoly.mul(poly, [-r.numerator, r.denominator])
+    extra = rng.choice([None, [1, 0, 1], [-2, 0, 1], [-3, 0, p]])
+    if extra is not None and ratpoly.is_squarefree(ratpoly.mul(poly, extra)):
+        poly = ratpoly.mul(poly, extra)
+    return poly
+
+
+class TestQpRootsOracle:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_matches_two_scan_search(self, p):
+        ctx = PadicContext(p, 12)
+        rng = random.Random(20261018 + p)
+        kinds = {"zero": 0, "negative": 0, "lead": 0, "zoom": 0}
+        for _ in range(60):
+            poly = _sweep_polynomial(rng, p)
+            got = qp_roots(poly, ctx)
+            assert got == _two_scan_qp_roots(poly, ctx)
+            vals = [r.valuation for r in got[0] if not r.is_zero]
+            kinds["zero"] += any(r.is_zero for r in got[0])
+            kinds["negative"] += any(v < 0 for v in vals)
+            kinds["lead"] += ratpoly._primitive(ratpoly.normalize(poly))[-1] % p == 0
+            kinds["zoom"] += any(
+                (a - b).valuation >= 2 for i, a in enumerate(got[0]) for b in got[0][:i]
+            )
+        assert all(count >= 5 for count in kinds.values()), kinds
+
+
 class TestClusterTree:
     def test_frozen_quadruple(self):
         tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7))
@@ -103,6 +180,7 @@ class TestClusterTree:
         annuli = enumerate_maximal_annuli(tree)
         assert len(annuli) == 1
         assert annuli[0].valuation_interval == (1, 2)
+        assert annuli[0].d is None and annuli[0].case is None
 
     def test_star_has_no_annuli(self):
         tree = build_cluster_tree(from_ints([1, 2, 3, 4], Q7))
