@@ -33,7 +33,7 @@ from .geometry import (
     qp_roots,
 )
 from .padic import PadicContext, PadicNumber, chabauty_prime
-from .search import RationalPoint, SearchReport, enumerate_points, is_on_curve, verify_bound
+from .search import RationalPoint, SearchReport, enumerate_points, verify_bound
 from .series import AnnulusSpec, LaurentSeries, bc_integral
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "enumerate_maximal_annuli",
     "enumerate_points",
     "genus",
-    "is_on_curve",
     "minimal_width_differential",
     "mu_factor",
     "parameterize_annulus",

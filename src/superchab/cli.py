@@ -42,7 +42,6 @@ EXIT_VERIFICATION = 4
 class CurveParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
-        self.reason = message
         self.line = line
         self.column = column
 
@@ -201,9 +200,8 @@ def _run_prime(cin: CurveInput) -> dict:
 def _run_bound(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     if cin.rank_claim is None:
         raise ValueError("bound requires --rank (the user-asserted Mordell-Weil rank)")
-    validate(curve)
+    g = validate(curve)
     if curve.m == 2:
-        g = genus(curve)
         value = stoll_reference_bound(g, cin.rank_claim)
         return {
             "schema": 1,
@@ -402,8 +400,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--rank", type=int, help="user-asserted Mordell-Weil rank")
     parser.add_argument("--prime", type=int, help="prime override (analyze)")
-    parser.add_argument("--precision", type=int, default=20)
-    parser.add_argument("--height", type=int, default=50)
+    parser.add_argument("--precision", type=int, default=CurveInput.precision)
+    parser.add_argument("--height", type=int, default=CurveInput.height)
     parser.add_argument(
         "--json", action="store_true", help="suppress the human summary on stderr"
     )

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratpoly
 
 __all__ = [
-    "CurveStats",
     "HypothesisViolation",
     "MAX_DEGREE",
     "SuperellipticCurve",
@@ -40,19 +38,12 @@ class HypothesisViolation(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
-class CurveStats:
-    s: int
-    degree: int
-    genus: int
-
-
 class SuperellipticCurve:
     """y^m = f(x) with f given by exact rational coefficients.
 
-    Branch data (distinct roots with multiplicities) is known exactly for a
-    curve built by `from_branch_points`; otherwise it is recovered as
-    square-free blocks, once, on first use.  The genus formula only consumes
+    A curve built by `from_branch_points` takes its square-free blocks, one
+    linear factor per distinct root, from the roots it is given; otherwise
+    they are recovered once, on first use.  The genus formula only consumes
     block degrees and multiplicities, so no algebraic factorization is ever
     needed.
     """
@@ -67,7 +58,6 @@ class SuperellipticCurve:
             raise ValueError("f must be non-constant")
         self.m = m
         self.f = coeffs
-        self.branch_data: list[tuple[Fraction, int]] | None = None
         self._blocks: list[tuple[ratpoly.Poly, int]] | None = None
 
     @staticmethod
@@ -80,11 +70,10 @@ class SuperellipticCurve:
                 raise ValueError("repeated branch point; merge multiplicities")
             seen.add(Fraction(theta))
         _check_degree(sum(int(n) for _, n in roots))
-        # f is expanded from the branch data itself, so the data reproduces
-        # f by construction
+        # f is expanded from the roots themselves, so the blocks taken from
+        # them factor f by construction
         curve = SuperellipticCurve(m, _branch_product(c, roots))
-        curve.branch_data = [(Fraction(t), int(n)) for t, n in roots]
-        curve._blocks = [([-t, Fraction(1)], n) for t, n in curve.branch_data]
+        curve._blocks = [([-Fraction(t), Fraction(1)], int(n)) for t, n in roots]
         return curve
 
     @property
@@ -171,10 +160,10 @@ def genus(curve: SuperellipticCurve) -> int:
     return g
 
 
-def validate(curve: SuperellipticCurve) -> CurveStats:
+def validate(curve: SuperellipticCurve) -> int:
     """Main-theorem hypotheses: an irreducible curve, multiplicities below m,
     degree at least 4, genus at least 3.  All violations are reported
-    together."""
+    together; otherwise the genus is returned."""
     split = _reducibility(curve)
     violations = [] if split is None else [split]
     for k, e in curve.branch_multiplicities():
@@ -191,7 +180,7 @@ def validate(curve: SuperellipticCurve) -> CurveStats:
             violations.append(f"genus {g} is below 3")
     if violations:
         raise HypothesisViolation(violations)
-    return CurveStats(s=curve.branch_point_count, degree=curve.degree, genus=g)
+    return g
 
 
 def move_branch_from_infinity(curve: SuperellipticCurve) -> SuperellipticCurve:
@@ -204,17 +193,10 @@ def move_branch_from_infinity(curve: SuperellipticCurve) -> SuperellipticCurve:
     m * ceil(deg f / m), which must stay within MAX_DEGREE.
     """
     t = 0
-    while (value := curve.evaluate_f(Fraction(t))) == 0:
+    while curve.evaluate_f(Fraction(t)) == 0:
         t += 1
     d = curve.degree
     m = curve.m
     target = m * ((d + m - 1) // m)
-    if curve.branch_data is not None:
-        # x^target f(t + 1/x) = f(t) * x^(target - d) * prod (x - 1/(theta - t))^n;
-        # theta - t != 0, since a root at t would have made f(t) = 0
-        moved = [(1 / (theta - t), n) for theta, n in curve.branch_data]
-        if target > d:
-            moved.append((Fraction(0), target - d))
-        return SuperellipticCurve.from_branch_points(m, value, moved)
     shifted = ratpoly.compose_linear(curve.f, Fraction(t), Fraction(1))
     return SuperellipticCurve(m, ratpoly.reverse(shifted, target))

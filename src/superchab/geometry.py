@@ -205,15 +205,13 @@ def _pair_valuation(a: PadicNumber, b: PadicNumber) -> int:
 
 
 def build_cluster_tree(
-    theta: list[PadicNumber], multiplicities: list[int] | None = None
+    theta: list[PadicNumber], multiplicities: list[int]
 ) -> ClusterTree:
     """Hierarchical clustering of points under v(theta_i - theta_j).
 
     Children of a cluster of depth delta are the classes of the relation
     v(theta_i - theta_j) > delta; ultrametricity makes this an equivalence.
     """
-    if multiplicities is None:
-        multiplicities = [1] * len(theta)
     if len(theta) != len(multiplicities):
         raise ValueError("one multiplicity per branch point")
     if len(theta) < 1:
@@ -242,30 +240,21 @@ def build_cluster_tree(
     return ClusterTree(list(theta), list(multiplicities), root)
 
 
-def pruned_annulus_count(tree: ClusterTree, infinity_is_branch: bool = False) -> int:
+def pruned_annulus_count(tree: ClusterTree, infinity_is_branch: bool) -> int:
     """Edges of the pruned skeleton: annuli separating at least two branch
     classes on each side.  This is the count the leaf-edge bound applies to.
+
+    Every proper cluster is one edge, except the root's proper children when
+    the root has fewer than three legs (children, plus infinity when it
+    ramifies): their edges then count once when both of two children are
+    proper, and not at all otherwise.
     """
     root = tree.root
-    root_legs = len(root.children) + (1 if infinity_is_branch else 0)
-    root_internal = root_legs >= 3 and not root.is_leaf
-
-    edges = 0
-
-    def walk(node: ClusterNode, ancestor_internal: bool) -> None:
-        nonlocal edges
-        for ch in node.children:
-            if not ch.is_leaf:
-                if ancestor_internal:
-                    edges += 1
-                walk(ch, True)
-
-    walk(root, root_internal)
-    if not root_internal:
-        proper_top = [c for c in root.children if not c.is_leaf]
-        if len(root.children) == 2 and len(proper_top) == 2:
-            edges += 1
-    return edges
+    edges = len(tree.proper_clusters())
+    if len(root.children) + infinity_is_branch >= 3:
+        return edges
+    top = sum(not c.is_leaf for c in root.children)
+    return edges - top + (len(root.children) == 2 and top == 2)
 
 
 # -- residue annuli -------------------------------------------------------------
@@ -306,40 +295,30 @@ class ResidueAnnulus:
 
 
 def enumerate_maximal_annuli(
-    tree: ClusterTree,
-    m: int | None = None,
-    infinity_is_branch: bool = False,
+    tree: ClusterTree, m: int, infinity_is_branch: bool
 ) -> list[ResidueAnnulus]:
     """One annulus per proper cluster: interval from the parent's depth to
     the cluster's own.  The pruned skeleton count is checked against the
     leaf bound s - 3 (counting the place at infinity when it ramifies)."""
     annuli: list[ResidueAnnulus] = []
-
-    def walk(node: ClusterNode) -> None:
-        if not node.is_leaf and node.parent_depth is not None:
-            members = set(node.members)
-            center = tree.points[node.members[0]]
-            hi = node.depth
-            lo = node.parent_depth
-            if center.is_zero or center.valuation >= 0:
-                c_rat = center.value_mod(max(hi, 1)) if not center.is_zero else 0
-            else:
-                raise ValueError(
-                    "annulus center of negative valuation; renormalize the curve"
-                )
-            th0 = [
-                (tree.points[i], tree.multiplicities[i]) for i in sorted(members)
-            ]
-            thinf = [
-                (tree.points[i], tree.multiplicities[i])
-                for i in range(len(tree.points))
-                if i not in members
-            ]
-            annuli.append(ResidueAnnulus(center, c_rat, (lo, hi), th0, thinf, m))
-        for ch in node.children:
-            walk(ch)
-
-    walk(tree.root)
+    for node in tree.proper_clusters():
+        members = set(node.members)
+        center = tree.points[node.members[0]]
+        hi = node.depth
+        lo = node.parent_depth
+        if center.is_zero or center.valuation >= 0:
+            c_rat = center.value_mod(max(hi, 1)) if not center.is_zero else 0
+        else:
+            raise ValueError(
+                "annulus center of negative valuation; renormalize the curve"
+            )
+        th0 = [(tree.points[i], tree.multiplicities[i]) for i in sorted(members)]
+        thinf = [
+            (tree.points[i], tree.multiplicities[i])
+            for i in range(len(tree.points))
+            if i not in members
+        ]
+        annuli.append(ResidueAnnulus(center, c_rat, (lo, hi), th0, thinf, m))
     s_eff = len(tree.points) + (1 if infinity_is_branch else 0)
     pruned = pruned_annulus_count(tree, infinity_is_branch)
     _check_cap(pruned, max(0, s_eff - 3), "pruned annulus count", "leaf bound")
@@ -377,7 +356,6 @@ class ChartMap:
     x_series: LaurentSeries
     y_series: LaurentSeries
     sheet_index: int
-    domain: AnnulusSpec
     gamma: PadicNumber
     attained: int
 
@@ -467,15 +445,15 @@ def _verified_digits(
     return attained
 
 
-def _record_charts(analysis, x_series, y0, gamma, count, m, domain, attained):
+def _record_charts(analysis, x_series, y0, gamma, count, m, attained):
     """Fill analysis with the count sheets y_j = zeta_m^j * y0 over x_series."""
-    charts = [ChartMap(x_series, y0, 0, domain, gamma, attained)]
+    charts = [ChartMap(x_series, y0, 0, gamma, attained)]
     if count > 1:
         zeta = primitive_root_of_unity(m, gamma.context)
         for j in range(1, count):
             w = zeta**j
             charts.append(
-                ChartMap(x_series, y0.scaled(w), j, domain, gamma * w, attained)
+                ChartMap(x_series, y0.scaled(w), j, gamma * w, attained)
             )
     analysis.status = "charts"
     analysis.charts = charts
@@ -581,7 +559,7 @@ def parameterize_annulus(
     )
     attained = _verified_digits(resid, budget, target)
     y0 = h_z.shifted(k0 // d).scaled(gamma)
-    return _record_charts(analysis, x_series, y0, gamma, d, m, z_dom, attained)
+    return _record_charts(analysis, x_series, y0, gamma, d, m, attained)
 
 
 # -- discs ----------------------------------------------------------------------
@@ -599,7 +577,6 @@ class DiscSpec:
 
 @dataclass
 class DiscAnalysis:
-    spec: DiscSpec
     case: int
     status: str
     charts: list[ChartMap] = field(default_factory=list)
@@ -643,7 +620,7 @@ def parameterize_disc(
     points, complete = curve_branch_points(curve, ctx)
     if not complete:
         return DiscAnalysis(
-            spec, 0, "unanalyzed",
+            0, "unanalyzed",
             detail="branch locus does not split over Q_p; bound still valid",
         )
     center_p = PadicNumber.from_fraction(spec.center, ctx)
@@ -660,7 +637,7 @@ def parameterize_disc(
         th, n = inside[0]
         if n > 1:
             return DiscAnalysis(
-                spec, 2, "unanalyzed",
+                2, "unanalyzed",
                 detail=f"branch point of multiplicity {n}; not charted",
             )
         return _disc_case_two(spec, curve, ctx, th, points)
@@ -668,7 +645,7 @@ def parameterize_disc(
         if m % 2 == 1:
             raise ValueError("two branch points in a disc require even m")
         return DiscAnalysis(
-            spec, 3, "unanalyzed",
+            3, "unanalyzed",
             detail="two branch points in the disc; not charted",
         )
     raise ValueError("disc contains more than two branch points")
@@ -679,7 +656,7 @@ def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     target = ctx.precision // 2
     shifted = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
     fc_p = PadicNumber.from_fraction(shifted[0], ctx)
-    analysis = DiscAnalysis(spec, 1, "unanalyzed")
+    analysis = DiscAnalysis(1, "unanalyzed")
     ok = is_mth_power(fc_p, m)
     analysis.power_tests["m_th_power(f(center))"] = str(ok)
     if not ok:
@@ -702,14 +679,14 @@ def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     resid = ypow - f_comp.window_clipped(0, order)
     budget = ((k, ctx.precision) for k in range(order - 2))
     attained = _verified_digits(resid, budget, target)
-    return _record_charts(analysis, x_series, y0, gamma, m, m, dom, attained)
+    return _record_charts(analysis, x_series, y0, gamma, m, m, attained)
 
 
 def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     m = curve.m
     p = ctx.prime
     target = ctx.precision // 2
-    analysis = DiscAnalysis(spec, 2, "unanalyzed")
+    analysis = DiscAnalysis(2, "unanalyzed")
     # recenter at the branch point: f(theta + t) = t * G(t)
     F = _shift_poly_padic(curve.f, theta, ctx)
     if not F[0].is_zero and F[0].valuation < ctx.precision // 2:
@@ -757,7 +734,7 @@ def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     resid = h_pow - g_series.window_clipped(0, order)
     budget = ((k, ctx.precision) for k in range(order - 1))
     attained = _verified_digits(resid, budget, target)
-    return _record_charts(analysis, x_series, y, gamma, 1, m, dom, attained)
+    return _record_charts(analysis, x_series, y, gamma, 1, m, attained)
 
 
 def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:

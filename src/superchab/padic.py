@@ -7,12 +7,11 @@ additive cancellation eats into the window.  Nothing here uses floating
 point.
 
 The sum rule (the additive window, the digits lost to cancellation, the
-collapse to exact zero) is written once, as `_sum_triples`, on plain
-(valuation, unit, known) integer triples, which `PadicNumber.__add__`
-calls.  The product kernel of `series.LaurentSeries` applies the same rule
-inline, without a call or a tuple per pair.  Each `PadicContext`
-builds its table p^0..p^precision once (`PadicContext.powers`), and the
-arithmetic reads moduli from it.  The precision is capped at MAX_PRECISION,
+collapse to exact zero) is `PadicNumber.__add__`; the product kernel of
+`series.LaurentSeries` applies the same rule inline over plain integers,
+without a call per pair.  Each `PadicContext` builds its table
+p^0..p^precision once (`PadicContext.powers`), and the arithmetic reads
+moduli from it.  The precision is capped at MAX_PRECISION,
 so the table stays small.
 """
 
@@ -39,7 +38,6 @@ __all__ = [
     "primitive_root_of_unity",
 ]
 
-DEFAULT_PRECISION = 20
 # The power table of a context holds O(precision^2) bits.
 MAX_PRECISION = 1000
 # The reporting cap 2^phi(m) - 1 of chabauty_prime has about 0.3*phi(m)
@@ -124,7 +122,7 @@ class PadicContext:
     """A prime together with the working precision (unit digits carried)."""
 
     prime: int
-    precision: int = DEFAULT_PRECISION
+    precision: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.prime):
@@ -144,45 +142,6 @@ class PadicContext:
         for _ in range(self.precision):
             table.append(table[-1] * p)
         return tuple(table)
-
-
-Triple = tuple[int, int, int]
-
-
-def _sum_triples(a: Triple, b: Triple, powers: tuple[int, ...]) -> Triple | None:
-    """The p-adic sum of two nonzero elements given as (valuation, unit,
-    known) triples; `powers` is their context's table p^0..p^precision.
-
-    The sum is known modulo the coarser of the two absolute precisions, so
-    its window is that precision minus the lower valuation (at most the
-    lower summand's `known`, hence at most the precision).  Cancellation of
-    t leading digits leaves window - t known unit digits.  Returns None when
-    the sum vanishes in the whole window: it is then taken for exact zero.
-
-    Raises:
-        PrecisionError: if the window is empty, so not a single digit of the
-            sum is known (only a summand with known 0 gets there).
-    """
-    va, ua, ka = a
-    vb, ub, kb = b
-    if vb < va:
-        va, ua, ka, vb, ub, kb = vb, ub, kb, va, ua, ka
-    d = vb - va
-    window = kb + d if kb + d < ka else ka
-    if window <= 0:
-        raise PrecisionError("additive window exhausted")
-    if d < window:
-        s = (ua + ub * powers[d]) % powers[window]
-    else:
-        s = ua % powers[window]
-    if s == 0:
-        return None
-    p = powers[1]
-    t = 0
-    while s % p == 0:
-        s //= p
-        t += 1
-    return va + t, s, window - t
 
 
 @dataclass(frozen=True)
@@ -242,13 +201,6 @@ class PadicNumber:
     def is_zero(self) -> bool:
         return self.valuation is None
 
-    @property
-    def abs_precision(self) -> int | None:
-        """Exponent e such that the value is pinned down modulo p^e."""
-        if self.is_zero:
-            return None
-        return self.valuation + self.known
-
     def residue(self) -> int:
         """Unit residue modulo p (0 for zero)."""
         if self.is_zero:
@@ -277,17 +229,6 @@ class PadicNumber:
         p = self.context.prime
         return self.unit * p**self.valuation % p**digits
 
-    def agrees_with(self, other: "PadicNumber", abs_digits: int) -> bool:
-        """True when self - other vanishes modulo p^abs_digits."""
-        d = self - other
-        return d.is_zero or d.valuation >= abs_digits
-
-    def lift_fraction(self) -> Fraction:
-        """The canonical rational lift p^valuation * unit (zero for zero)."""
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.context.prime) ** self.valuation
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_zero:
             return "0"
@@ -307,20 +248,41 @@ class PadicNumber:
         return PadicNumber(self.context, self.valuation, (-self.unit) % mod, self.known)
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
+        """The sum is known modulo the coarser of the two absolute
+        precisions, so its window is that precision minus the lower
+        valuation (at most the lower summand's `known`, hence at most the
+        precision).  Cancellation of t leading digits leaves window - t known
+        unit digits.  A sum that vanishes in the whole window is taken for
+        exact zero.
+
+        Raises:
+            PrecisionError: if the window is empty, so not a single digit of
+                the sum is known (only a summand with known 0 gets there).
+        """
         self._check(other)
         if self.is_zero:
             return other
         if other.is_zero:
             return self
         ctx = self.context
-        total = _sum_triples(
-            (self.valuation, self.unit, self.known),
-            (other.valuation, other.unit, other.known),
-            ctx.powers,
-        )
-        if total is None:
+        powers = ctx.powers
+        lo, hi = (other, self) if other.valuation < self.valuation else (self, other)
+        d = hi.valuation - lo.valuation
+        window = hi.known + d if hi.known + d < lo.known else lo.known
+        if window <= 0:
+            raise PrecisionError("additive window exhausted")
+        if d < window:
+            s = (lo.unit + hi.unit * powers[d]) % powers[window]
+        else:
+            s = lo.unit % powers[window]
+        if s == 0:
             return PadicNumber.zero(ctx)
-        return PadicNumber(ctx, *total)
+        p = ctx.prime
+        t = 0
+        while s % p == 0:
+            s //= p
+            t += 1
+        return PadicNumber(ctx, lo.valuation + t, s, window - t)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
         return self + (-other)

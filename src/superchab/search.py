@@ -29,7 +29,6 @@ __all__ = [
     "SearchReport",
     "enumerate_points",
     "infinity_count",
-    "is_on_curve",
     "verify_bound",
 ]
 
@@ -125,11 +124,6 @@ def _rational_mth_roots(v: Fraction, m: int) -> list[Fraction]:
         return []
     rn, okn = _iroot(-v.numerator, m)
     return [Fraction(-rn, rd)] if okn else []
-
-
-def is_on_curve(pt: RationalPoint, curve: SuperellipticCurve) -> bool:
-    """Exact check y^m = f(x) for an affine point."""
-    return pt.y ** curve.m == curve.evaluate_f(pt.x)
 
 
 def infinity_count(curve: SuperellipticCurve) -> int:

@@ -13,7 +13,7 @@ Products convolve plain (valuation, unit, known) integers in one fused
 loop over flat per-exponent lists and build one PadicNumber per output
 coefficient.  Each pair's product keeps the lesser `known`, as
 `PadicNumber.__mul__` does; each sum applies the p-adic sum rule of
-`padic._sum_triples` inline, with moduli read from the context's power
+`PadicNumber.__add__` inline, with moduli read from the context's power
 table.  The pairs are summed in the order of a double loop over the two
 coefficient dicts, so every `known`, every collapse to exact zero and the
 key order of the result are the ones PadicNumber arithmetic would give.
@@ -44,7 +44,6 @@ __all__ = [
 ]
 
 MAX_WINDOW = 4096
-DEFAULT_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ class LaurentSeries:
     def from_dict(
         data: dict[int, object],
         ctx: PadicContext,
-        domain: AnnulusSpec | None = None,
+        domain: AnnulusSpec,
     ) -> "LaurentSeries":
         """Exact Laurent polynomial from int/Fraction/PadicNumber values, zeros
         dropped, on the window of its nonzero exponents (from 0 on a disc)."""
@@ -164,8 +163,6 @@ class LaurentSeries:
         exps = [n for n, c in coeffs.items() if not c.is_zero]
         w_lo = min(exps, default=0)
         w_hi = max(exps, default=0)
-        if domain is None:
-            domain = AnnulusSpec.disc() if w_lo >= 0 else AnnulusSpec.annulus(1)
         return LaurentSeries(
             ctx, coeffs, domain, min(w_lo, 0 if domain.is_disc else w_lo), w_hi
         )
@@ -197,13 +194,6 @@ class LaurentSeries:
     def __repr__(self) -> str:  # pragma: no cover
         terms = ", ".join(f"{n}: {c!r}" for n, c in sorted(self.coefficients.items()))
         return f"LaurentSeries([{self.lo},{self.hi}] {{{terms}}})"
-
-    def agrees_with(self, other: "LaurentSeries", abs_digits: int) -> bool:
-        """Coefficientwise agreement modulo p^abs_digits on the joint window."""
-        for n in range(max(self.lo, other.lo), min(self.hi, other.hi) + 1):
-            if not self.coefficient(n).agrees_with(other.coefficient(n), abs_digits):
-                return False
-        return True
 
     # -- ring operations -----------------------------------------------------
 
@@ -303,7 +293,7 @@ class LaurentSeries:
         hi = self.hi + other.hi
         # Convolve in the pair order of a PadicNumber double loop, each
         # product as in PadicNumber.__mul__ and each sum by the p-adic sum
-        # rule (padic._sum_triples), written out inline over three flat
+        # rule (PadicNumber.__add__), written out inline over three flat
         # lists indexed by exponent - base.  A pair's unit product is reduced
         # mod p^k only when it starts a state: a sum's window is at most k
         # when the product is the lower term, and at most k + d when it is
@@ -653,8 +643,8 @@ def branch_root_series(
     theta: PadicNumber,
     m: int,
     side: str,
-    order: int = DEFAULT_ORDER,
-    domain: AnnulusSpec | None = None,
+    order: int,
+    domain: AnnulusSpec,
 ) -> LaurentSeries:
     """m-th root factor attached to one branch point.
 
@@ -683,14 +673,12 @@ def branch_root_series(
             raise ValueError("side must be 'plus' or 'minus'")
     tv = Fraction(theta.valuation)
     if side == "minus":
-        dom = domain if domain is not None else AnnulusSpec.disc()
         tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))
-        return LaurentSeries(ctx, coeffs, dom, 0, order, None, tail)
+        return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
     if tv <= 0:
         raise ValueError("plus side needs a branch point of positive valuation")
-    dom = domain if domain is not None else AnnulusSpec.annulus(tv)
     tail = TailBound(tv, tv * (order + 1))
-    return LaurentSeries(ctx, coeffs, dom, -order, 0, tail, None)
+    return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
 
 
 # -- zero bounds ---------------------------------------------------------------

@@ -2,7 +2,7 @@
 function cannot leave a stale export behind; every entry point that the
 benchmark's tracer wraps exists; every private helper is still used; every
 public function or method is reached by the package, the acceptance
-criteria or the benchmark."""
+criteria or the benchmark; every stored field is read somewhere."""
 
 import ast
 import importlib
@@ -94,12 +94,6 @@ UNREACHED_ALLOWED = {
     "annulus_orbit_count": "per-curve annulus orbit count",
     "cover_transfer": "bound transfer along y^m = f -> y^s = f",
     "rolle_zero_bound": "zeros of an antiderivative on one annulus",
-    # inspection helpers that the unit tests state their checks with
-    "abs_precision": "PadicNumber precision, checked by the p-adic tests",
-    "agrees_with": "LaurentSeries comparison modulo p^k in the series tests",
-    "is_on_curve": "exact point check in the search tests",
-    "lift_fraction": "rational lift of a PadicNumber in the p-adic tests",
-    "proper_clusters": "cluster-tree inspection in the geometry tests",
 }
 
 
@@ -133,3 +127,73 @@ def test_denominators_cleared_only_in_ratpoly():
     paths = sorted(Path(superchab.__file__).parent.glob("*.py"))
     users = [path.name for path, tree in zip(paths, _parse(paths)) if _references(tree)["lcm"]]
     assert users == ["ratpoly.py"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    """Decorated with @dataclass or @dataclass(...)."""
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _stored_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, name) for each dataclass field and each self.<name> store."""
+    stored = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls):
+            stored |= {
+                (cls.name, stmt.target.id)
+                for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+        stored |= {
+            (cls.name, sub.attr)
+            for sub in ast.walk(cls)
+            if isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        }
+    return stored
+
+
+def _loaded_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names read as x.<name>, or as a string constant passed to
+    getattr or hasattr."""
+    loaded = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            loaded.add(sub.attr)
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Name)
+            and sub.func.id in ("getattr", "hasattr")
+            and len(sub.args) >= 2
+            and isinstance(sub.args[1], ast.Constant)
+        ):
+            loaded.add(sub.args[1].value)
+    return loaded
+
+
+def test_fields_are_read():
+    """A dataclass field or self.<name> attribute of the package that is
+    never read as an attribute, in the package, the tests or the benchmark,
+    is state written for nothing: delete it.  The match is by name alone,
+    so a field that shares its name with one read elsewhere passes (the
+    domain that a ChartMap once stored hid behind LaurentSeries.domain)."""
+    paths = [
+        *sorted(Path(superchab.__file__).parent.glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+        *sorted((ROOT / "bench").glob("*.py")),
+    ]
+    loaded = set().union(*(_loaded_attributes(tree) for tree in _parse(paths)))
+    unread = sorted(
+        f"{cls}.{name}"
+        for tree in _package_trees()
+        for cls, name in _stored_fields(tree)
+        if name not in loaded
+    )
+    assert unread == []

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import superchab.geometry
+from helpers import lift_fraction, series_agree
 from superchab import ratpoly
 from superchab.curve import SuperellipticCurve, genus
 from superchab.geometry import (
@@ -159,13 +160,13 @@ class TestQpRootsOracle:
 
 class TestClusterTree:
     def test_frozen_quadruple(self):
-        tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7))
+        tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7), [1] * 4)
         assert tree.root.depth == 0
         assert len(tree.root.children) == 3
         proper = tree.proper_clusters()
         assert len(proper) == 1
         assert proper[0].depth == 1
-        annuli = enumerate_maximal_annuli(tree, m=3)
+        annuli = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False)
         assert len(annuli) == 1
         a = annuli[0]
         assert a.valuation_interval == (0, 1)
@@ -173,39 +174,39 @@ class TestClusterTree:
         assert len(a.theta_infty) == 2
 
     def test_frozen_chain(self):
-        tree = build_cluster_tree(from_ints([0, 49, 7], Q7))
+        tree = build_cluster_tree(from_ints([0, 49, 7], Q7), [1] * 3)
         assert tree.root.depth == 1
         proper = tree.proper_clusters()
         assert [c.depth for c in proper] == [2]
-        annuli = enumerate_maximal_annuli(tree)
+        annuli = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False)
         assert len(annuli) == 1
         assert annuli[0].valuation_interval == (1, 2)
-        assert annuli[0].d is None and annuli[0].case is None
+        assert (annuli[0].d, annuli[0].case) == (1, "rotation")
 
     def test_star_has_no_annuli(self):
-        tree = build_cluster_tree(from_ints([1, 2, 3, 4], Q7))
-        assert enumerate_maximal_annuli(tree) == []
-        assert pruned_annulus_count(tree) == 0
+        tree = build_cluster_tree(from_ints([1, 2, 3, 4], Q7), [1] * 4)
+        assert enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False) == []
+        assert pruned_annulus_count(tree, infinity_is_branch=False) == 0
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError, match="coincident"):
-            build_cluster_tree(from_ints([1, 1, 2], Q7))
+            build_cluster_tree(from_ints([1, 1, 2], Q7), [1] * 3)
 
     def test_coincidence_names_the_precision(self):
         # 1 and 1 + 7^20 are distinct but agree to all 20 working digits
         pts = [PadicNumber.from_int(1, Q7), PadicNumber.from_int(1 + 7**20, Q7)]
         with pytest.raises(ValueError, match="20 digits.*raise --precision"):
-            build_cluster_tree(pts)
+            build_cluster_tree(pts, [1] * 2)
 
     def test_multiplicity_weighting(self):
         tree = build_cluster_tree(from_ints([7, -7, 1], Q7), [2, 1, 1])
-        annuli = enumerate_maximal_annuli(tree, m=3)
+        annuli = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False)
         assert annuli[0].weighted_inner_count() == 3
         assert annuli[0].d == 3
 
     def test_caterpillar_pruning(self):
-        tree = build_cluster_tree(from_ints([0, 7, 49, 1], Q7))
-        annuli = enumerate_maximal_annuli(tree, infinity_is_branch=True)
+        tree = build_cluster_tree(from_ints([0, 7, 49, 1], Q7), [1] * 4)
+        annuli = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=True)
         assert len(annuli) == 2
         assert pruned_annulus_count(tree, infinity_is_branch=True) == 2
         assert pruned_annulus_count(tree, infinity_is_branch=False) == 1
@@ -213,15 +214,15 @@ class TestClusterTree:
 
 class TestClassification:
     def test_rotation_when_d_is_one(self):
-        tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7))
-        a = enumerate_maximal_annuli(tree, m=3)[0]
+        tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7), [1] * 4)
+        a = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False)[0]
         assert a.case == "rotation"
         assert a.d == 1
 
     def test_split_when_d_exceeds_one(self):
         for values, ctx, m in (([1, -1, 13, -13], Q13, 4), ([1, -1, 7, -7], Q7, 2)):
-            tree = build_cluster_tree(from_ints(values, ctx))
-            a = enumerate_maximal_annuli(tree, m=m)[0]
+            tree = build_cluster_tree(from_ints(values, ctx), [1] * len(values))
+            a = enumerate_maximal_annuli(tree, m=m, infinity_is_branch=False)[0]
             assert a.case == "split"
             assert a.d == 2
 
@@ -263,7 +264,7 @@ class TestWorkedChart:
         pts, complete = curve_branch_points(self.curve, Q7)
         assert complete
         tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
-        a = enumerate_maximal_annuli(tree, m=3)[0]
+        a = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False)[0]
         analysis = parameterize_annulus(a, self.curve, Q7)
         assert analysis.status == "charts"
         assert len(analysis.charts) == 1
@@ -288,7 +289,7 @@ class TestWorkedChart:
     def test_report_fields(self):
         pts, _ = curve_branch_points(self.curve, Q7)
         tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
-        a = enumerate_maximal_annuli(tree, m=3)[0]
+        a = enumerate_maximal_annuli(tree, m=3, infinity_is_branch=False)[0]
         rep = parameterize_annulus(a, self.curve, Q7).report()
         assert rep["interval"] == [0, 1]
         assert rep["theta_0_count"] == 2
@@ -304,7 +305,7 @@ class TestAnnulusVerdicts:
         pts, complete = curve_branch_points(curve, Q13)
         assert complete
         tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
-        a = enumerate_maximal_annuli(tree, m=4)[0]
+        a = enumerate_maximal_annuli(tree, m=4, infinity_is_branch=False)[0]
         analysis = parameterize_annulus(a, curve, Q13)
         assert analysis.status == "no_points"
         assert analysis.power_tests["d_th_power(Q0)"] == "False"
@@ -313,7 +314,7 @@ class TestAnnulusVerdicts:
         curve = SuperellipticCurve(4, [Fraction(c) for c in self._coeffs(1)])
         pts, _ = curve_branch_points(curve, Q13)
         tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
-        a = enumerate_maximal_annuli(tree, m=4)[0]
+        a = enumerate_maximal_annuli(tree, m=4, infinity_is_branch=False)[0]
         analysis = parameterize_annulus(a, curve, Q13)
         assert analysis.status == "charts"
         assert len(analysis.charts) == 2
@@ -321,7 +322,7 @@ class TestAnnulusVerdicts:
         # the deck transformation y -> zeta_4 y carries sheet 0 to sheet 1
         zeta = primitive_root_of_unity(4, Q13)
         image = analysis.charts[0].y_series.scaled(zeta)
-        assert image.agrees_with(analysis.charts[1].y_series, Q13.precision // 2)
+        assert series_agree(image, analysis.charts[1].y_series, Q13.precision // 2)
         assert analysis.attained >= 10
 
     @staticmethod
@@ -343,7 +344,7 @@ class TestDiscCharts:
         for chart in analysis.charts:
             x0 = chart.x_series.eval_at(z0)
             y0 = chart.y_series.eval_at(z0)
-            fx = PadicNumber.from_fraction(curve.evaluate_f(x0.lift_fraction()), Q7)
+            fx = PadicNumber.from_fraction(curve.evaluate_f(lift_fraction(x0)), Q7)
             diff = y0**3 - fx
             assert diff.is_zero or diff.valuation >= 8
 
@@ -364,7 +365,7 @@ class TestDiscCharts:
         z0 = PadicNumber.from_int(7, Q7)
         x0 = chart.x_series.eval_at(z0)
         y0 = chart.y_series.eval_at(z0)
-        fx = PadicNumber.from_fraction(curve.evaluate_f(x0.lift_fraction()), Q7)
+        fx = PadicNumber.from_fraction(curve.evaluate_f(lift_fraction(x0)), Q7)
         diff = y0**3 - fx
         assert diff.is_zero or diff.valuation >= 8
 
@@ -405,7 +406,7 @@ class TestInertBranch:
 def _first_annulus_analysis(curve, ctx):
     pts, _ = curve_branch_points(curve, ctx)
     tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
-    a = enumerate_maximal_annuli(tree, m=curve.m)[0]
+    a = enumerate_maximal_annuli(tree, m=curve.m, infinity_is_branch=False)[0]
     return parameterize_annulus(a, curve, ctx)
 
 
