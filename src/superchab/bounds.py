@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .curve import SuperellipticCurve, genus
+from .curve import SuperellipticCurve, validate
 from .geometry import ResidueAnnulus
 from .padic import PadicContext, PadicNumber, _check_cap, chabauty_prime
 from .series import mu_factor
@@ -246,6 +246,9 @@ class BoundReport:
 def bound_report(curve: SuperellipticCurve, r: int, e: int = 1) -> BoundReport:
     """Assemble every bound quantity for one curve and asserted rank.
 
+    This is the one gate of the uniform bound: it needs m > 2, the
+    hypotheses of `validate` and r <= floor(deg/m) - 4, and raises
+    ValueError (HypothesisViolation for `validate`'s) when one fails.
     The prime is the least p = 1 mod m.  small_prime_warning records that
     p <= 2g, in which case the annulus zero count leans on a comparison
     whose stated hypothesis asks for a prime beyond twice the genus.
@@ -253,7 +256,7 @@ def bound_report(curve: SuperellipticCurve, r: int, e: int = 1) -> BoundReport:
     m = curve.m
     if m <= 2:
         raise ValueError("uniform bound reports need m > 2; use the reference bound")
-    g = genus(curve)
+    g = validate(curve)
     p, _ = chabauty_prime(m)
     rank_ok = rank_hypothesis(curve.degree, m, r)
     if not rank_ok:

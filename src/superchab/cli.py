@@ -3,12 +3,14 @@
 Subcommands: genus, prime, bound, analyze, search, verify.  Input is a
 curve in the text grammar `m=<int>; f=[a0,...,ad]` or
 `m=<int>; f=prod[(root,mult),...]; c=<num/den>`, assembled from --m/--f
-in single mode or read one per line in --batch mode.
+in single mode or read one per line in --batch mode; single mode is a
+batch of one text.
 
-JSON goes to stdout (canonical: sorted keys, compact separators, exact
-integers and num/den strings only); a one-line human summary goes to
-stderr unless --json.  Exit codes: 0 success, 2 hypothesis failure,
-3 parse error, 4 internal verification failure.
+For each text, JSON goes to stdout (canonical: sorted keys, compact
+separators, exact integers and num/den strings only) and a one-line human
+summary goes to stderr; --json drops the summary unless the text failed.
+Exit codes: 0 success, 2 hypothesis failure, 3 parse error, 4 internal
+verification failure; a batch exits with the code of its first failure.
 """
 
 from __future__ import annotations
@@ -182,45 +184,35 @@ def parse_curve_input(text: str) -> CurveInput:
     return CurveInput(m=m, coefficients=coeffs)
 
 
-def _run_genus(curve: SuperellipticCurve) -> dict:
-    return {
-        "schema": 1,
-        "command": "genus",
-        "m": curve.m,
-        "degree": curve.degree,
-        "genus": genus(curve),
-    }
+def _run_genus(curve: SuperellipticCurve, cin: CurveInput) -> dict:
+    return {"m": curve.m, "degree": curve.degree, "genus": genus(curve)}
 
 
 def _run_prime(cin: CurveInput) -> dict:
     q, cap = chabauty_prime(cin.m)
-    return {"schema": 1, "command": "prime", "m": cin.m, "prime": q, "cap": cap}
+    return {"m": cin.m, "prime": q, "cap": cap}
 
 
 def _run_bound(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     if cin.rank_claim is None:
         raise ValueError("bound requires --rank (the user-asserted Mordell-Weil rank)")
-    g = validate(curve)
     if curve.m == 2:
+        g = validate(curve)
         value = stoll_reference_bound(g, cin.rank_claim)
         return {
-            "schema": 1,
-            "command": "bound",
             "m": 2,
             "g": g,
             "r": cin.rank_claim,
             "rank_source": "user-asserted",
             "reference_bound": value,
         }
-    if cin.prime_override is not None and cin.prime_override != chabauty_prime(curve.m)[0]:
+    report = bound_report(curve, cin.rank_claim)
+    if cin.prime_override is not None and cin.prime_override != report.p:
         raise ValueError(
             "the uniform total is stated at the least prime congruent to 1 mod m; "
             f"override {cin.prime_override} is not that prime"
         )
-    report = bound_report(curve, cin.rank_claim)
-    payload = {"schema": 1, "command": "bound", "rank_source": "user-asserted"}
-    payload.update(report.to_json_dict())
-    return payload
+    return {"rank_source": "user-asserted", **report.to_json_dict()}
 
 
 def _run_analyze(curve: SuperellipticCurve, cin: CurveInput) -> dict:
@@ -244,8 +236,6 @@ def _run_analyze(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     )
     reports = [parameterize_annulus(a, curve, ctx).report() for a in annuli]
     return {
-        "schema": 1,
-        "command": "analyze",
         "m": m,
         "prime": p,
         "precision": cin.precision,
@@ -256,53 +246,50 @@ def _run_analyze(curve: SuperellipticCurve, cin: CurveInput) -> dict:
 
 def _run_search(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     report = enumerate_points(curve, cin.height)
-    payload = {
-        "schema": 1,
-        "command": "search",
+    return {
         "m": curve.m,
         "f": [_frac_str(c) for c in curve.f],
+        **report.to_json_dict(),
     }
-    payload.update(report.to_json_dict())
-    return payload
 
 
 def _run_verify(curve: SuperellipticCurve, cin: CurveInput) -> dict:
     if cin.rank_claim is None:
         raise ValueError("verify requires --rank (the user-asserted Mordell-Weil rank)")
-    validate(curve)
     report = verify_bound(curve, cin.rank_claim, cin.height)
-    payload = {
-        "schema": 1,
-        "command": "verify",
+    return {
         "m": curve.m,
         "r": cin.rank_claim,
         "rank_source": "user-asserted",
+        **report.to_json_dict(),
     }
-    payload.update(report.to_json_dict())
-    return payload
 
 
 # the commands that need the least prime = 1 mod m, so m <= padic.MAX_M
 _LEAST_PRIME_COMMANDS = ("prime", "bound", "analyze", "verify")
 
+# the commands on a curve; prime needs only m
+_CURVE_COMMANDS = {
+    "genus": _run_genus,
+    "bound": _run_bound,
+    "analyze": _run_analyze,
+    "search": _run_search,
+    "verify": _run_verify,
+}
+
 
 def run(command: str, cin: CurveInput) -> dict:
+    """The payload of one command: its own fields, with `schema` and
+    `command` added."""
     if command in _LEAST_PRIME_COMMANDS:
         check_m(cin.m)
     if command == "prime":
-        return _run_prime(cin)
-    curve = cin.build_curve()
-    if command == "genus":
-        return _run_genus(curve)
-    if command == "bound":
-        return _run_bound(curve, cin)
-    if command == "analyze":
-        return _run_analyze(curve, cin)
-    if command == "search":
-        return _run_search(curve, cin)
-    if command == "verify":
-        return _run_verify(curve, cin)
-    raise ValueError(f"unknown command {command!r}")
+        fields = _run_prime(cin)
+    elif command in _CURVE_COMMANDS:
+        fields = _CURVE_COMMANDS[command](cin.build_curve(), cin)
+    else:
+        raise ValueError(f"unknown command {command!r}")
+    return {"schema": 1, "command": command, **fields}
 
 
 def _dump(payload: dict) -> str:
@@ -366,14 +353,14 @@ def _process(command: str, text: str | None, args: argparse.Namespace) -> tuple[
         else:
             cin = parse_curve_input(text)
         _apply_flags(cin, args)
-        payload = run(command, cin)
-        return payload, EXIT_OK
+        return run(command, cin), EXIT_OK
     except CurveParseError as exc:
-        return {"schema": 1, "command": command, "error": str(exc)}, EXIT_PARSE
+        error, code = exc, EXIT_PARSE
     except ChartVerificationError as exc:
-        return {"schema": 1, "command": command, "error": str(exc)}, EXIT_VERIFICATION
+        error, code = exc, EXIT_VERIFICATION
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        return {"schema": 1, "command": command, "error": str(exc)}, EXIT_HYPOTHESIS
+        error, code = exc, EXIT_HYPOTHESIS
+    return {"schema": 1, "command": command, "error": str(error)}, code
 
 
 def _single_text(args: argparse.Namespace) -> str | None:
@@ -408,32 +395,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch", metavar="FILE", help="one curve text per line")
     args = parser.parse_args(argv)
 
-    if args.batch:
-        try:
-            with open(args.batch, encoding="utf-8") as fh:
-                lines = [line.strip() for line in fh if line.strip()]
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        code = EXIT_OK
-        for line in lines:
-            payload, line_code = _process(args.command, line, args)
-            print(_dump(payload))
-            if not args.json:
-                print(_summary(args.command, payload), file=sys.stderr)
-            if code == EXIT_OK and line_code != EXIT_OK:
-                code = line_code
-        return code
-
     try:
-        text = _single_text(args)
-    except CurveParseError as exc:
+        if args.batch:
+            with open(args.batch, encoding="utf-8") as fh:
+                texts = [line.strip() for line in fh if line.strip()]
+        else:
+            texts = [_single_text(args)]
+    except (OSError, CurveParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    payload, code = _process(args.command, text, args)
-    print(_dump(payload))
-    if "error" in payload or not args.json:
-        print(_summary(args.command, payload), file=sys.stderr)
+    code = EXIT_OK
+    for text in texts:
+        payload, text_code = _process(args.command, text, args)
+        print(_dump(payload))
+        if "error" in payload or not args.json:
+            print(_summary(args.command, payload), file=sys.stderr)
+        if code == EXIT_OK:
+            code = text_code
     return code
 
 

@@ -220,11 +220,9 @@ def build_cluster_tree(
     def build(indices: tuple[int, ...], parent_depth: int | None) -> ClusterNode:
         if len(indices) == 1:
             return ClusterNode(indices, None, parent_depth)
-        depth = min(
-            _pair_valuation(theta[i], theta[j])
-            for k, i in enumerate(indices)
-            for j in indices[k + 1 :]
-        )
+        # the least pairwise valuation is the least one from any member
+        first = theta[indices[0]]
+        depth = min(_pair_valuation(first, theta[j]) for j in indices[1:])
         groups: list[list[int]] = []
         for i in indices:
             for grp in groups:
@@ -461,6 +459,21 @@ def _record_charts(analysis, x_series, y0, gamma, count, m, attained):
     return analysis
 
 
+def _chart_scale(
+    q: PadicNumber, k: int, m: int, valuations: list[int]
+) -> PadicNumber | None:
+    """The first scale U = u0 * p^v, over v in the given order and then
+    u0 = 1..p-1, for which q * U^k is an m-th power; None if there is none."""
+    ctx = q.context
+    p = ctx.prime
+    for v in valuations:
+        for u0 in range(1, p):
+            cand = PadicNumber(ctx, v, u0, ctx.precision)
+            if is_mth_power(q * cand**k, m):
+                return cand
+    return None
+
+
 def parameterize_annulus(
     a: ResidueAnnulus,
     curve: SuperellipticCurve,
@@ -506,15 +519,9 @@ def parameterize_annulus(
     analysis = AnnulusAnalysis(annulus=a, status="unanalyzed")
     analysis.power_tests["d_th_power(Q0)"] = str(is_mth_power(q0, d)) if d > 1 else "trivial"
 
-    scale = None
-    for sigma in range(md):
-        for u0 in range(1, p):
-            cand = PadicNumber.from_int(p**sigma * u0, ctx)
-            if is_mth_power(q0 * cand**k0, m):
-                scale = cand
-                break
-        if scale is not None:
-            break
+    # U = u0 * p^sigma with sigma <= 0, so the chart coordinate annulus has
+    # positive radii; sigma and sigma - m/d give the same power class
+    scale = _chart_scale(q0, k0, m, [0, *range(1 - md, 0)])
     if scale is None:
         if d > 1 and not is_mth_power(q0, d):
             analysis.status = "no_points"
@@ -527,11 +534,7 @@ def parameterize_annulus(
         analysis.detail = "no scale unit passed the m-th power test"
         return analysis
 
-    # normalize the scale so the chart coordinate annulus has positive radii
     sigma = scale.valuation
-    if sigma > 0:
-        scale = scale / PadicNumber.from_int(p**md, ctx)
-        sigma = sigma - md
     gamma = mth_root(q0 * scale**k0, m)
     analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
 
@@ -684,7 +687,6 @@ def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
 
 def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     m = curve.m
-    p = ctx.prime
     target = ctx.precision // 2
     analysis = DiscAnalysis(2, "unanalyzed")
     # recenter at the branch point: f(theta + t) = t * G(t)
@@ -704,14 +706,7 @@ def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
         "exact" if lam_eff == 1 else f"deepened to {lam_eff}"
     )
     # anchor the chart on the open unit disc: v(x - theta) = lam_eff + m(v(z) - 1)
-    scale = None
-    for u0 in range(1, p):
-        cand = PadicNumber.from_fraction(
-            Fraction(u0 * p**lam_eff, p**m), ctx
-        )
-        if is_mth_power(cand * g0, m):
-            scale = cand
-            break
+    scale = _chart_scale(g0, 1, m, [lam_eff - m])
     if scale is None:
         analysis.detail = "no scale unit passed the m-th power test"
         return analysis
@@ -720,7 +715,7 @@ def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     dom = AnnulusSpec.disc()
     theta_rel = [(th - theta, n) for th, n in points]
     h = _branch_series_product([], theta_rel, m, order, dom, ctx)
-    h_z = h.compose_monomial(scale, m)
+    h_z = h.compose_monomial(scale, m, dom)
     y = h_z.shifted(1).scaled(gamma)
     x_series = LaurentSeries(
         ctx, {0: theta, m: scale}, dom, 0, m

@@ -69,7 +69,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond any prime used here."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
@@ -202,9 +202,7 @@ class PadicNumber:
         return self.valuation is None
 
     def residue(self) -> int:
-        """Unit residue modulo p (0 for zero)."""
-        if self.is_zero:
-            return 0
+        """Unit residue modulo p (0 for zero, whose unit is 0)."""
         return self.unit % self.context.prime
 
     def unit_mod(self, digits: int) -> int:
@@ -333,10 +331,7 @@ class PadicNumber:
 
     def scaled(self, q: Fraction | int) -> "PadicNumber":
         """Multiply by an exact rational without precision loss."""
-        q = Fraction(q)
-        if q == 0:
-            return PadicNumber.zero(self.context)
-        return self * PadicNumber.from_fraction(q, self.context)
+        return self * PadicNumber.from_fraction(Fraction(q), self.context)
 
 
 # -- unit-group structure ---------------------------------------------------
@@ -400,8 +395,6 @@ def mth_root(x: PadicNumber, m: int) -> PadicNumber:
     """
     if not is_mth_power(x, m):
         raise ValueError("not an m-th power in Q_p")
-    if m == 1:
-        return x
     p = x.context.prime
     u0 = x.residue()
     w0 = min(w for w in range(1, p) if pow(w, m, p) == u0)

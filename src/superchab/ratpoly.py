@@ -139,8 +139,6 @@ def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]
         raise ValueError("zero polynomial")
     lead = f[-1]
     f = scale(f, 1 / lead)
-    if degree(f) == 0:
-        return lead, []
     df = derivative(f)
     a = gcd(f, df)
     b = divmod_poly(f, a)[0]

@@ -110,6 +110,20 @@ def _fold_clipped(coeffs: dict[int, PadicNumber], lo: int, hi: int, below, above
     return below, above
 
 
+def _product_floor(
+    a: "LaurentSeries", ta: TailBound | None, b: "LaurentSeries", tb: TailBound | None
+) -> TailBound | None:
+    """The tail floor of a * b on the side where a has tail ta and b has tb:
+    each tail times the other factor's stored mass, at the least slope."""
+    terms = [(t, s) for t, s in ((tb, a), (ta, b)) if t is not None]
+    if not terms:
+        return None
+    return TailBound(
+        min(t.slope for t, _ in terms),
+        min(t.at(1) + s._min_stored_valuation() for t, s in terms),
+    )
+
+
 class LaurentSeries:
     """Immutable by convention; operations return fresh instances."""
 
@@ -181,10 +195,6 @@ class LaurentSeries:
     def entire(self) -> bool:
         return self.tail_below is None and self.tail_above is None
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients and self.entire
-
     def coefficient(self, n: int) -> PadicNumber:
         return self.coefficients.get(n, PadicNumber.zero(self.context))
 
@@ -241,16 +251,12 @@ class LaurentSeries:
         # into the tail bound as a constant floor.
         for s in (self, other):
             below, above = _fold_clipped(s.coefficients, lo, hi, below, above)
-        if domain.is_disc and lo < 0:
-            lo = 0
         return LaurentSeries(self.context, coeffs, domain, lo, hi, below, above)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
-    def scaled(self, c: PadicNumber | Fraction | int) -> "LaurentSeries":
-        if not isinstance(c, PadicNumber):
-            c = PadicNumber.from_fraction(Fraction(c), self.context)
+    def scaled(self, c: PadicNumber) -> "LaurentSeries":
         if c.is_zero:
             return LaurentSeries.zero(self.context, self.domain)
         shift_val = Fraction(c.valuation)
@@ -350,18 +356,11 @@ class LaurentSeries:
         # Knowledge boundaries: an entire side of one factor extends the other
         # factor's window by its extreme stored exponent; a truncated side pins
         # the result at the sum of the truncated edges.
-        if self.tail_above is None and other.tail_above is not None:
-            supp = self.support()
-            hi = other.hi + (min(supp) if supp else 0)
-        elif other.tail_above is None and self.tail_above is not None:
-            supp = other.support()
-            hi = self.hi + (min(supp) if supp else 0)
-        if self.tail_below is None and other.tail_below is not None:
-            supp = self.support()
-            lo = other.lo + (max(supp) if supp else 0)
-        elif other.tail_below is None and self.tail_below is not None:
-            supp = other.support()
-            lo = self.lo + (max(supp) if supp else 0)
+        for x, y in ((self, other), (other, self)):
+            if x.tail_above is None and y.tail_above is not None:
+                hi = y.hi + min(x.coefficients, default=0)
+            if x.tail_below is None and y.tail_below is not None:
+                lo = y.lo + max(x.coefficients, default=0)
         lo = max(lo, -MAX_WINDOW)
         hi = min(hi, MAX_WINDOW)
         if lo > hi:
@@ -371,25 +370,8 @@ class LaurentSeries:
             for n in order
             if val[n] is not None and lo <= n + base <= hi
         }
-        below = above = None
-        if not (self.tail_below is None and other.tail_below is None):
-            slope = min(
-                t.slope for t in (self.tail_below, other.tail_below) if t is not None
-            )
-            offs = []
-            for s, t in ((self, other.tail_below), (other, self.tail_below)):
-                if t is not None:
-                    offs.append(t.at(1) + s._min_stored_valuation())
-            below = TailBound(slope, min(offs))
-        if not (self.tail_above is None and other.tail_above is None):
-            slope = min(
-                t.slope for t in (self.tail_above, other.tail_above) if t is not None
-            )
-            offs = []
-            for s, t in ((self, other.tail_above), (other, self.tail_above)):
-                if t is not None:
-                    offs.append(t.at(1) + s._min_stored_valuation())
-            above = TailBound(slope, min(offs))
+        below = _product_floor(self, self.tail_below, other, other.tail_below)
+        above = _product_floor(self, self.tail_above, other, other.tail_above)
         return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
 
     def __pow__(self, m: int) -> "LaurentSeries":
@@ -408,9 +390,10 @@ class LaurentSeries:
     # -- composition ---------------------------------------------------------
 
     def compose_monomial(
-        self, c: PadicNumber, k: int, domain: AnnulusSpec | None = None
+        self, c: PadicNumber, k: int, domain: AnnulusSpec
     ) -> "LaurentSeries":
-        """Substitute z -> c * w^k (k > 0), remapping exponents exactly."""
+        """Substitute z -> c * w^k (k > 0), remapping exponents exactly, onto
+        the domain of w."""
         if k <= 0:
             raise ValueError("monomial substitution needs a positive exponent")
         if c.is_zero:
@@ -420,11 +403,10 @@ class LaurentSeries:
             Fraction(t.slope, k) if t.slope else Fraction(0),
             t.offset + min(Fraction(0), Fraction(c.valuation)),
         )
-        new_domain = domain if domain is not None else self.domain
         return LaurentSeries(
             self.context,
             coeffs,
-            new_domain,
+            domain,
             self.lo * k,
             self.hi * k,
             scale(self.tail_below),

@@ -20,7 +20,7 @@ from superchab.bounds import (
     stoll_reference_bound,
     total_point_bound,
 )
-from superchab.curve import SuperellipticCurve
+from superchab.curve import HypothesisViolation, SuperellipticCurve
 from superchab.geometry import ResidueAnnulus, classify_annulus
 from superchab.padic import PadicContext, PadicNumber, chabauty_prime
 
@@ -222,3 +222,14 @@ class TestBoundReport:
         curve = SuperellipticCurve(3, [1] + [0] * 11 + [1])
         with pytest.raises(ValueError):
             bound_report(curve, 1)
+
+    def test_hypotheses_gated(self):
+        # a triple branch point on a cubic cover; the rank hypothesis holds
+        curve = SuperellipticCurve.from_branch_points(
+            3, 1, [(k, 1) for k in range(1, 12)] + [(20, 3)]
+        )
+        with pytest.raises(HypothesisViolation) as info:
+            bound_report(curve, 0)
+        assert info.value.violations == [
+            "branch multiplicity 3 (at 1 point) is not below m = 3"
+        ]

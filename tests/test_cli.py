@@ -2,12 +2,14 @@
 canonical JSON, and batch ordering."""
 
 import json
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 import superchab.bounds
+import superchab.curve
 import superchab.ratpoly
 from superchab.cli import (
     CurveParseError,
@@ -347,6 +349,24 @@ class TestSubcommands:
         run(command, cin)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    def test_genus_evaluated_once(self, monkeypatch, command):
+        calls = []
+        original = superchab.curve.genus
+
+        def counted(curve):
+            calls.append(curve)
+            return original(curve)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("superchab") and getattr(module, "genus", None) is original:
+                monkeypatch.setattr(module, "genus", counted)
+        cin = parse_curve_input(f"m=3; f={F12}")
+        cin.rank_claim = 0
+        cin.height = 5
+        run(command, cin)
+        assert len(calls) == 1
+
     def test_parse_error_exit_code(self, capsys):
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", "[1,0,oops]"])
         assert code == 3
@@ -427,6 +447,15 @@ class TestBatch:
         assert payloads[0]["genus"] == 3
         assert payloads[1]["genus"] == 2
         assert "not < m" in payloads[2]["error"]
+
+    def test_json_keeps_error_summaries(self, tmp_path, capsys):
+        # as in single mode, --json drops the summaries of good lines only
+        batch = tmp_path / "curves.txt"
+        batch.write_text("m=3; f=[1,0,0,0,1]\nm=3; f=prod[(1,3)]\n")
+        code, payloads, captured = _run(capsys, ["genus", "--batch", str(batch), "--json"])
+        assert code == 3
+        assert "genus" in payloads[0]
+        assert captured.err == f"error: {payloads[1]['error']}\n"
 
     def test_batch_search(self, tmp_path, capsys):
         batch = tmp_path / "curves.txt"

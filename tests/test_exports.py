@@ -129,6 +129,18 @@ def test_denominators_cleared_only_in_ratpoly():
     assert users == ["ratpoly.py"]
 
 
+def test_cli_envelope_written_once():
+    """The payload envelope has one writer for results (cli.run) and one for
+    errors (cli._process); a command that adds its own "schema" key is a
+    second copy of it."""
+    (cli_tree,) = _parse([Path(superchab.__file__).parent / "cli.py"])
+    keys = [
+        sub for sub in ast.walk(cli_tree)
+        if isinstance(sub, ast.Constant) and sub.value == "schema"
+    ]
+    assert len(keys) <= 2
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     """Decorated with @dataclass or @dataclass(...)."""
     return any(

@@ -10,6 +10,7 @@ from superchab import ratpoly
 from superchab.curve import SuperellipticCurve, genus
 from superchab.geometry import (
     ChartVerificationError,
+    ClusterNode,
     DiscSpec,
     annulus_orbit_count,
     build_cluster_tree,
@@ -212,6 +213,65 @@ class TestClusterTree:
         assert pruned_annulus_count(tree, infinity_is_branch=False) == 1
 
 
+def _pairwise_cluster_root(theta, multiplicities):
+    """The cluster tree's root as built before the depth came from one
+    member: every cluster takes the least valuation over all its pairs."""
+    pair = superchab.geometry._pair_valuation
+
+    def build(indices, parent_depth):
+        if len(indices) == 1:
+            return ClusterNode(indices, None, parent_depth)
+        depth = min(
+            pair(theta[i], theta[j])
+            for k, i in enumerate(indices)
+            for j in indices[k + 1 :]
+        )
+        groups = []
+        for i in indices:
+            for grp in groups:
+                if pair(theta[i], theta[grp[0]]) > depth:
+                    grp.append(i)
+                    break
+            else:
+                groups.append([i])
+        children = tuple(build(tuple(g), depth) for g in groups)
+        return ClusterNode(indices, depth, parent_depth, children)
+
+    return build(tuple(range(len(theta))), None)
+
+
+class TestClusterTreeOracle:
+    def test_seeded_sweep_against_pairwise_depths(self):
+        rng = random.Random(2024)
+        errors = 0
+        for _ in range(2000):
+            ctx = PadicContext(rng.choice([2, 3, 5, 7]), rng.randint(3, 8))
+            p, n = ctx.prime, ctx.precision
+            values = []
+            for _ in range(rng.randint(1, 7)):
+                roll = rng.random()
+                if values and roll < 0.08:
+                    values.append(rng.choice(values))  # an exact repeat
+                elif values and roll < 0.16:
+                    # distinct, but equal to all n working digits
+                    values.append(rng.choice(values) + rng.randint(1, 3) * p**n)
+                else:
+                    num = sum(rng.randrange(p) * p**k for k in range(rng.randint(1, n)))
+                    values.append(Fraction(num, p ** rng.choice([0, 0, 0, 1, 2])))
+            theta = [PadicNumber.from_fraction(Fraction(v), ctx) for v in values]
+            mults = [rng.randint(1, 3) for _ in theta]
+            try:
+                want = _pairwise_cluster_root(theta, mults)
+            except ValueError as exc:
+                errors += 1
+                with pytest.raises(ValueError) as info:
+                    build_cluster_tree(theta, mults)
+                assert str(info.value) == str(exc)
+                continue
+            assert build_cluster_tree(theta, mults).root == want
+        assert errors >= 100
+
+
 class TestClassification:
     def test_rotation_when_d_is_one(self):
         tree = build_cluster_tree(from_ints([1, -1, 7, -7], Q7), [1] * 4)
@@ -281,6 +341,19 @@ class TestWorkedChart:
         diff = lead - chart.gamma
         assert diff.is_zero or diff.valuation >= 1
         assert analysis.attained >= 10
+
+    def test_negative_scale_valuation(self):
+        # with f scaled by 7, Q0 * U^2 is a cube only for v(U) = 1 mod 3, so
+        # the scale search passes v = 0 and settles at v = -2
+        curve = SuperellipticCurve.from_branch_points(
+            3, 7, [(1, 1), (-1, 1), (7, 1), (-7, 1)]
+        )
+        analysis = _first_annulus_analysis(curve, Q7)
+        assert analysis.status == "charts"
+        assert analysis.attained >= 10
+        x = analysis.charts[0].x_series
+        assert x.support() == [3]
+        assert (x.coefficient(3) - PadicNumber.from_rational(1, 49, Q7)).is_zero
 
     def test_orbit_count(self):
         assert annulus_orbit_count(self.curve, Q7) == 1

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import superchab.search
 from superchab import ratpoly
-from superchab.curve import SuperellipticCurve
+from superchab.curve import HypothesisViolation, SuperellipticCurve
 from superchab.search import (
     MAX_SEARCH_HEIGHT,
     RationalPoint,
@@ -314,4 +315,15 @@ class TestVerifyBound:
     def test_rank_violation(self):
         curve = SuperellipticCurve(3, [1, 0, 0, 0, 1])
         with pytest.raises(ValueError):
+            verify_bound(curve, 0, 10)
+
+    def test_hypotheses_gated_before_the_search(self, monkeypatch):
+        def no_search(curve, height):
+            raise AssertionError("searched a curve outside the bound's hypotheses")
+
+        monkeypatch.setattr(superchab.search, "enumerate_points", no_search)
+        curve = SuperellipticCurve.from_branch_points(
+            3, 1, [(k, 1) for k in range(1, 12)] + [(20, 3)]
+        )
+        with pytest.raises(HypothesisViolation, match="multiplicity 3"):
             verify_bound(curve, 0, 10)

@@ -409,7 +409,7 @@ class TestComposeInvert:
 
     def test_compose_monomial_exponent_map(self):
         f = series({0: 1, 2: 3}, domain=AnnulusSpec.disc())
-        g = f.compose_monomial(PadicNumber.from_int(2, Q7), 3)
+        g = f.compose_monomial(PadicNumber.from_int(2, Q7), 3, AnnulusSpec.disc())
         assert g.coefficient(6).residue() == 3 * 4 % 7
 
 
