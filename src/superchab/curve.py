@@ -164,8 +164,10 @@ def validate(curve: SuperellipticCurve) -> int:
     """Main-theorem hypotheses: an irreducible curve, multiplicities below m,
     degree at least 4, genus at least 3.  All violations are reported
     together; otherwise the genus is returned."""
-    split = _reducibility(curve)
-    violations = [] if split is None else [split]
+    try:
+        g, violations = genus(curve), []
+    except HypothesisViolation as split:  # reducible: no genus is defined
+        g, violations = None, split.violations
     for k, e in curve.branch_multiplicities():
         if e >= curve.m:
             violations.append(
@@ -174,10 +176,8 @@ def validate(curve: SuperellipticCurve) -> int:
             )
     if curve.degree < 4:
         violations.append(f"deg(f) = {curve.degree} is below 4")
-    if split is None:
-        g = genus(curve)
-        if g < 3:
-            violations.append(f"genus {g} is below 3")
+    if g is not None and g < 3:
+        violations.append(f"genus {g} is below 3")
     if violations:
         raise HypothesisViolation(violations)
     return g

@@ -551,11 +551,15 @@ def parameterize_annulus(
     # valuation: h(x)^m * Q0 * x^k0 must reproduce the recentered f.  The
     # z-charts inherit this through the exact monomial substitution and the
     # exact constant identity gamma^m = Q0 * U^k0.
-    h_pow = h**m
+    # The budget's cap falls by beta per exponent past k0, so the residual
+    # is read at no exponent above k0 + reach, and h^m is cut there (at 0
+    # when it is read nowhere, so the check still fails as a chart error).
+    vq = min(0, q0.valuation)
+    reach = order + 1 + (vq - target) // beta
+    h_pow = pow(h, m, max(reach, 0))
     lhs = h_pow.shifted(k0).scaled(q0)
     rhs = LaurentSeries.from_dict(dict(enumerate(scaled)), ctx, x_dom)
     resid = lhs - rhs
-    vq = min(0, q0.valuation)
     budget = (
         (n, beta * (order + 1 - max(0, n - k0)) + vq)
         for n in range(resid.lo, resid.hi + 1)
@@ -677,7 +681,7 @@ def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
     )
     # residual check: (gamma h)^m - f(center + z), one-sided and exact
     y0 = h.scaled(gamma)
-    ypow = (y0**m).window_clipped(0, order)
+    ypow = pow(y0, m, order)
     f_comp = LaurentSeries.from_dict(dict(enumerate(shifted)), ctx, dom)
     resid = ypow - f_comp.window_clipped(0, order)
     budget = ((k, ctx.precision) for k in range(order - 2))
@@ -722,7 +726,7 @@ def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
     )
     # t-level identity: h(t)^m * g0 = G(t); the chart follows by the exact
     # substitution t = scale * z^m together with gamma^m = scale * g0
-    h_pow = (h**m).scaled(g0)
+    h_pow = pow(h, m, order).scaled(g0)
     g_series = LaurentSeries.from_dict(
         {k: ck for k, ck in enumerate(G) if not ck.is_zero}, ctx, dom
     )

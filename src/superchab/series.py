@@ -17,6 +17,16 @@ coefficient.  Each pair's product keeps the lesser `known`, as
 table.  The pairs are summed in the order of a double loop over the two
 coefficient dicts, so every `known`, every collapse to exact zero and the
 key order of the result are the ones PadicNumber arithmetic would give.
+
+Powers are truncated: `pow(s, m, hi)` is s^m cut to exponents <= hi, the
+truncated power series of the capped model (Caruso, Roe and Vaccon,
+"Tracking p-adic precision").  The same kernel skips every pair that lands
+above a cut, and square-and-multiply cuts each intermediate power where no
+coefficient above the cut can reach the result, so each kept coefficient
+and its key order equal the full power's.  The dropped side gets a
+constant tail floor at m times the least stored valuation, which no
+dropped coefficient goes below.  The chart checks read only a prefix of
+h^m and pass the last exponent they read.
 """
 
 from __future__ import annotations
@@ -291,6 +301,13 @@ class LaurentSeries:
         return Fraction(min(vals)) if vals else Fraction(0)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+        return self._product(other, None, None)
+
+    def _product(
+        self, other: "LaurentSeries", top: int | None, floor: Fraction | None
+    ) -> "LaurentSeries":
+        """self * other, cut to exponents <= top unless top is None; floor
+        bounds the valuation of every coefficient the cut drops."""
         ctx = self.context
         if other.context != ctx:
             raise ValueError("mixed p-adic contexts")
@@ -307,17 +324,29 @@ class LaurentSeries:
         # residue.  `val[n] is None` marks a fresh state: never reached
         # (known -1) or collapsed to exact zero, which keeps its place in
         # the first-reached order and takes the next product as it is.
+        # Under a cut the pairs that land above it are skipped, row by row;
+        # every kept pair and exponent keeps its place in that order.
         powers = ctx.powers
         p = ctx.prime
-        size = hi - base + 1
+        cut = (hi if top is None else min(hi, top)) - base
+        size = max(cut + 1, 0)
         val: list[int | None] = [None] * size
         unit = [0] * size
         known = [-1] * size
         order: list[int] = []
         right = [(j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
+        j_lo = min(other.coefficients, default=0) - base
+        j_hi = max(other.coefficients, default=0) - base
         for i, a in self.coefficients.items():
+            room = cut - i
+            if room >= j_hi:
+                row = right
+            elif room >= j_lo:
+                row = [r for r in right if r[0] <= room]
+            else:
+                continue
             va, ua, ka = a.valuation, a.unit, a.known
-            for j, vb, ub, kb in right:
+            for j, vb, ub, kb in row:
                 n = i + j
                 k = ka if ka < kb else kb
                 v = va + vb
@@ -361,6 +390,10 @@ class LaurentSeries:
                 hi = y.hi + min(x.coefficients, default=0)
             if x.tail_below is None and y.tail_below is not None:
                 lo = y.lo + max(x.coefficients, default=0)
+        above = _product_floor(self, self.tail_above, other, other.tail_above)
+        if top is not None and top < hi:
+            hi = top
+            above = _merge_tails(above, TailBound(Fraction(0), floor))
         lo = max(lo, -MAX_WINDOW)
         hi = min(hi, MAX_WINDOW)
         if lo > hi:
@@ -371,20 +404,38 @@ class LaurentSeries:
             if val[n] is not None and lo <= n + base <= hi
         }
         below = _product_floor(self, self.tail_below, other, other.tail_below)
-        above = _product_floor(self, self.tail_above, other, other.tail_above)
         return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
 
-    def __pow__(self, m: int) -> "LaurentSeries":
+    def __pow__(self, m: int, hi: int) -> "LaurentSeries":
+        """self^m cut to exponents <= hi (`pow(s, m, hi)`).
+
+        Every kept coefficient, and its place in the key order, is the one
+        the full power has.  With L the least stored exponent of self, no
+        coefficient of self^e above t - (m - e) * L reaches an exponent
+        <= t of the result, so the square-and-multiply cuts each
+        intermediate self^e there, with t = max(hi, m * L + 1): the windows
+        of two cut factors then reach past the cut of their product, so
+        every product after a cut is cut too.  The last product is cut at
+        hi.  Every coefficient of the full self^e has valuation at least e
+        times the least stored valuation of self, which is the constant
+        tail floor each cut adds above.
+        """
         if m < 0:
             raise ValueError("series powers must be nonnegative")
+        least = min(self.coefficients, default=0)
+        top = max(hi, m * least + 1)
+        v = self._min_stored_valuation()
         result = LaurentSeries.one(self.context, self.domain)
-        base = self
-        while m:
-            if m & 1:
-                result = result * base
-            m >>= 1
-            if m:
-                base = base * base
+        base, e, done, rest = self, 1, 0, m
+        while rest:
+            if rest & 1:
+                done += e
+                cut = hi if done == m else top - (m - done) * least
+                result = result._product(base, cut, done * v)
+            rest >>= 1
+            if rest:
+                e *= 2
+                base = base._product(base, top - (m - e) * least, e * v)
         return result
 
     # -- composition ---------------------------------------------------------
@@ -632,27 +683,26 @@ def branch_root_series(
 
     side "minus": (1 - x/theta)^(1/m), a power series converging on
     v(x) > v(theta); side "plus": (1 - theta/x)^(1/m) in inverse powers,
-    converging on v(x) < v(theta).  Binomial coefficients binom(1/m, k) are
-    exact rationals and p-integral as long as p does not divide m.
+    converging on v(x) < v(theta).  The binomial coefficients binom(1/m, k)
+    are p-integral as long as p does not divide m; they come from the
+    recurrence b_k = b_(k-1) * (1 - m(k-1)) / (mk) in Q_p at full precision,
+    and the powers of -1/theta (or -theta) by one product per term.
     """
     ctx = theta.context
     if theta.is_zero:
         raise ValueError("branch factor at the origin is a plain monomial")
     if m < 1 or math.gcd(ctx.prime, m) != 1:
         raise ValueError("p divides m")
-    coeffs: dict[int, PadicNumber] = {}
-    binom = Fraction(1)
-    alpha = Fraction(1, m)
-    inv_theta = PadicNumber.from_int(1, ctx) / theta
-    for k in range(order + 1):
-        if k > 0:
-            binom *= (alpha - (k - 1)) / k
-        if side == "minus":
-            coeffs[k] = (-inv_theta) ** k * PadicNumber.from_fraction(binom, ctx)
-        elif side == "plus":
-            coeffs[-k] = (-theta) ** k * PadicNumber.from_fraction(binom, ctx)
-        else:
-            raise ValueError("side must be 'plus' or 'minus'")
+    if side not in ("minus", "plus"):
+        raise ValueError("side must be 'plus' or 'minus'")
+    one = PadicNumber.from_int(1, ctx)
+    step, sign = (-(one / theta), 1) if side == "minus" else (-theta, -1)
+    coeffs: dict[int, PadicNumber] = {0: one}
+    binom = power = one
+    for k in range(1, order + 1):
+        binom = binom * PadicNumber.from_rational(1 - m * (k - 1), m * k, ctx)
+        power = power * step
+        coeffs[sign * k] = power * binom
     tv = Fraction(theta.valuation)
     if side == "minus":
         tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))

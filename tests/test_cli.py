@@ -367,6 +367,22 @@ class TestSubcommands:
         run(command, cin)
         assert len(calls) == 1
 
+    def test_irreducibility_tested_once(self, monkeypatch):
+        """validate takes the irreducibility verdict from the genus it
+        computes instead of testing it a second time."""
+        calls = []
+        original = superchab.curve._reducibility
+
+        def counted(curve):
+            calls.append(curve)
+            return original(curve)
+
+        monkeypatch.setattr(superchab.curve, "_reducibility", counted)
+        cin = parse_curve_input(f"m=3; f={F12}")
+        cin.rank_claim = 0
+        run("bound", cin)
+        assert len(calls) == 1
+
     def test_parse_error_exit_code(self, capsys):
         code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", "[1,0,oops]"])
         assert code == 3

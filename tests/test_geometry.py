@@ -355,6 +355,17 @@ class TestWorkedChart:
         assert x.support() == [3]
         assert (x.coefficient(3) - PadicNumber.from_rational(1, 49, Q7)).is_zero
 
+    def test_budget_that_reads_no_exponent_fails_the_chart(self):
+        # f scaled by the cube 7^-90 keeps the charts' power classes but
+        # puts v(Q0) at -90, so the residual budget is below the target at
+        # every exponent; the check reads nothing and reports a chart error
+        # (the cut power of h must not collapse its window first)
+        curve = SuperellipticCurve.from_branch_points(
+            3, Fraction(1, 7**90), [(1, 1), (-1, 1), (7, 1), (-7, 1)]
+        )
+        with pytest.raises(ChartVerificationError, match="attains None, below target 10"):
+            _first_annulus_analysis(curve, Q7)
+
     def test_orbit_count(self):
         assert annulus_orbit_count(self.curve, Q7) == 1
         assert genus(self.curve) == 3

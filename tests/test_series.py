@@ -53,7 +53,10 @@ class TestRingOps:
 
     def test_pow_matches_repeated_mul(self):
         a = series({0: 2, 1: 1, -1: 7})
-        assert series_agree(a**3, a * a * a, 15)
+        assert series_agree(pow(a, 3, 3), a * a * a, 15)
+        cut = pow(a, 3, 1)
+        assert (cut.lo, cut.hi) == (-3, 1)
+        assert series_agree(cut, a * a * a, 15)
 
     def test_disc_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
@@ -257,14 +260,17 @@ class TestProductOracle:
     )
     def test_chained_products_and_powers(self, domain, exps, seed):
         """A product's output, with the key order it produced and its
-        collapsed exponents dropped, feeds a second product and a power."""
+        collapsed exponents dropped, feeds a second product and a power.
+        The power is taken whole and cut at a drawn bound: the cut one keeps
+        the full power's coefficients up to the bound, in the same key
+        order, and its tail floor holds every coefficient it drops."""
         rng = random.Random(seed)
         seen = {"exact": 0, "partial": 0, "raised": 0, "collapsed": 0, "unsorted": 0}
-        chained = 0
+        chained = cut = 0
         for _ in range(500):
             x, y = _random_pair(rng, domain, exps)
             w = LaurentSeries.from_dict(_random_coefficients(rng, x.context, exps), x.context, domain)
-            e = rng.randint(2, 4)
+            e = rng.randint(2, 7)
             try:
                 xy = _checked_product(x, y, seen)
                 _checked_product(xy, w, seen)
@@ -272,11 +278,21 @@ class TestProductOracle:
                 want = _checked_power(xy, e, seen)
             except PrecisionError:
                 continue
-            got = xy**e
-            assert (got.lo, got.hi) == (want.lo, want.hi)
-            assert _triples(got.coefficients.items()) == _triples(want.coefficients.items())
+            for hi in (want.hi, rng.randint(want.lo, want.hi)):
+                got = pow(xy, e, hi)
+                assert (got.lo, got.hi) == (want.lo, hi)
+                kept = [(n, c) for n, c in want.coefficients.items() if n <= hi]
+                assert _triples(got.coefficients.items()) == _triples(kept)
+                if hi == want.hi:
+                    assert (got.tail_below, got.tail_above) == (want.tail_below, want.tail_above)
+                    continue
+                for n, c in want.coefficients.items():
+                    if n > hi:
+                        assert c.valuation >= got.tail_above.at(n - hi)
+                        cut += 1
             chained += 1
         assert chained >= 350
+        assert cut >= 1000
         assert seen["exact"] >= 500
         assert seen["partial"] >= 1000
         assert seen["raised"] >= 30
@@ -395,9 +411,58 @@ class TestBranchFactors:
     def test_mth_power_recovers_linear(self, theta, m):
         t = PadicNumber.from_int(theta, Q7)
         f = branch_root_series(t, m, "minus", order=28, domain=DISC)
-        power = f**m
+        power = pow(f, m, 12)
         target = series({0: 1, 1: Fraction(-1, theta)}, domain=AnnulusSpec.disc())
-        assert series_agree(power.window_clipped(0, 12), target, 10)
+        assert series_agree(power, target, 10)
+
+
+def _fraction_branch_root_series(theta, m, side, order, domain):
+    """branch_root_series as it was before the p-adic recurrence: exact
+    Fraction binomials, each turned into Q_p, times a fresh power."""
+    ctx = theta.context
+    coeffs = {}
+    binom = Fraction(1)
+    alpha = Fraction(1, m)
+    inv_theta = PadicNumber.from_int(1, ctx) / theta
+    for k in range(order + 1):
+        if k > 0:
+            binom *= (alpha - (k - 1)) / k
+        if side == "minus":
+            coeffs[k] = (-inv_theta) ** k * PadicNumber.from_fraction(binom, ctx)
+        else:
+            coeffs[-k] = (-theta) ** k * PadicNumber.from_fraction(binom, ctx)
+    tv = Fraction(theta.valuation)
+    if side == "minus":
+        tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))
+        return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
+    tail = TailBound(tv, tv * (order + 1))
+    return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
+
+
+class TestBranchRootOracle:
+    def test_seeded_sweep(self):
+        """Same window, tails and (valuation, unit, known) in key order as
+        the Fraction binomials, for m = 2..9, both sides and every v(theta)
+        in -2..3 the side admits, with theta known to full or fewer digits."""
+        rng = random.Random(20261019)
+        cases = 0
+        for m in range(2, 10):
+            for side, vals in (("minus", range(-2, 4)), ("plus", range(1, 4))):
+                for v in vals:
+                    for order in (rng.randint(0, 63), 64):
+                        p = rng.choice([q for q in (3, 5, 7, 11, 13) if m % q])
+                        ctx = PadicContext(p, rng.randint(2, 40))
+                        known = ctx.precision if rng.random() < 0.7 else rng.randint(1, ctx.precision)
+                        unit = rng.randrange(1, p**known)
+                        theta = PadicNumber(ctx, v, unit + (unit % p == 0), known)
+                        domain = DISC if side == "minus" and v <= 0 else ANN1
+                        got = branch_root_series(theta, m, side, order, domain)
+                        want = _fraction_branch_root_series(theta, m, side, order, domain)
+                        assert (got.lo, got.hi) == (want.lo, want.hi)
+                        assert (got.tail_below, got.tail_above) == (want.tail_below, want.tail_above)
+                        assert _triples(got.coefficients.items()) == _triples(want.coefficients.items())
+                        cases += 1
+        assert cases == 8 * 9 * 2
 
 
 class TestComposeInvert:
