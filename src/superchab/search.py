@@ -6,9 +6,12 @@ the integer form of f: with den the lcm of the coefficient denominators and
 G(a, b) = sum den*f_k a^k b^(d-k), f(a/b) = G / (den*b^d).  For each small
 sieve prime q one table over the q + 1 points of P^1(F_q) records where the
 homogeneous form N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power
-residue; every row b of the search reads its residue mask off that table,
-which rejects almost every (a, b) before any exact arithmetic.  An integer
-root test rejects most of the rest, and every point reported is confirmed
+residue.  A row depends on b only through b mod q, so each residue class
+reads its pattern off the table once per search and every b of the class
+reuses it.  The rows reject almost every (a, b) before any exact
+arithmetic.  A survivor must then give an m-th power residue at up to
+eight further primes before the integer root test, so exact roots are
+taken about twice per point found, and every point reported is confirmed
 over Q.  Nothing here touches floating point.
 """
 
@@ -34,15 +37,17 @@ __all__ = [
 ]
 
 # A row of the sieve is a 2H+1 bit mask and the work grows like H^2; at this
-# height a search takes about 1 s of CPU on a 2-core x86 host (Python 3.11)
-# for the README curves and y^3 = x^12 + 1, and 13 to 17 s for degree-16
-# hyperelliptic curves and a degree-12 cubic with 12 rational roots, where
-# more (a, b) survive the sieve.
+# height a search takes about 0.6 s of CPU on a 2-core x86 host (Python 3.11)
+# for the README curves and y^3 = x^12 + 1, and 4 to 5 s for y^2 = x^16 + 1
+# and a degree-12 cubic with 12 rational roots, where about a million (a, b)
+# survive the rows and each is evaluated and pre-tested.
 MAX_SEARCH_HEIGHT = 10_000
 
-# Sieve primes are taken from this fixed range, so an m with no usable prime
-# below 100 (a large prime m) is searched without a sieve.
-_ODD_PRIMES = [q for q in range(3, 100, 2) if is_prime(q)]
+# Sieve rows use the usable primes below 100, so an m with none there (a
+# large prime m) is searched without a sieve; survivors of the rows are
+# pre-tested at the next usable primes of the same fixed range, below 200.
+_ODD_PRIMES = [q for q in range(3, 200, 2) if is_prime(q)]
+_ROW_PRIME_LIMIT = 100
 _MAX_SIEVE_PRIMES = 8
 
 
@@ -140,10 +145,19 @@ def infinity_count(curve: SuperellipticCurve) -> int:
     return len(_rational_mth_roots(curve.leading_coefficient, delta))
 
 
-def _sieve_primes(m: int) -> list[int]:
-    """The smallest odd primes q < 100 at which m-th powers are a proper
-    subset of the residues, that is gcd(m, q - 1) > 1; at most eight."""
-    return [q for q in _ODD_PRIMES if math.gcd(m, q - 1) > 1][:_MAX_SIEVE_PRIMES]
+def _sieve_primes(m: int) -> tuple[list[int], list[int]]:
+    """The odd primes q at which m-th powers are a proper subset of the
+    residues, that is gcd(m, q - 1) > 1, in increasing order: up to eight
+    below 100 give the rows of the sieve, and up to eight more, the next
+    ones below 200, pre-test the survivors."""
+    usable = [q for q in _ODD_PRIMES if math.gcd(m, q - 1) > 1]
+    rows = [q for q in usable if q < _ROW_PRIME_LIMIT][:_MAX_SIEVE_PRIMES]
+    return rows, usable[len(rows):len(rows) + _MAX_SIEVE_PRIMES]
+
+
+def _power_residues(m: int, q: int) -> set[int]:
+    """The m-th power residues mod q, 0 counted."""
+    return {pow(x, m, q) for x in range(q)}
 
 
 def _sieve_tables(
@@ -161,8 +175,8 @@ def _sieve_tables(
     d = len(ints) - 1
     width = 2 * height + 1
     tables = []
-    for q in _sieve_primes(m):
-        powers = {pow(x, m, q) for x in range(q)}
+    for q in _sieve_primes(m)[0]:
+        powers = _power_residues(m, q)
         scale = pow(den, m - 1, q)
         coeffs = [c * scale % q for c in reversed(ints)]
         table = []
@@ -199,12 +213,16 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     power in Q when N is one in Z.  For b = 1..H, row b takes from each
     table a q-bit pattern over a mod q, at (a/b : 1) when q does not divide
     b and at (1 : 0) when it does (see _row_pattern), repeated across a in
-    [-H, H].  Each a left in the AND of the rows with gcd(a, b) = 1 gets
-    G(a, b) by integer Horner and an exact root test of G / (den*b^d) in
+    [-H, H]; the pattern is read the first time its class b mod q appears
+    and kept until the call returns.  Each a left in the AND of the
+    rows with gcd(a, b) = 1 gets G(a, b) by integer Horner.  It is dropped
+    unless G (den*b^d)^(m-1) is an m-th power residue (0 counted) at every
+    pre-test prime q: when G / (den*b^d) = y^m that number is the integer
+    (y den b^d)^m.  The rest get an exact root test of G / (den*b^d) in
     lowest terms (with the sign rule G >= 0 for even m); N itself is never
     formed, since b^(D-d) is huge when m is much larger than d.  Each hit
-    is confirmed by the exact rational roots of f(a/b), so the sieve and
-    the integer test only reject.  Raises ValueError above
+    is confirmed by the exact rational roots of f(a/b), so the sieve, the
+    pre-test and the integer test only reject.  Raises ValueError above
     MAX_SEARCH_HEIGHT.
     """
     if height < 0:
@@ -217,14 +235,20 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     ints, den = ratpoly.integer_form(curve.f)
     d = len(ints) - 1
     tables = _sieve_tables(ints, den, m, height)
+    patterns: list[dict[int, int]] = [{} for _ in tables]
+    pretests = [(q, _power_residues(m, q)) for q in _sieve_primes(m)[1]]
     full = (1 << (2 * height + 1)) - 1
     found: list[RationalPoint] = []
     for b in range(1, height + 1):
         mask = full
-        for q, table, repeat in tables:
-            mask &= _row_pattern(q, table, b, height) * repeat
+        for (q, table, repeat), by_class in zip(tables, patterns):
+            pattern = by_class.get(b % q)
+            if pattern is None:
+                pattern = by_class[b % q] = _row_pattern(q, table, b, height)
+            mask &= pattern * repeat
         horner = [c * b ** (d - k) for k, c in enumerate(ints)][::-1]
         scaled_den = den * b ** d
+        scales = [(q, powers, pow(scaled_den, m - 1, q)) for q, powers in pretests]
         bits = bin(mask)[:1:-1]
         i = bits.find("1")
         while i >= 0:
@@ -235,6 +259,8 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
             g = 0
             for c in horner:
                 g = g * a + c
+            if any(g * s % q not in powers for q, powers, s in scales):
+                continue
             if not _rational_mth_roots(Fraction(g, scaled_den), m):
                 continue
             x = Fraction(a, b)

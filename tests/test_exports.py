@@ -2,7 +2,8 @@
 function cannot leave a stale export behind; every entry point that the
 benchmark's tracer wraps exists; every private helper is still used; every
 public function or method is reached by the package, the acceptance
-criteria or the benchmark; every stored field is read somewhere."""
+criteria or the benchmark; every stored field is read somewhere; no cache
+outlives a call."""
 
 import ast
 import importlib
@@ -209,3 +210,87 @@ def test_fields_are_read():
         if name not in loaded
     )
     assert unread == []
+
+
+_MUTATORS = {
+    "append", "extend", "insert", "add", "update", "setdefault", "pop",
+    "popitem", "clear", "remove", "discard", "__setitem__", "__delitem__",
+}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names bound at module level to a dict, list or set display,
+    comprehension or constructor call."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        container = isinstance(
+            value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        ) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None)) in _CONTAINER_CALLS
+        )
+        if container:
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def _mutated_names(function: ast.AST) -> set[str]:
+    """Names that a function changes in place (subscript store or delete,
+    a mutating method call) or rebinds through a global statement."""
+    mutated = set()
+    for sub in ast.walk(function):
+        if isinstance(sub, ast.Global):
+            mutated |= set(sub.names)
+        elif (
+            isinstance(sub, ast.Subscript)
+            and isinstance(sub.ctx, (ast.Store, ast.Del))
+            and isinstance(sub.value, ast.Name)
+        ):
+            mutated.add(sub.value.id)
+        elif (
+            isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and sub.func.attr in _MUTATORS
+            and isinstance(sub.func.value, ast.Name)
+        ):
+            mutated.add(sub.func.value.id)
+    return mutated
+
+
+def test_no_state_outlives_a_call():
+    """No function of the package memoises across calls: no functools.cache
+    or lru_cache, and no module-level dict, list or set that a function
+    changes.  The benchmark repeats its items, so a cache that outlives a
+    call would measure the repeats rather than the work.  A cached_property
+    lives and dies with its instance, and stays allowed."""
+    found = []
+    paths = sorted(Path(superchab.__file__).parent.glob("*.py"))
+    for path, tree in zip(paths, _parse(paths)):
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "functools":
+                found += [
+                    f"{path.name}: functools.{alias.name}"
+                    for alias in sub.names
+                    if alias.name in ("cache", "lru_cache")
+                ]
+            elif (
+                isinstance(sub, ast.Attribute)
+                and sub.attr in ("cache", "lru_cache")
+                and getattr(sub.value, "id", None) == "functools"
+            ):
+                found.append(f"{path.name}: functools.{sub.attr}")
+        shared = _module_containers(tree)
+        found += [
+            f"{path.name}: {function.name} changes {name}"
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name in sorted(_mutated_names(function) & shared)
+        ]
+    assert found == []

@@ -1,6 +1,8 @@
 """Point search: exact membership, the sieved height-H sweep against the
-Fraction double loop it replaced and an independent oracle, the height
-limit, infinity accounting, and bound verification."""
+Fraction double loop it replaced, against the row-table sieve without a
+row cache or pre-test, and against an independent oracle, the number of
+exact root tests, the height limit, infinity accounting, and bound
+verification."""
 
 import math
 import random
@@ -27,6 +29,13 @@ from superchab.search import (
     _sieve_primes,
     _sieve_tables,
 )
+
+# y^3 = prod (x - t) over twelve rational roots in nested residue classes,
+# and y^2 = x^16 + 1: the two curves on which most (a, b) survive the rows
+NESTED_CUBIC = SuperellipticCurve.from_branch_points(
+    3, 1, [(t, 1) for t in (1, 8, 50, 344, 2, 9, 51, 345, 3, 10, 52, 346)]
+)
+HYPERELLIPTIC_16 = SuperellipticCurve(2, [1] + [0] * 15 + [1])
 
 
 def _bisect_root(n: int, k: int) -> tuple[int, bool]:
@@ -125,6 +134,64 @@ def _horner_row_mask(ints: list[int], den: int, m: int, q: int, powers: set[int]
     width = 2 * height + 1
     reps = -(-width // q)
     return pattern * (((1 << (q * reps)) - 1) // ((1 << q) - 1)) & ((1 << width) - 1)
+
+
+def _table_sieve_points(curve: SuperellipticCurve, height: int) -> SearchReport:
+    """The row-table sieve without a row cache or pre-test, kept as an
+    oracle: every row of every b built anew from one P^1(F_q) table per
+    sieve prime (the smallest eight odd primes q < 100 with
+    gcd(m, q - 1) > 1), and every coprime survivor sent to the exact root
+    test.  Its residue sets and tables are its own, so a fault in the
+    package's helpers cannot hide here."""
+    m = curve.m
+    ints, den = ratpoly.integer_form(curve.f)
+    d = len(ints) - 1
+    width = 2 * height + 1
+    tables = []
+    primes = [q for q in range(3, 100, 2) if all(q % p for p in range(3, q, 2))]
+    for q in [q for q in primes if math.gcd(m, q - 1) > 1][:8]:
+        powers = {pow(x, m, q) for x in range(q)}
+        scale = pow(den, m - 1, q)
+        coeffs = [c * scale % q for c in reversed(ints)]
+        table = []
+        for t in range(q):
+            v = 0
+            for c in coeffs:
+                v = (v * t + c) % q
+            table.append(int(v in powers))
+        table.append(int(d % m != 0 or coeffs[0] in powers))
+        repeat = ((1 << (q * -(-width // q))) - 1) // ((1 << q) - 1)
+        tables.append((q, table, repeat))
+    full = (1 << width) - 1
+    found: list[RationalPoint] = []
+    for b in range(1, height + 1):
+        mask = full
+        for q, table, repeat in tables:
+            if b % q:
+                inverse = pow(b, -1, q)
+                row = sum(table[(j - height) * inverse % q] << j for j in range(q))
+            else:
+                row = (1 << q) - 1 if table[q] else 1 << height % q
+            mask &= row * repeat
+        horner = [c * b ** (d - k) for k, c in enumerate(ints)][::-1]
+        scaled_den = den * b ** d
+        bits = bin(mask)[:1:-1]
+        i = bits.find("1")
+        while i >= 0:
+            a = i - height
+            i = bits.find("1", i + 1)
+            if math.gcd(a, b) != 1:
+                continue
+            g = 0
+            for c in horner:
+                g = g * a + c
+            if not _rational_mth_roots(Fraction(g, scaled_den), m):
+                continue
+            x = Fraction(a, b)
+            for y in _rational_mth_roots(curve.evaluate_f(x), m):
+                found.append(RationalPoint(x, y))
+    found.sort(key=lambda pt: (pt.x, pt.y))
+    return SearchReport(height, found, len(found), infinity_count(curve))
 
 
 class TestIntegerRoot:
@@ -227,6 +294,50 @@ class TestSieveAgainstFractionLoop:
         assert [(pt.x, pt.y) for pt in report.points] == [(Fraction(0), Fraction(1))]
 
 
+class TestSieveAgainstTableOracle:
+    def test_seeded_sweep(self):
+        """The same point lists as the sieve without row cache or pre-test,
+        on seeded curves with m = 2..7 and planted points, at heights where
+        every row prime and every pre-test prime divides some b and each
+        residue class of b recurs."""
+        rng = random.Random(7919)
+        nonzero_y, zero_y, pretested = 0, 0, set()
+        for i in range(48):
+            m, d = 2 + i % 6, 2 + i % 5
+            curve = _sweep_curve(rng, m, d)
+            rows, pretests = _sieve_primes(m)
+            height = max(rows + pretests) + rng.randint(0, 4)
+            got = enumerate_points(curve, height).to_json_dict()
+            assert got == _table_sieve_points(curve, height).to_json_dict(), (m, curve.f, height)
+            zero_y += sum(p["y"] == "0/1" for p in got["points"])
+            nonzero_y += sum(p["y"] != "0/1" for p in got["points"])
+            if pretests:
+                pretested.add(m)
+        assert zero_y > 0 and nonzero_y > 0
+        assert pretested == {2, 3, 4, 5, 6, 7}
+
+
+class TestExactRootTests:
+    def test_about_two_per_point_found(self, monkeypatch):
+        """The row and pre-test residues reject every false survivor of
+        these two curves at H = 300 (983 and 735 exact root tests without
+        the pre-test): each x found takes one integer root test and one
+        of f(x), and the points at infinity one more."""
+        calls = 0
+
+        def counted(v, m):
+            nonlocal calls
+            calls += 1
+            return _rational_mth_roots(v, m)
+
+        monkeypatch.setattr(superchab.search, "_rational_mth_roots", counted)
+        for curve in (NESTED_CUBIC, HYPERELLIPTIC_16):
+            calls = 0
+            report = enumerate_points(curve, 300)
+            assert report.count > 0
+            assert calls <= 2 * report.count + 1, (curve.m, report.count, calls)
+
+
 class TestRowTable:
     def test_rows_against_horner_oracle(self):
         """Every row read off the P^1(F_q) table equals the per-row Horner
@@ -236,7 +347,7 @@ class TestRowTable:
         seen = {"D > d": 0, "D = d": 0, "q | den": 0, "q | b": 0,
                 "N(1, 0) not a power": 0, "negative": 0, "rational": 0}
         for m in range(2, 8):
-            primes = _sieve_primes(m)
+            primes, _ = _sieve_primes(m)
             height = max(primes) + 2
             for d in (m - 1, m, m + 1, 2 * m):
                 if d < 1:
