@@ -3,22 +3,26 @@ with exact membership tests and bound-versus-observation verification.
 
 Height of x = a/b (reduced, b > 0) is max(|a|, |b|).  The search works on
 the integer form of f: with den the lcm of the coefficient denominators and
-G(a, b) = sum den*f_k a^k b^(d-k), f(a/b) = G / (den*b^d).  For each small
-sieve prime q one table over the q + 1 points of P^1(F_q) records where the
-homogeneous form N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power
-residue.  A row depends on b only through b mod q, so each residue class
-reads its pattern off the table once per search and every b of the class
-reuses it.  The rows reject almost every (a, b) before any exact
-arithmetic.  A survivor must then give an m-th power residue at up to
-eight further primes before the integer root test, so exact roots are
-taken about twice per point found, and every point reported is confirmed
-over Q.  Nothing here touches floating point.
+G(a, b) = sum den*f_k a^k b^(d-k), f(a/b) = G / (den*b^d).  For each row
+prime q the sieve lists the points of P^1(F_q) where the homogeneous form
+N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power residue.  Row b
+at q, a 2H+1 bit mask over a, has one bit per listed point in each period
+of q; it depends on b only through b mod q, so each residue class builds
+its row once per search and every b of the class reuses it.  How many
+row primes a search takes follows H: past the first eight, a prime is a
+row while the (a, b) it is expected to reject outnumber the work of its
+rows.  The rows reject almost every (a, b) before any exact arithmetic.  A
+survivor must then give an m-th power residue at up to eight further
+primes before the integer root test, so exact roots are taken about twice
+per point found, and every point reported is confirmed over Q.  Nothing
+here touches floating point.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,15 +41,18 @@ __all__ = [
 ]
 
 # A row of the sieve is a 2H+1 bit mask and the work grows like H^2; at this
-# height a search takes about 0.6 s of CPU on a 2-core x86 host (Python 3.11)
-# for the README curves and y^3 = x^12 + 1, and 4 to 5 s for y^2 = x^16 + 1
-# and a degree-12 cubic with 12 rational roots, where about a million (a, b)
-# survive the rows and each is evaluated and pre-tested.
+# height a search takes under 1 s of CPU on a 2-core x86 host (Python 3.11)
+# for the README curves, y^3 = x^12 + 1, y^2 = x^16 + 1 and a degree-12
+# cubic with 12 rational roots, where 15 and 14 row primes leave 12,680 and
+# 33,010 (a, b) to evaluate.  The kept rows take at most sum(q) * (2H+1)
+# bits, about 1 MB and 2.2 MB on those last two curves.
 MAX_SEARCH_HEIGHT = 10_000
 
-# Sieve rows use the usable primes below 100, so an m with none there (a
-# large prime m) is searched without a sieve; survivors of the rows are
-# pre-tested at the next usable primes of the same fixed range, below 200.
+# Sieve primes are the usable odd primes below 200.  The first eight below
+# 100 whose table rejects a point are always rows; further rows and the
+# pre-test primes come from the same fixed range (see _sieve_tables), so an
+# m with no usable prime there (a large prime m) is searched without a
+# sieve.
 _ODD_PRIMES = [q for q in range(3, 200, 2) if is_prime(q)]
 _ROW_PRIME_LIMIT = 100
 _MAX_SIEVE_PRIMES = 8
@@ -145,14 +152,11 @@ def infinity_count(curve: SuperellipticCurve) -> int:
     return len(_rational_mth_roots(curve.leading_coefficient, delta))
 
 
-def _sieve_primes(m: int) -> tuple[list[int], list[int]]:
-    """The odd primes q at which m-th powers are a proper subset of the
-    residues, that is gcd(m, q - 1) > 1, in increasing order: up to eight
-    below 100 give the rows of the sieve, and up to eight more, the next
-    ones below 200, pre-test the survivors."""
-    usable = [q for q in _ODD_PRIMES if math.gcd(m, q - 1) > 1]
-    rows = [q for q in usable if q < _ROW_PRIME_LIMIT][:_MAX_SIEVE_PRIMES]
-    return rows, usable[len(rows):len(rows) + _MAX_SIEVE_PRIMES]
+def _sieve_primes(m: int) -> list[int]:
+    """The odd primes q below 200 at which m-th powers are a proper subset
+    of the residues, that is gcd(m, q - 1) > 1, in increasing order; the
+    sieve takes its rows and pre-test primes from them (see _sieve_tables)."""
+    return [q for q in _ODD_PRIMES if math.gcd(m, q - 1) > 1]
 
 
 def _power_residues(m: int, q: int) -> set[int]:
@@ -160,70 +164,122 @@ def _power_residues(m: int, q: int) -> set[int]:
     return {pow(x, m, q) for x in range(q)}
 
 
-def _sieve_tables(
-    ints: list[int], den: int, m: int, height: int
-) -> list[tuple[int, list[int], int]]:
-    """One table per sieve prime q: (q, table, repeat).  table has one
-    entry for each of the q + 1 points of P^1(F_q), 1 where the form
-    N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power residue mod
-    q (0 counted) and 0 where it is not: table[t] for (t : 1), table[q] for
-    (1 : 0).  repeat copies a q-bit pattern across the 2H+1 bits of a row.
+def _passing_points(
+    ints: list[int], den: int, m: int, q: int
+) -> tuple[list[int], bool]:
+    """The points of P^1(F_q) at which the form N = G den^(m-1) b^(D-d),
+    D = m*ceil(d/m), is an m-th power residue mod q (0 counted): the t in
+    [0, q) with (t : 1) passing, in increasing order, and whether (1 : 0)
+    passes.
 
     N is homogeneous of degree D, so N(l a, l b) = l^D N(a, b) for a unit l,
     and l^D is a nonzero m-th power: the test depends only on (a : b).
     """
     d = len(ints) - 1
+    powers = _power_residues(m, q)
+    scale = pow(den, m - 1, q)
+    coeffs = [c * scale % q for c in reversed(ints)]
+    passing = []
+    for t in range(q):
+        v = 0
+        for c in coeffs:
+            v = (v * t + c) % q
+        if v in powers:
+            passing.append(t)
+    # N(1, 0) = den^(m-1) f_d when D = d, and 0 when D > d
+    return passing, d % m != 0 or coeffs[0] in powers
+
+
+def _sieve_tables(
+    ints: list[int], den: int, m: int, height: int
+) -> tuple[list[tuple[int, list[int], bool]], list[int]]:
+    """The rows of the sieve, one (q, passing, infinity) table of
+    _passing_points per row prime, and the pre-test primes.
+
+    The row primes are taken in increasing order from _sieve_primes.  A
+    prime whose table passes every point of P^1(F_q), as each q dividing
+    den does (N is then 0 mod q), would reject nothing and is skipped.  The
+    first eight others below 100 are always rows.  After them the next
+    prime q is a row while the expected survivors (2H+1) H prod rho, with
+    rho the passing share of each row's table, exceed min(H, q) q, about
+    the work of building its rows, one per residue class of b mod q that
+    occurs; a larger q costs no less, so the first that fails ends the
+    rows.  The pre-test primes are the next eight, less those dividing den.
+    """
     width = 2 * height + 1
+    primes = _sieve_primes(m)
     tables = []
-    for q in _sieve_primes(m)[0]:
-        powers = _power_residues(m, q)
-        scale = pow(den, m - 1, q)
-        coeffs = [c * scale % q for c in reversed(ints)]
-        table = []
-        for t in range(q):
-            v = 0
-            for c in coeffs:
-                v = (v * t + c) % q
-            table.append(int(v in powers))
-        # N(1, 0) = den^(m-1) f_d when D = d, and 0 when D > d
-        table.append(int(d % m != 0 or coeffs[0] in powers))
-        repeat = ((1 << (q * -(-width // q))) - 1) // ((1 << q) - 1)
-        tables.append((q, table, repeat))
-    return tables
+    # expected survivors, as the fraction survivors / points
+    survivors, points = width * height, 1
+    for i, q in enumerate(primes):
+        if len(tables) >= _MAX_SIEVE_PRIMES or q > _ROW_PRIME_LIMIT:
+            if survivors <= min(height, q) * q * points:
+                return tables, [p for p in primes[i:] if den % p][:_MAX_SIEVE_PRIMES]
+        passing, infinity = _passing_points(ints, den, m, q)
+        passed = len(passing) + infinity
+        if passed <= q:
+            tables.append((q, passing, infinity))
+            survivors *= passed
+            points *= q + 1
+    return tables, []
 
 
-def _row_pattern(q: int, table: list[int], b: int, height: int) -> int:
-    """Row b of the sieve modulo q: bit j is set when every a = j - H mod q
-    may leave N(a, b) an m-th power mod q, read off the table of
-    _sieve_tables at (a/b : 1), or at (1 : 0) when q divides b.  When q
-    divides both a and b the bit stays set; gcd(a, b) = 1 rejects that a."""
+def _row(q: int, passing: list[int], infinity: bool, b: int, height: int) -> int:
+    """Row b of the sieve modulo q, a 2H+1 bit mask: bit j is set when
+    a = j - H may leave N(a, b) an m-th power mod q.  When q does not divide
+    b that is when a = t b mod q for a passing t of (t : 1), so the q-bit
+    pattern has one bit per passing t; when q divides b, every a prime to q
+    gives (1 : 0).  When q divides both a and b the bit stays set;
+    gcd(a, b) = 1 rejects that a.  The pattern repeats across the row."""
+    width = 2 * height + 1
     if b % q:
-        inverse = pow(b, -1, q)
-        return sum(table[(j - height) * inverse % q] << j for j in range(q))
-    return (1 << q) - 1 if table[q] else 1 << height % q
+        pattern = 0
+        for t in passing:
+            pattern |= 1 << (t * b + height) % q
+    else:
+        pattern = (1 << q) - 1 if infinity else 1 << height % q
+    repeat = ((1 << (q * -(-width // q))) - 1) // ((1 << q) - 1)
+    return pattern * repeat & ((1 << width) - 1)
+
+
+def _row_masks(
+    tables: list[tuple[int, list[int], bool]], height: int
+) -> Iterator[tuple[int, int]]:
+    """(b, mask) for b = 1..H: bit j of mask is set when a = j - H passes
+    the row of b at every row prime (see _row).  A row is built the first
+    time its class b mod q appears and kept until the iteration ends."""
+    rows: list[dict[int, int]] = [{} for _ in tables]
+    full = (1 << (2 * height + 1)) - 1
+    for b in range(1, height + 1):
+        mask = full
+        for (q, passing, infinity), by_class in zip(tables, rows):
+            row = by_class.get(b % q)
+            if row is None:
+                row = by_class[b % q] = _row(q, passing, infinity, b, height)
+            mask &= row
+        yield b, mask
 
 
 def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     """All affine points with x = a/b of height at most H, sorted by (x, y),
     plus the points at infinity, which do not depend on H.
 
-    Each sieve prime q (see _sieve_primes) gets one table of the points
-    of P^1(F_q) at which N(a, b) = G(a, b) den^(m-1) b^(D-d) is an m-th
-    power residue mod q (see _sieve_tables); f(a/b) can only be an m-th
-    power in Q when N is one in Z.  For b = 1..H, row b takes from each
-    table a q-bit pattern over a mod q, at (a/b : 1) when q does not divide
-    b and at (1 : 0) when it does (see _row_pattern), repeated across a in
-    [-H, H]; the pattern is read the first time its class b mod q appears
-    and kept until the call returns.  Each a left in the AND of the
-    rows with gcd(a, b) = 1 gets G(a, b) by integer Horner.  It is dropped
-    unless G (den*b^d)^(m-1) is an m-th power residue (0 counted) at every
-    pre-test prime q: when G / (den*b^d) = y^m that number is the integer
-    (y den b^d)^m.  The rest get an exact root test of G / (den*b^d) in
-    lowest terms (with the sign rule G >= 0 for even m); N itself is never
-    formed, since b^(D-d) is huge when m is much larger than d.  Each hit
-    is confirmed by the exact rational roots of f(a/b), so the sieve, the
-    pre-test and the integer test only reject.  Raises ValueError above
-    MAX_SEARCH_HEIGHT.
+    Each row prime q (see _sieve_tables) has the list of points of
+    P^1(F_q) at which N(a, b) = G(a, b) den^(m-1) b^(D-d) is an m-th power
+    residue mod q (see _passing_points); f(a/b) can only be an m-th power
+    in Q when N is one in Z.  Row b at q is the 2H+1 bit mask over a in
+    [-H, H] of the a with (a : b) passing (see _row); it depends on b only
+    through b mod q, so it is built the first time its class appears and
+    kept until the call returns.  Each a left in the AND of the rows
+    (see _row_masks) with gcd(a, b) = 1 gets G(a, b) by integer Horner.  It
+    is dropped unless G (den*b^d)^(m-1) is an m-th power residue (0
+    counted) at every pre-test prime q: when G / (den*b^d) = y^m that
+    number is the integer (y den b^d)^m.  The rest get an exact root test
+    of G / (den*b^d) in lowest terms (with the sign rule G >= 0 for even
+    m); N itself is never formed, since b^(D-d) is huge when m is much
+    larger than d.  Each hit is confirmed by the exact rational roots of
+    f(a/b), so the sieve, the pre-test and the integer test only reject.
+    Raises ValueError above MAX_SEARCH_HEIGHT.
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
@@ -234,18 +290,10 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     m = curve.m
     ints, den = ratpoly.integer_form(curve.f)
     d = len(ints) - 1
-    tables = _sieve_tables(ints, den, m, height)
-    patterns: list[dict[int, int]] = [{} for _ in tables]
-    pretests = [(q, _power_residues(m, q)) for q in _sieve_primes(m)[1]]
-    full = (1 << (2 * height + 1)) - 1
+    tables, pretest_primes = _sieve_tables(ints, den, m, height)
+    pretests = [(q, _power_residues(m, q)) for q in pretest_primes]
     found: list[RationalPoint] = []
-    for b in range(1, height + 1):
-        mask = full
-        for (q, table, repeat), by_class in zip(tables, patterns):
-            pattern = by_class.get(b % q)
-            if pattern is None:
-                pattern = by_class[b % q] = _row_pattern(q, table, b, height)
-            mask &= pattern * repeat
+    for b, mask in _row_masks(tables, height):
         horner = [c * b ** (d - k) for k, c in enumerate(ints)][::-1]
         scaled_den = den * b ** d
         scales = [(q, powers, pow(scaled_den, m - 1, q)) for q, powers in pretests]

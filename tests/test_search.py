@@ -24,14 +24,17 @@ from superchab.search import (
 )
 from superchab.search import (
     _iroot,
+    _passing_points,
     _rational_mth_roots,
-    _row_pattern,
+    _row,
+    _row_masks,
     _sieve_primes,
     _sieve_tables,
 )
 
 # y^3 = prod (x - t) over twelve rational roots in nested residue classes,
-# and y^2 = x^16 + 1: the two curves on which most (a, b) survive the rows
+# and y^2 = x^16 + 1: the two curves on which most (a, b) survive the first
+# eight rows
 NESTED_CUBIC = SuperellipticCurve.from_branch_points(
     3, 1, [(t, 1) for t in (1, 8, 50, 344, 2, 9, 51, 345, 3, 10, 52, 346)]
 )
@@ -293,28 +296,84 @@ class TestSieveAgainstFractionLoop:
         assert report.to_json_dict() == _fraction_loop(curve, 5).to_json_dict()
         assert [(pt.x, pt.y) for pt in report.points] == [(Fraction(0), Fraction(1))]
 
+    def test_height_limit_within_three_seconds(self):
+        # the two curves that eight rows sieve worst each stay under 3 s of
+        # CPU at the height limit; their 14 and 15 rows leave these (a, b),
+        # where eight rows left about 1.9 million on each
+        for curve, survivors, points in ((NESTED_CUBIC, 33_010, 12),
+                                         (HYPERELLIPTIC_16, 12_680, 2)):
+            start = time.process_time()
+            report = enumerate_points(curve, MAX_SEARCH_HEIGHT)
+            assert time.process_time() - start < 3.0, curve.f
+            assert report.count == points
+            ints, den = ratpoly.integer_form(curve.f)
+            tables, _ = _sieve_tables(ints, den, curve.m, MAX_SEARCH_HEIGHT)
+            assert sum(mask.bit_count() for _, mask in
+                       _row_masks(tables, MAX_SEARCH_HEIGHT)) == survivors
+
 
 class TestSieveAgainstTableOracle:
     def test_seeded_sweep(self):
         """The same point lists as the sieve without row cache or pre-test,
         on seeded curves with m = 2..7 and planted points, at heights where
-        every row prime and every pre-test prime divides some b and each
+        each of the first sixteen usable primes divides some b and each
         residue class of b recurs."""
         rng = random.Random(7919)
         nonzero_y, zero_y, pretested = 0, 0, set()
         for i in range(48):
             m, d = 2 + i % 6, 2 + i % 5
             curve = _sweep_curve(rng, m, d)
-            rows, pretests = _sieve_primes(m)
-            height = max(rows + pretests) + rng.randint(0, 4)
+            height = max(_sieve_primes(m)[:16]) + rng.randint(0, 4)
             got = enumerate_points(curve, height).to_json_dict()
             assert got == _table_sieve_points(curve, height).to_json_dict(), (m, curve.f, height)
             zero_y += sum(p["y"] == "0/1" for p in got["points"])
             nonzero_y += sum(p["y"] != "0/1" for p in got["points"])
-            if pretests:
+            if _sieve_tables(*ratpoly.integer_form(curve.f), m, height)[1]:
                 pretested.add(m)
         assert zero_y > 0 and nonzero_y > 0
         assert pretested == {2, 3, 4, 5, 6, 7}
+
+    def test_rows_past_the_first_eight(self):
+        """The same point lists at heights 300 to 600, where the rows differ
+        from the first eight usable primes below 100: more rows by the cost
+        rule for m = 2 and 4, and primes dividing den (7 and 13, scaled in
+        on every other curve) replaced for m = 3."""
+        rng = random.Random(8111)
+        changed, more = set(), set()
+        for i in range(9):
+            m = (2, 3, 4)[i % 3]
+            curve = _sweep_curve(rng, m, rng.randint(2, 5))
+            if i % 2:
+                curve = SuperellipticCurve(m, [c / 91 for c in curve.f])
+            height = rng.randint(300, 600)
+            ints, den = ratpoly.integer_form(curve.f)
+            rows = [q for q, _, _ in _sieve_tables(ints, den, m, height)[0]]
+            first_eight = [q for q in _sieve_primes(m) if q < 100][:8]
+            if rows != first_eight:
+                changed.add(m)
+            if len(rows) > 8:
+                more.add(m)
+            got = enumerate_points(curve, height).to_json_dict()
+            assert got == _table_sieve_points(curve, height).to_json_dict(), (m, curve.f, height)
+        assert changed == {2, 3, 4} and more == {2, 4}
+
+    def test_no_row_passes_everything(self):
+        """Over den = 105 = 3*5*7, N is 0 mod 3, 5 and 7, so their tables
+        pass every point: no row is made from them, every row rejects some
+        point of P^1(F_q), and the points still match the oracle, which
+        keeps 3, 5 and 7 among its eight rows."""
+        for m, height in ((2, 150), (3, 150), (4, 150)):
+            curve = SuperellipticCurve(m, [Fraction(1, 105), Fraction(-2, 35),
+                                           Fraction(4, 15), Fraction(1, 3), Fraction(1, 7)])
+            ints, den = ratpoly.integer_form(curve.f)
+            assert den == 105
+            tables, pretests = _sieve_tables(ints, den, m, height)
+            assert len(tables) >= 8
+            for q, passing, infinity in tables:
+                assert den % q and len(passing) + infinity <= q, (m, q)
+            assert all(den % q for q in pretests)
+            got = enumerate_points(curve, height).to_json_dict()
+            assert got == _table_sieve_points(curve, height).to_json_dict(), m
 
 
 class TestExactRootTests:
@@ -340,15 +399,15 @@ class TestExactRootTests:
 
 class TestRowTable:
     def test_rows_against_horner_oracle(self):
-        """Every row read off the P^1(F_q) table equals the per-row Horner
-        mask, for every b in 1..H and every sieve prime, with H past the
-        largest sieve prime so that each q also divides some b."""
+        """Every row built from the passing points of P^1(F_q) equals the
+        per-row Horner mask, at every prime the row rule can take (each
+        usable prime below 200), for a sample of b in 1..q + 2 that
+        includes b = q, with H = q + 2."""
         rng = random.Random(6121)
-        seen = {"D > d": 0, "D = d": 0, "q | den": 0, "q | b": 0,
+        seen = {"D > d": 0, "D = d": 0, "q | den": 0, "q | b": 0, "q > 100": 0,
                 "N(1, 0) not a power": 0, "negative": 0, "rational": 0}
         for m in range(2, 8):
-            primes, _ = _sieve_primes(m)
-            height = max(primes) + 2
+            primes = _sieve_primes(m)
             for d in (m - 1, m, m + 1, 2 * m):
                 if d < 1:
                     continue
@@ -357,16 +416,18 @@ class TestRowTable:
                 f.append(Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 6]), rng.choice(dens)))
                 den = math.lcm(*(c.denominator for c in f))
                 ints = [c.numerator * (den // c.denominator) for c in f]
-                full = (1 << (2 * height + 1)) - 1
-                for q, table, repeat in _sieve_tables(ints, den, m, height):
+                for q in primes:
+                    height = q + 2
+                    passing, infinity = _passing_points(ints, den, m, q)
                     powers = {pow(x, m, q) for x in range(q)}
-                    for b in range(1, height + 1):
-                        got = _row_pattern(q, table, b, height) * repeat & full
+                    for b in {1, 2, 3, rng.randint(1, q - 1), q, q + 1, q + 2}:
+                        got = _row(q, passing, infinity, b, height)
                         want = _horner_row_mask(ints, den, m, q, powers, b, height)
                         assert got == want, (m, f, q, b)
                         seen["q | b"] += b % q == 0
                     seen["q | den"] += den % q == 0
-                    seen["N(1, 0) not a power"] += not table[q]
+                    seen["q > 100"] += q > 100
+                    seen["N(1, 0) not a power"] += not infinity
                 seen["D > d" if d % m else "D = d"] += 1
                 seen["negative"] += any(c < 0 for c in f)
                 seen["rational"] += den > 1
