@@ -10,8 +10,8 @@ at q, a 2H+1 bit mask over a, has one bit per listed point in each period
 of q; it depends on b only through b mod q, so each residue class builds
 its row once per search and every b of the class reuses it.  How many
 row primes a search takes follows H: past the first eight, a prime is a
-row while the (a, b) it is expected to reject outnumber the work of its
-rows.  The rows reject almost every (a, b) before any exact arithmetic.  A
+row while the (a, b) expected to survive the rows before it outnumber the
+work of building its rows.  The rows reject almost every (a, b) before any exact arithmetic.  A
 survivor must then give an m-th power residue at up to eight further
 primes before the integer root test, so exact roots are taken about twice
 per point found, and every point reported is confirmed over Q.  Nothing
@@ -45,7 +45,10 @@ __all__ = [
 # for the README curves, y^3 = x^12 + 1, y^2 = x^16 + 1 and a degree-12
 # cubic with 12 rational roots, where 15 and 14 row primes leave 12,680 and
 # 33,010 (a, b) to evaluate.  The kept rows take at most sum(q) * (2H+1)
-# bits, about 1 MB and 2.2 MB on those last two curves.
+# bits, about 1 MB and 2.2 MB on those last two curves.  The worst case, an
+# even m with every odd prime below 200 a row (sum(q) = 4225), is 10.6 MB;
+# it needs tables that each reject only a few points, which no curve here
+# has shown.
 MAX_SEARCH_HEIGHT = 10_000
 
 # Sieve primes are the usable odd primes below 200.  The first eight below
@@ -204,7 +207,15 @@ def _sieve_tables(
     rho the passing share of each row's table, exceed min(H, q) q, about
     the work of building its rows, one per residue class of b mod q that
     occurs; a larger q costs no less, so the first that fails ends the
-    rows.  The pre-test primes are the next eight, less those dividing den.
+    rows.  The rule counts a survivor as one bit of row building, though a
+    survivor costs a gcd, a Horner evaluation and pre-tests, and it leaves
+    out the per-b AND of each row and the share rho the row lets through;
+    so the first eight are fixed rather than left to it.  Started at the
+    first prime it stops after three to five rows at heights 40 to 120,
+    and the benchmark search corpus took 1.4 times the CPU; weighing the
+    expected rejections, survivors (1 - rho), gave no gain there and
+    dropped a row of the cubic at H = 10000, 0.52 -> 0.58 s.  The pre-test
+    primes are the next eight, less those dividing den.
     """
     width = 2 * height + 1
     primes = _sieve_primes(m)

@@ -401,13 +401,16 @@ class TestRowTable:
     def test_rows_against_horner_oracle(self):
         """Every row built from the passing points of P^1(F_q) equals the
         per-row Horner mask, at every prime the row rule can take (each
-        usable prime below 200), for a sample of b in 1..q + 2 that
-        includes b = q, with H = q + 2."""
+        usable prime below 200).  Below 100 that holds for every b in 1..H,
+        with H past the largest such prime so that each q also divides some
+        b; above 100, for a sample of b in 1..q + 2 that includes b = q,
+        with H = q + 2."""
         rng = random.Random(6121)
         seen = {"D > d": 0, "D = d": 0, "q | den": 0, "q | b": 0, "q > 100": 0,
                 "N(1, 0) not a power": 0, "negative": 0, "rational": 0}
         for m in range(2, 8):
             primes = _sieve_primes(m)
+            low_height = max(q for q in primes if q < 100) + 2
             for d in (m - 1, m, m + 1, 2 * m):
                 if d < 1:
                     continue
@@ -417,10 +420,15 @@ class TestRowTable:
                 den = math.lcm(*(c.denominator for c in f))
                 ints = [c.numerator * (den // c.denominator) for c in f]
                 for q in primes:
-                    height = q + 2
+                    if q < 100:
+                        height = low_height
+                        bs = range(1, height + 1)
+                    else:
+                        height = q + 2
+                        bs = {1, 2, 3, rng.randint(1, q - 1), q, q + 1, q + 2}
                     passing, infinity = _passing_points(ints, den, m, q)
                     powers = {pow(x, m, q) for x in range(q)}
-                    for b in {1, 2, 3, rng.randint(1, q - 1), q, q + 1, q + 2}:
+                    for b in bs:
                         got = _row(q, passing, infinity, b, height)
                         want = _horner_row_mask(ints, den, m, q, powers, b, height)
                         assert got == want, (m, f, q, b)
