@@ -45,19 +45,22 @@ class SuperellipticCurve:
     linear factor per distinct root, from the roots it is given; otherwise
     they are recovered once, on first use.  The genus formula only consumes
     block degrees and multiplicities, so no algebraic factorization is ever
-    needed.
+    needed.  The integer form of f, `integer_f` = (ints, den) with den the
+    lcm of the coefficient denominators and den*f = sum ints[k] x^k, is
+    computed once per curve; `evaluate_f` and the point search read it.
     """
 
     def __init__(self, m: int, f_coefficients: list[Fraction | int]):
         if m < 2:
             raise ValueError("m must be at least 2")
-        coeffs = ratpoly.normalize([Fraction(a) for a in f_coefficients])
+        coeffs = ratpoly.normalize(f_coefficients)
         d = ratpoly.degree(coeffs)
         _check_degree(d)
         if d < 1:
             raise ValueError("f must be non-constant")
         self.m = m
         self.f = coeffs
+        self.integer_f = ratpoly.integer_form(coeffs)
         self._blocks: list[tuple[ratpoly.Poly, int]] | None = None
 
     @staticmethod
@@ -103,7 +106,16 @@ class SuperellipticCurve:
         return sum(k for k, _ in self.branch_multiplicities())
 
     def evaluate_f(self, x: Fraction) -> Fraction:
-        return ratpoly.evaluate(self.f, x)
+        """f(x), exact.  For x = a/b in lowest terms (b > 0),
+        G = sum ints[k] a^k b^(d-k) by one integer Horner in a, and
+        f(x) = G / (den b^d)."""
+        ints, den = self.integer_f
+        a, b = x.numerator, x.denominator
+        g, power = ints[-1], 1
+        for c in ints[-2::-1]:
+            power *= b
+            g = g * a + c * power
+        return Fraction(g, den * power)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SuperellipticCurve(m={self.m}, deg={self.degree})"

@@ -1,7 +1,7 @@
 """Dense polynomials over Q as plain coefficient lists (ascending powers).
 
-Just enough exact machinery for the curve model: evaluation, arithmetic,
-gcd (on the integer form, so coefficient sizes stay bounded), and Yun's
+Just enough exact machinery for the curve model: arithmetic, the integer
+form, gcd (on the integer form, so coefficient sizes stay bounded), and Yun's
 square-free decomposition.  Lists are never mutated in place
 by the exported helpers.
 """
@@ -25,13 +25,6 @@ def normalize(c: list) -> Poly:
 def degree(f: Poly) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(f) - 1
-
-
-def evaluate(f: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
 
 
 def add(f: Poly, g: Poly) -> Poly:

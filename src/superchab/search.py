@@ -2,20 +2,22 @@
 with exact membership tests and bound-versus-observation verification.
 
 Height of x = a/b (reduced, b > 0) is max(|a|, |b|).  The search works on
-the integer form of f: with den the lcm of the coefficient denominators and
-G(a, b) = sum den*f_k a^k b^(d-k), f(a/b) = G / (den*b^d).  For each row
-prime q the sieve lists the points of P^1(F_q) where the homogeneous form
-N = G den^(m-1) b^(D-d), D = m*ceil(d/m), is an m-th power residue.  Row b
-at q, a 2H+1 bit mask over a, has one bit per listed point in each period
-of q; it depends on b only through b mod q, so each residue class builds
-its row once per search and every b of the class reuses it.  How many
-row primes a search takes follows H: past the first eight, a prime is a
-row while the (a, b) expected to survive the rows before it outnumber the
-work of building its rows.  The rows reject almost every (a, b) before any exact arithmetic.  A
-survivor must then give an m-th power residue at up to eight further
-primes before the integer root test, so exact roots are taken about twice
-per point found, and every point reported is confirmed over Q.  Nothing
-here touches floating point.
+the integer form of f that the curve keeps (`integer_f`): with den the lcm
+of the coefficient denominators and G(a, b) = sum den*f_k a^k b^(d-k),
+f(a/b) = G / (den*b^d).  For each row prime q the sieve lists the points
+of P^1(F_q) where the homogeneous form N = G den^(m-1) b^(D-d),
+D = m*ceil(d/m), is an m-th power residue.  Row b at q, a 2H+1 bit mask
+over a, has one bit per listed point in each period of q; it depends on b
+only through b mod q, so each residue class builds its row once per search
+and every b of the class reuses it.  How many row primes a search takes
+follows H: past the first eight, a prime is a row while the (a, b) expected
+to survive the rows before it outnumber the work of building its rows.
+The rows reject almost every (a, b) before any exact arithmetic, and the
+set bits of what is left are stepped one at a time.  A survivor must then
+give an m-th power residue at up to eight further primes before the
+integer root test, so exact roots are taken about twice per point found,
+and every point reported is confirmed over Q by one integer Horner of f.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratpoly
 from .bounds import bound_report
 from .curve import SuperellipticCurve
 from .padic import is_prime
@@ -44,7 +45,8 @@ __all__ = [
 # height a search takes under 1 s of CPU on a 2-core x86 host (Python 3.11)
 # for the README curves, y^3 = x^12 + 1, y^2 = x^16 + 1 and a degree-12
 # cubic with 12 rational roots, where 15 and 14 row primes leave 12,680 and
-# 33,010 (a, b) to evaluate.  The kept rows take at most sum(q) * (2H+1)
+# 33,010 (a, b) to evaluate: 0.10 s for y^2 = x^16 + 1 and 0.15 s for the
+# cubic (medians of three runs).  The kept rows take at most sum(q) * (2H+1)
 # bits, about 1 MB and 2.2 MB on those last two curves.  The worst case, an
 # even m with every odd prime below 200 a row (sum(q) = 4225), is 10.6 MB;
 # it needs tables that each reject only a few points, which no curve here
@@ -281,15 +283,19 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     in Q when N is one in Z.  Row b at q is the 2H+1 bit mask over a in
     [-H, H] of the a with (a : b) passing (see _row); it depends on b only
     through b mod q, so it is built the first time its class appears and
-    kept until the call returns.  Each a left in the AND of the rows
-    (see _row_masks) with gcd(a, b) = 1 gets G(a, b) by integer Horner.  It
-    is dropped unless G (den*b^d)^(m-1) is an m-th power residue (0
-    counted) at every pre-test prime q: when G / (den*b^d) = y^m that
-    number is the integer (y den b^d)^m.  The rest get an exact root test
-    of G / (den*b^d) in lowest terms (with the sign rule G >= 0 for even
-    m); N itself is never formed, since b^(D-d) is huge when m is much
-    larger than d.  Each hit is confirmed by the exact rational roots of
-    f(a/b), so the sieve, the pre-test and the integer test only reject.
+    kept until the call returns.  A b whose AND of the rows (see
+    _row_masks) is 0 is skipped; otherwise the Horner coefficients
+    den*f_k b^(d-k) come from a running power of b, and each set bit,
+    stepped as the lowest set bit of what is left, gives an a.  Each such
+    a with gcd(a, b) = 1 gets G(a, b) by integer Horner.  It is dropped
+    unless G (den*b^d)^(m-1) is an m-th power residue (0 counted) at every
+    pre-test prime q: when G / (den*b^d) = y^m that number is the integer
+    (y den b^d)^m.  The rest get an exact root test of G / (den*b^d) in
+    lowest terms (with the sign rule G >= 0 for even m); N itself is never
+    formed, since b^(D-d) is huge when m is much larger than d.  Each hit
+    is confirmed, once per x, by the exact rational roots of f(a/b) from
+    `curve.evaluate_f`, so the sieve, the pre-test and the integer test
+    only reject.
     Raises ValueError above MAX_SEARCH_HEIGHT.
     """
     if height < 0:
@@ -299,32 +305,38 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
             f"height {height} exceeds the search limit {MAX_SEARCH_HEIGHT}"
         )
     m = curve.m
-    ints, den = ratpoly.integer_form(curve.f)
-    d = len(ints) - 1
+    ints, den = curve.integer_f
+    lower = ints[-2::-1]
     tables, pretest_primes = _sieve_tables(ints, den, m, height)
     pretests = [(q, _power_residues(m, q)) for q in pretest_primes]
     found: list[RationalPoint] = []
     for b, mask in _row_masks(tables, height):
-        horner = [c * b ** (d - k) for k, c in enumerate(ints)][::-1]
-        scaled_den = den * b ** d
+        if not mask:
+            continue
+        # the coefficients of G(a, b) as a polynomial in a, highest first
+        horner, power = [ints[-1]], 1
+        for c in lower:
+            power *= b
+            horner.append(c * power)
+        scaled_den = den * power
         scales = [(q, powers, pow(scaled_den, m - 1, q)) for q, powers in pretests]
-        bits = bin(mask)[:1:-1]
-        i = bits.find("1")
-        while i >= 0:
-            a = i - height
-            i = bits.find("1", i + 1)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            a = low.bit_length() - 1 - height
             if math.gcd(a, b) != 1:
                 continue
             g = 0
             for c in horner:
                 g = g * a + c
-            if any(g * s % q not in powers for q, powers, s in scales):
-                continue
-            if not _rational_mth_roots(Fraction(g, scaled_den), m):
-                continue
-            x = Fraction(a, b)
-            for y in _rational_mth_roots(curve.evaluate_f(x), m):
-                found.append(RationalPoint(x, y))
+            for q, powers, s in scales:
+                if g * s % q not in powers:
+                    break
+            else:
+                if _rational_mth_roots(Fraction(g, scaled_den), m):
+                    x = Fraction(a, b)
+                    for y in _rational_mth_roots(curve.evaluate_f(x), m):
+                        found.append(RationalPoint(x, y))
     found.sort(key=lambda pt: (pt.x, pt.y))
     return SearchReport(height, found, len(found), infinity_count(curve))
 

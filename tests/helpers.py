@@ -27,6 +27,16 @@ def padic_agree(a: PadicNumber, b: PadicNumber, abs_digits: int) -> bool:
     return d.is_zero or d.valuation >= abs_digits
 
 
+def fraction_horner(f: list[Fraction], x: Fraction) -> Fraction:
+    """f(x) by a Horner of Fraction operations over the rational
+    coefficients (ascending powers), apart from the integer form that
+    `SuperellipticCurve.evaluate_f` reads: the oracle for it."""
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
 def series_agree(s: LaurentSeries, t: LaurentSeries, abs_digits: int) -> bool:
     """Coefficientwise agreement modulo p^abs_digits on the joint window."""
     return all(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import fraction_horner
 from superchab import ratpoly
 from superchab.curve import (
     MAX_DEGREE,
@@ -169,6 +170,35 @@ class TestMoveBranchFromInfinity:
             assert _point_multiplicities(moved) == _point_multiplicities(oracle)
             assert genus(moved) == genus(oracle) == genus(factored)
         assert divisible[True] > 20 and divisible[False] > 20
+
+
+class TestEvaluate:
+    def test_against_fraction_horner(self):
+        """evaluate_f, one integer Horner over the kept integer form, equals
+        the Fraction Horner over the rational coefficients on curves of both
+        grammars, coefficient lists and products of branch points, of degree
+        1 to MAX_DEGREE with denominators up to 12, at x = 0, at the roots,
+        at negative x and at x with large denominators."""
+        rng = random.Random(16001)
+        for d in (1, 2, 3, 4, 7, 12, 33, MAX_DEGREE):
+            m = rng.randint(2, 7)
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(d)]
+            coeffs.append(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 12)))
+            roots: dict[Fraction, int] = {}
+            while sum(roots.values()) < d:
+                theta = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                roots.setdefault(theta, min(rng.randint(1, 3), d - sum(roots.values())))
+            lead = Fraction(rng.choice([-2, -1, 1, 5]), rng.randint(1, 12))
+            factored = SuperellipticCurve.from_branch_points(m, lead, list(roots.items()))
+            assert all(factored.evaluate_f(theta) == 0 for theta in roots)
+            for curve in (SuperellipticCurve(m, coeffs), factored):
+                assert curve.degree == d
+                xs = [Fraction(0), Fraction(-1), Fraction(1, 12), *list(roots)[:5],
+                      Fraction(rng.randint(-99, -1), rng.randint(1, 12)),
+                      Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 12)),
+                      Fraction(-(10 ** 20) - 3, 10 ** 18 + 1), Fraction(1, 10 ** 30 + 7)]
+                for x in xs:
+                    assert curve.evaluate_f(x) == fraction_horner(curve.f, x), (d, curve.f, x)
 
 
 class TestDegreeLimit:

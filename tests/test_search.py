@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import superchab.search
+from helpers import fraction_horner
 from superchab import ratpoly
 from superchab.curve import HypothesisViolation, SuperellipticCurve
 from superchab.search import (
@@ -61,7 +62,7 @@ def _oracle_points(curve: SuperellipticCurve, height: int) -> set:
             if math.gcd(a, b) != 1:
                 continue
             x = Fraction(a, b)
-            v = curve.evaluate_f(x)
+            v = fraction_horner(curve.f, x)
             if v == 0:
                 pts.add((x, Fraction(0)))
                 continue
@@ -82,14 +83,15 @@ def _oracle_points(curve: SuperellipticCurve, height: int) -> set:
 
 
 def _fraction_loop(curve: SuperellipticCurve, height: int) -> SearchReport:
-    """The unsieved search: f over Q at every coprime (a, b)."""
+    """The unsieved search: f over Q at every coprime (a, b), by a Fraction
+    Horner of its own."""
     found: list[RationalPoint] = []
     for a in range(-height, height + 1):
         for b in range(1, height + 1):
             if math.gcd(a, b) != 1:
                 continue
             x = Fraction(a, b)
-            for y in _rational_mth_roots(curve.evaluate_f(x), curve.m):
+            for y in _rational_mth_roots(fraction_horner(curve.f, x), curve.m):
                 found.append(RationalPoint(x, y))
     found.sort(key=lambda pt: (pt.x, pt.y))
     return SearchReport(height, found, len(found), infinity_count(curve))
@@ -111,7 +113,7 @@ def _sweep_curve(rng: random.Random, m: int, d: int) -> SuperellipticCurve:
     base = math.prod(x0 - r for r in roots)
     if len(g) > 1 and base != 0:
         y0 = Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 2))
-        g[0] += y0 ** m / base - ratpoly.evaluate(g, x0)
+        g[0] += y0 ** m / base - fraction_horner(g, x0)
     f = g
     for r in roots:
         f = ratpoly.mul(f, [-r, Fraction(1)])
@@ -191,7 +193,7 @@ def _table_sieve_points(curve: SuperellipticCurve, height: int) -> SearchReport:
             if not _rational_mth_roots(Fraction(g, scaled_den), m):
                 continue
             x = Fraction(a, b)
-            for y in _rational_mth_roots(curve.evaluate_f(x), m):
+            for y in _rational_mth_roots(fraction_horner(curve.f, x), m):
                 found.append(RationalPoint(x, y))
     found.sort(key=lambda pt: (pt.x, pt.y))
     return SearchReport(height, found, len(found), infinity_count(curve))
@@ -217,7 +219,7 @@ class TestIntegerRoot:
 
 def is_on_curve(pt: RationalPoint, curve: SuperellipticCurve) -> bool:
     """Exact check y^m = f(x) for an affine point."""
-    return pt.y ** curve.m == curve.evaluate_f(pt.x)
+    return pt.y ** curve.m == fraction_horner(curve.f, pt.x)
 
 
 class TestMembership:
@@ -312,6 +314,29 @@ class TestSieveAgainstFractionLoop:
                        _row_masks(tables, MAX_SEARCH_HEIGHT)) == survivors
 
 
+class TestEdgeBits:
+    def test_points_at_the_ends_of_the_rows(self):
+        """Points planted at a = -H and a = H, bits 0 and 2H of row b = 1,
+        and at x = -1/H and 1/H, on row b = H, with y = 0 (roots of f) and
+        with y^m = 1: found at height H as the Fraction loop finds them, and
+        absent at H - 1."""
+        for height in (9, 40):
+            edges = {Fraction(-height), Fraction(height), Fraction(-1, height),
+                     Fraction(1, height)}
+            planted = ratpoly.mul([-height ** 2, 0, 1], [-1, 0, height ** 2])
+            for m in (2, 3):
+                for f in (planted, ratpoly.add(planted, [1])):
+                    curve = SuperellipticCurve(m, f)
+                    ints, den = curve.integer_f
+                    tables, _ = _sieve_tables(ints, den, m, height)
+                    masks = dict(_row_masks(tables, height))
+                    assert masks[1] & 1 and masks[1] >> 2 * height & 1
+                    for h, inside in ((height, edges), (height - 1, set())):
+                        got = enumerate_points(curve, h)
+                        assert got.to_json_dict() == _fraction_loop(curve, h).to_json_dict()
+                        assert {pt.x for pt in got.points} & edges == inside, (m, f, h)
+
+
 class TestSieveAgainstTableOracle:
     def test_seeded_sweep(self):
         """The same point lists as the sieve without row cache or pre-test,
@@ -395,6 +420,25 @@ class TestExactRootTests:
             report = enumerate_points(curve, 300)
             assert report.count > 0
             assert calls <= 2 * report.count + 1, (curve.m, report.count, calls)
+
+
+    def test_each_x_found_confirmed_once(self, monkeypatch):
+        """Each x the search reports is confirmed over Q by evaluate_f
+        exactly once, and no other x is evaluated there, so the check over
+        Q cannot silently vanish."""
+        calls = []
+        evaluate_f = SuperellipticCurve.evaluate_f
+
+        def counted(curve, x):
+            calls.append(x)
+            return evaluate_f(curve, x)
+
+        monkeypatch.setattr(SuperellipticCurve, "evaluate_f", counted)
+        for curve in (NESTED_CUBIC, HYPERELLIPTIC_16):
+            calls.clear()
+            report = enumerate_points(curve, 300)
+            assert report.count > 0
+            assert sorted(calls) == sorted({pt.x for pt in report.points}), curve.m
 
 
 class TestRowTable:
