@@ -1,20 +1,29 @@
 """Residue geometry over Q_p: cluster trees of branch points, maximal
 annuli, their classification, and explicit verified chart maps.
 
-Every chart, on an annulus or on a disc of case 1 or 2, is built by the
-same three steps: one branch-factor product h, one residual check of
-the identity y(z)^m = f(x(z)) and one builder for the deck sheets
-y_j = zeta_m^j * y_0.  The residual check takes an explicit budget of
-(exponent, cap) pairs: cap is the number of digits truncation leaves
-reliable at that exponent.  Exponents whose cap is below the target are
-skipped; every other coefficient must vanish to the target.  A chart that
-misses its target raises ChartVerificationError, never a silent result.
-"""
+Every chart, on an annulus or on a disc of case 1 or 2, recentres f at an
+origin and reads the curve through one identity,
 
+    y^m = Q * t^k * h(t)^m,
+
+with Q a constant, k the branch points (with multiplicity) at the origin
+and h the unit product of the branch factors (1 - theta/t)^(n/m) inside
+and (1 - t/theta)^(n/m) outside.  One builder, _build_charts, takes gamma
+with gamma^m = Q * U^k for a scale U, checks the identity and records the
+d = gcd(k, m) sheets t = U z^(m/d), y_j = zeta_m^j gamma z^(k/d) h(U z^(m/d)).
+The check reads gamma^m - Q * U^k and every coefficient of the residual
+h^m * Q * t^k - f from the lowest exponent h^m knows up to its cut plus k,
+each to a cap: the digits truncation leaves reliable there.  There are two
+budgets.  On an annulus of width beta the cap falls by beta per exponent
+past k, and exponents whose cap is below the target are skipped.  On a disc
+every cap is the working precision, so each exponent the chart reports is
+checked.  A chart that misses its target raises ChartVerificationError,
+never a silent result.
+"""
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -351,6 +360,13 @@ def annulus_orbit_count(curve: SuperellipticCurve, ctx: PadicContext) -> int:
 
 @dataclass
 class ChartMap:
+    """One sheet of a chart: the curve point (x_series(z), y_series(z)).
+
+    On an annulus x_series is the recentred coordinate x', with
+    x = c + p^L * x' for c the annulus's rational_center and L the lower
+    end of its valuation_interval; on a disc x_series is x itself.
+    """
+
     x_series: LaurentSeries
     y_series: LaurentSeries
     sheet_index: int
@@ -414,28 +430,28 @@ def _branch_series_product(
 
 
 def _verified_digits(
-    resid: LaurentSeries, budget: Iterable[tuple[int, int]], target: int
+    constant: PadicNumber, checks: Iterable[tuple[PadicNumber, int]], target: int
 ) -> int:
-    """Digits to which a chart residual vanishes, checked against a budget.
+    """Digits to which a chart's identity holds, checked against a budget.
 
-    budget yields (exponent, cap) pairs, cap being the digits truncation
-    leaves reliable at that exponent.  Pairs with cap below target are
-    skipped; every other coefficient counts min(v, cap) digits, and a zero
-    one min(cap, working precision).
+    constant is gamma^m - Q * U^k, read at working precision.  checks
+    yields the residual's (coefficient, cap) pairs, cap being the digits
+    truncation leaves reliable there.  Pairs with cap below target are
+    skipped; every other value counts min(v, cap) digits, and a zero one
+    min(cap, working precision).  A residual read at no exponent verifies
+    nothing, whatever the constant.
     """
     if target < 1:
         raise ValueError(
             f"verification target of {target} digits is below one p-adic "
             "digit; use precision 2 or more"
         )
-    precision = resid.context.precision
-    attained = None
-    for n, cap in budget:
-        if cap < target:
-            continue
-        c = resid.coefficient(n)
-        got = min(int(cap), precision) if c.is_zero else min(c.valuation, int(cap))
-        attained = got if attained is None else min(attained, got)
+    precision = constant.context.precision
+    read = [(c, cap) for c, cap in checks if cap >= target]
+    attained = min(
+        min(cap, precision) if c.is_zero else min(c.valuation, cap)
+        for c, cap in [(constant, precision), *read]
+    ) if read else None
     if attained is None or attained < target:
         raise ChartVerificationError(
             f"chart residual attains {attained}, below target {target}"
@@ -443,16 +459,43 @@ def _verified_digits(
     return attained
 
 
-def _record_charts(analysis, x_series, y0, gamma, count, m, attained):
-    """Fill analysis with the count sheets y_j = zeta_m^j * y0 over x_series."""
+def _build_charts(
+    analysis: AnnulusAnalysis | DiscAnalysis, m: int, q: PadicNumber,
+    scale: PadicNumber, k: int, points: tuple[list, list], domain: AnnulusSpec,
+    order: int, cut: int, f_coeffs: list, cap: Callable[[int], int],
+    x_series: LaurentSeries,
+):
+    """Verify y^m = Q * t^k * h(t)^m on one chart and record its sheets.
+
+    t is the recentred coordinate, f_coeffs the recentred f in t, and h the
+    unit branch product of the (inner, outer) points on domain, clipped at
+    order.  With gamma^m = Q * U^k and d = gcd(k, m) the chart is
+    t = U z^(m/d), its x read off x_series (whose domain is the z-domain),
+    and its d sheets are y_j = zeta_m^j * gamma * z^(k/d) * h(U z^(m/d)).
+    The residual h^m * Q * t^k - f, with h^m cut at cut, is read at every
+    exponent n from the lowest one h^m knows to cut + k, to cap(n) digits;
+    the z-charts inherit the identity through the exact monomial
+    substitution and gamma^m = Q * U^k, which is read too.
+    """
+    ctx = q.context
+    d = math.gcd(k, m)
+    qu = q * scale**k
+    gamma = mth_root(qu, m)
+    h = _branch_series_product(*points, m, order, domain, ctx)
+    lhs = pow(h, m, cut).shifted(k).scaled(q)
+    resid = lhs - LaurentSeries.from_dict(dict(enumerate(f_coeffs)), ctx, domain)
+    attained = _verified_digits(
+        gamma**m - qu,
+        ((resid.coefficient(n), cap(n)) for n in range(lhs.lo, cut + k + 1)),
+        ctx.precision // 2,
+    )
+    y0 = h.compose_monomial(scale, m // d, x_series.domain).shifted(k // d).scaled(gamma)
     charts = [ChartMap(x_series, y0, 0, gamma, attained)]
-    if count > 1:
-        zeta = primitive_root_of_unity(m, gamma.context)
-        for j in range(1, count):
+    if d > 1:
+        zeta = primitive_root_of_unity(m, ctx)
+        for j in range(1, d):
             w = zeta**j
-            charts.append(
-                ChartMap(x_series, y0.scaled(w), j, gamma * w, attained)
-            )
+            charts.append(ChartMap(x_series, y0.scaled(w), j, gamma * w, attained))
     analysis.status = "charts"
     analysis.charts = charts
     analysis.attained = attained
@@ -485,16 +528,15 @@ def parameterize_annulus(
     y^m = Q0 * x'^k0 * h(x')^m with k0 branch points (with multiplicity)
     inside and h a unit branch-series product.  Charts exist when
     Q0 * U^k0 is an m-th power for a scale U = p^sigma * u0; each of the d
-    sheets is x(z) = U z^(m/d), y_j(z) = zeta^j * Gamma * z^(k0/d) * h(x(z)).
+    sheets is x'(z) = U z^(m/d), y_j(z) = zeta^j * Gamma * z^(k0/d) * h(x'(z)).
     When Q0 is not even a d-th power there are no rational points over the
     annulus at all.
     """
     m = curve.m
     p = ctx.prime
     target = ctx.precision // 2
-    lo, hi = a.valuation_interval
-    L = lo
-    beta = hi - lo
+    L, hi = a.valuation_interval
+    beta = hi - L
     c_rat = a.rational_center
 
     scaled = ratpoly.compose_linear(curve.f, Fraction(c_rat), Fraction(p) ** L)
@@ -533,40 +575,23 @@ def parameterize_annulus(
         analysis.status = "unanalyzed"
         analysis.detail = "no scale unit passed the m-th power test"
         return analysis
-
-    sigma = scale.valuation
-    gamma = mth_root(q0 * scale**k0, m)
     analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
 
-    order = max(24, (target + 2) // max(beta, 1) + 12)
-    z_beta = Fraction(beta + abs(sigma), md)
-    z_dom = AnnulusSpec.annulus(z_beta)
-    x_dom = AnnulusSpec.annulus(Fraction(beta))
-    h = _branch_series_product(theta0, thetainf, m, order, x_dom, ctx)
-    h_z = h.compose_monomial(scale, md, domain=z_dom)
-
-    x_series = LaurentSeries(ctx, {md: scale}, z_dom, md, md)
-
-    # Verify at the x-level, where every stored coefficient has nonnegative
-    # valuation: h(x)^m * Q0 * x^k0 must reproduce the recentered f.  The
-    # z-charts inherit this through the exact monomial substitution and the
-    # exact constant identity gamma^m = Q0 * U^k0.
-    # The budget's cap falls by beta per exponent past k0, so the residual
-    # is read at no exponent above k0 + reach, and h^m is cut there (at 0
-    # when it is read nowhere, so the check still fails as a chart error).
+    # The check runs at the x'-level, where every stored coefficient has
+    # nonnegative valuation.  Its cap falls by beta per exponent past k0, so
+    # the residual is read at no exponent above k0 + reach, and h^m is cut
+    # there (at 0 when it is read nowhere, so the check still fails as a
+    # chart error).
+    order = max(24, (target + 2) // beta + 12)
     vq = min(0, q0.valuation)
     reach = order + 1 + (vq - target) // beta
-    h_pow = pow(h, m, max(reach, 0))
-    lhs = h_pow.shifted(k0).scaled(q0)
-    rhs = LaurentSeries.from_dict(dict(enumerate(scaled)), ctx, x_dom)
-    resid = lhs - rhs
-    budget = (
-        (n, beta * (order + 1 - max(0, n - k0)) + vq)
-        for n in range(resid.lo, resid.hi + 1)
+    z_dom = AnnulusSpec.annulus(Fraction(beta + abs(scale.valuation), md))
+    return _build_charts(
+        analysis, m, q0, scale, k0, (theta0, thetainf), AnnulusSpec.annulus(beta),
+        order, cut=max(reach, 0), f_coeffs=scaled,
+        cap=lambda n: beta * (order + 1 - max(0, n - k0)) + vq,
+        x_series=LaurentSeries(ctx, {md: scale}, z_dom, md, md),
     )
-    attained = _verified_digits(resid, budget, target)
-    y0 = h_z.shifted(k0 // d).scaled(gamma)
-    return _record_charts(analysis, x_series, y0, gamma, d, m, attained)
 
 
 # -- discs ----------------------------------------------------------------------
@@ -617,11 +642,14 @@ def parameterize_disc(
 ) -> DiscAnalysis:
     """Chart construction on a residue disc, split by branch-point count.
 
-    Case 1 (no branch point inside): the center value of f decides the whole
-    disc; if it is an m-th power there are m disjoint disc charts, otherwise
-    there are no rational points over the disc.  Case 2 (one simple branch
-    point): a single chart built over the m-th power map.  Case 3 (two
-    branch points, m even) is reported unanalyzed, with no charts.
+    Both charted cases recentre at an origin o, x = o + t, and read
+    y^m = Q * t^k * h(t)^m with h the unit product over every branch point.
+    Case 1 (no branch point inside): o is the center, k = 0, Q = f(o) and
+    U = 1; if Q is an m-th power there are m disjoint disc charts x = o + z,
+    otherwise there are no rational points over the disc.  Case 2 (one
+    simple branch point): o is that point, k = 1 and Q = f'(o); one chart
+    x = o + U z^m over the m-th power map.  Case 3 (two branch points,
+    m even) is reported unanalyzed, with no charts.
     """
     m = curve.m
     points, complete = curve_branch_points(curve, ctx)
@@ -636,104 +664,64 @@ def parameterize_disc(
         diff = th - center_p
         if diff.is_zero or diff.valuation >= 1:
             inside.append((th, n))
-    distinct = len(inside)
-
-    if distinct == 0:
-        return _disc_case_one(spec, curve, ctx, points)
-    if distinct == 1:
-        th, n = inside[0]
-        if n > 1:
-            return DiscAnalysis(
-                2, "unanalyzed",
-                detail=f"branch point of multiplicity {n}; not charted",
-            )
-        return _disc_case_two(spec, curve, ctx, th, points)
-    if distinct == 2:
+    if len(inside) > 2:
+        raise ValueError("disc contains more than two branch points")
+    if len(inside) == 2:
         if m % 2 == 1:
             raise ValueError("two branch points in a disc require even m")
         return DiscAnalysis(
             3, "unanalyzed",
             detail="two branch points in the disc; not charted",
         )
-    raise ValueError("disc contains more than two branch points")
 
+    if not inside:
+        origin = center_p
+        analysis = DiscAnalysis(1, "unanalyzed")
+        f_coeffs = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
+        q = PadicNumber.from_fraction(f_coeffs[0], ctx)
+        ok = is_mth_power(q, m)
+        analysis.power_tests["m_th_power(f(center))"] = str(ok)
+        if not ok:
+            analysis.status = "no_points"
+            analysis.detail = "center value is not an m-th power"
+            return analysis
+        k, scale = 0, PadicNumber.from_int(1, ctx)
+    else:
+        [(origin, n)] = inside
+        analysis = DiscAnalysis(2, "unanalyzed")
+        if n > 1:
+            analysis.detail = f"branch point of multiplicity {n}; not charted"
+            return analysis
+        # recentre at the branch point: f(origin + t) = t * (f'(origin) + ...)
+        f_coeffs = _shift_poly_padic(curve.f, origin, ctx)
+        if not f_coeffs[0].is_zero and f_coeffs[0].valuation < ctx.precision // 2:
+            raise ValueError("disc case 2 center is not a branch point")
+        q = f_coeffs[1]
+        if q.is_zero:
+            raise ValueError("branch point is not simple")
+        # effective radius: valuations of x - origin on the curve satisfy
+        # v + v(f'(origin)) = 0 mod m
+        lam_eff = 1
+        while (lam_eff + q.valuation) % m:
+            lam_eff += 1
+        analysis.power_tests["radius_condition"] = (
+            "exact" if lam_eff == 1 else f"deepened to {lam_eff}"
+        )
+        # anchor the chart on the open unit disc:
+        # v(x - origin) = lam_eff + m(v(z) - 1)
+        k, scale = 1, _chart_scale(q, 1, m, [lam_eff - m])
+        if scale is None:
+            analysis.detail = "no scale unit passed the m-th power test"
+            return analysis
 
-def _disc_case_one(spec, curve, ctx, points) -> DiscAnalysis:
-    m = curve.m
-    target = ctx.precision // 2
-    shifted = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
-    fc_p = PadicNumber.from_fraction(shifted[0], ctx)
-    analysis = DiscAnalysis(1, "unanalyzed")
-    ok = is_mth_power(fc_p, m)
-    analysis.power_tests["m_th_power(f(center))"] = str(ok)
-    if not ok:
-        analysis.status = "no_points"
-        analysis.detail = "center value is not an m-th power"
-        return analysis
-    gamma = mth_root(fc_p, m)
-    center_p = PadicNumber.from_fraction(spec.center, ctx)
-    order = max(24, target + 8)
+    order = max(24, ctx.precision // 2 + 8)
     dom = AnnulusSpec.disc()
-    theta_rel = [(th - center_p, n) for th, n in points]
-    h = _branch_series_product([], theta_rel, m, order, dom, ctx)
-    x_series = LaurentSeries(
-        ctx, {0: center_p, 1: PadicNumber.from_int(1, ctx)}, dom, 0, 1
+    md = m // math.gcd(k, m)
+    return _build_charts(
+        analysis, m, q, scale, k, ([], [(th - origin, n) for th, n in points]), dom,
+        order, cut=order, f_coeffs=f_coeffs, cap=lambda n: ctx.precision,
+        x_series=LaurentSeries(ctx, {0: origin, md: scale}, dom, 0, md),
     )
-    # residual check: (gamma h)^m - f(center + z), one-sided and exact
-    y0 = h.scaled(gamma)
-    ypow = pow(y0, m, order)
-    f_comp = LaurentSeries.from_dict(dict(enumerate(shifted)), ctx, dom)
-    resid = ypow - f_comp.window_clipped(0, order)
-    budget = ((k, ctx.precision) for k in range(order - 2))
-    attained = _verified_digits(resid, budget, target)
-    return _record_charts(analysis, x_series, y0, gamma, m, m, attained)
-
-
-def _disc_case_two(spec, curve, ctx, theta, points) -> DiscAnalysis:
-    m = curve.m
-    target = ctx.precision // 2
-    analysis = DiscAnalysis(2, "unanalyzed")
-    # recenter at the branch point: f(theta + t) = t * G(t)
-    F = _shift_poly_padic(curve.f, theta, ctx)
-    if not F[0].is_zero and F[0].valuation < ctx.precision // 2:
-        raise ValueError("disc case 2 center is not a branch point")
-    G = F[1:]
-    g0 = G[0]
-    if g0.is_zero:
-        raise ValueError("branch point is not simple")
-    # effective radius: valuations of x - theta on the curve satisfy
-    # v + v(f'(theta)) = 0 mod m
-    lam_eff = 1
-    while (lam_eff + g0.valuation) % m:
-        lam_eff += 1
-    analysis.power_tests["radius_condition"] = (
-        "exact" if lam_eff == 1 else f"deepened to {lam_eff}"
-    )
-    # anchor the chart on the open unit disc: v(x - theta) = lam_eff + m(v(z) - 1)
-    scale = _chart_scale(g0, 1, m, [lam_eff - m])
-    if scale is None:
-        analysis.detail = "no scale unit passed the m-th power test"
-        return analysis
-    gamma = mth_root(scale * g0, m)
-    order = max(24, target + 8)
-    dom = AnnulusSpec.disc()
-    theta_rel = [(th - theta, n) for th, n in points]
-    h = _branch_series_product([], theta_rel, m, order, dom, ctx)
-    h_z = h.compose_monomial(scale, m, dom)
-    y = h_z.shifted(1).scaled(gamma)
-    x_series = LaurentSeries(
-        ctx, {0: theta, m: scale}, dom, 0, m
-    )
-    # t-level identity: h(t)^m * g0 = G(t); the chart follows by the exact
-    # substitution t = scale * z^m together with gamma^m = scale * g0
-    h_pow = pow(h, m, order).scaled(g0)
-    g_series = LaurentSeries.from_dict(
-        {k: ck for k, ck in enumerate(G) if not ck.is_zero}, ctx, dom
-    )
-    resid = h_pow - g_series.window_clipped(0, order)
-    budget = ((k, ctx.precision) for k in range(order - 1))
-    attained = _verified_digits(resid, budget, target)
-    return _record_charts(analysis, x_series, y, gamma, 1, m, attained)
 
 
 def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:
@@ -753,4 +741,3 @@ def _pseudo_entire(s: LaurentSeries) -> LaurentSeries:
         s.tail_below if s.tail_below is not None else big,
         s.tail_above if s.tail_above is not None else big,
     )
-

@@ -142,6 +142,24 @@ def test_cli_envelope_written_once():
     assert len(keys) <= 2
 
 
+@pytest.mark.parametrize("helper", ["_verified_digits", "_branch_series_product", "mth_root"])
+def test_one_chart_builder(helper):
+    """Annuli and both disc cases verify y^m = Q * t^k * h(t)^m through one
+    builder in geometry.py: a second function that calls one of its steps
+    is a second copy of the chart identity."""
+    (tree,) = _parse([Path(superchab.__file__).parent / "geometry.py"])
+    callers = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == helper
+            for sub in ast.walk(fn)
+        )
+    ]
+    assert callers == ["_build_charts"]
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     """Decorated with @dataclass or @dataclass(...)."""
     return any(

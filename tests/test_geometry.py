@@ -609,20 +609,36 @@ class TestChartGolden:
 
     @pytest.mark.parametrize("name", sorted(CHART_CASES))
     def test_planted_branch_fault_is_caught(self, name, monkeypatch):
-        # a branch factor wrong in its first-order coefficient by p^3 must
-        # make the residual check fail at exactly three digits
+        # a branch factor wrong by p^3 in its first-order coefficient, or in
+        # its last one (exponent order, the top of every window a chart
+        # reports), must make the residual check fail at exactly three digits
         honest = superchab.geometry.branch_root_series
+        for last in (False, True):
 
-        def faulty(theta, m, side, order, domain):
-            s = honest(theta, m, side, order=order, domain=domain)
-            ctx = s.context
-            n = 1 if side == "minus" else -1
-            coeffs = dict(s.coefficients)
-            coeffs[n] = coeffs[n] + PadicNumber.from_int(ctx.prime**3, ctx)
-            return LaurentSeries(
-                ctx, coeffs, s.domain, s.lo, s.hi, s.tail_below, s.tail_above
-            )
+            def faulty(theta, m, side, order, domain):
+                s = honest(theta, m, side, order=order, domain=domain)
+                ctx = s.context
+                n = (order if last else 1) * (1 if side == "minus" else -1)
+                coeffs = dict(s.coefficients)
+                coeffs[n] = coeffs[n] + PadicNumber.from_int(ctx.prime**3, ctx)
+                return LaurentSeries(
+                    ctx, coeffs, s.domain, s.lo, s.hi, s.tail_below, s.tail_above
+                )
 
-        monkeypatch.setattr(superchab.geometry, "branch_root_series", faulty)
+            monkeypatch.setattr(superchab.geometry, "branch_root_series", faulty)
+            with pytest.raises(ChartVerificationError, match="attains 3, below target 10"):
+                CHART_CASES[name]()
+
+    @pytest.mark.parametrize("name", sorted(CHART_CASES))
+    def test_planted_gamma_fault_is_caught(self, name, monkeypatch):
+        # gamma wrong by a factor 1 + p^3 breaks gamma^m = Q * U^k at three
+        # digits, which no residual coefficient shows
+        honest = superchab.geometry.mth_root
+
+        def faulty(x, m):
+            ctx = x.context
+            return honest(x, m) * PadicNumber.from_int(1 + ctx.prime**3, ctx)
+
+        monkeypatch.setattr(superchab.geometry, "mth_root", faulty)
         with pytest.raises(ChartVerificationError, match="attains 3, below target 10"):
             CHART_CASES[name]()
