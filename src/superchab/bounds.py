@@ -136,18 +136,11 @@ def minimal_width_differential(
             f"{len(constraints)} constraints on a {n}-dimensional span leave "
             "no guaranteed kernel"
         )
-    if not constraints:
-        ctx = a.center.context
-        coeffs = [PadicNumber.from_int(1, ctx)] + [
-            PadicNumber.from_int(0, ctx) for _ in range(n - 1)
-        ]
-        return DifferentialVector(coeffs), 0
-    ctx = constraints[0][0].context
-    vec = _kernel_vector(constraints, n, ctx)
+    vec = _kernel_vector(constraints, n, a.center.context)
     occupied = [
         pullback_exponent(i, a, m) for i, c in enumerate(vec) if not c.is_zero
     ]
-    width = max(occupied) - min(occupied) if occupied else 0
+    width = max(occupied) - min(occupied)
     cap = m * (r + 2) // a.d + 1
     _check_cap(width, cap, "width", "the certificate cap")
     return DifferentialVector(vec), width

@@ -76,51 +76,49 @@ MAX_PRIME = 1_000_000
 
 
 def _hensel_root(P: list[int], a: int, ctx: PadicContext) -> PadicNumber:
-    """Quadratic lift of a simple residue root to full working precision."""
+    """Lift of a simple residue root a to `precision` known digits.  The root
+    is a unit unless a = 0; there P'(0) is a unit, so the root has valuation
+    v(P(0)) and is lifted by that many more digits (P(0) = 0: exact zero)."""
     p = ctx.prime
-    target = ctx.precision + 8
-    x = _hensel_lift(P, a, p, target)
-    if x == 0:
+    if a == 0 and P[0] == 0:
         return PadicNumber.zero(ctx)
-    v = _vp(x, p)
-    known = min(ctx.precision, target - v)
-    return PadicNumber(ctx, v, (x // p**v) % p**known, known)
+    v = _vp(P[0], p) if a == 0 else 0
+    x = _hensel_lift(P, a, p, ctx.precision + v)
+    return PadicNumber(ctx, v, x // p**v, ctx.precision)
 
 
 def _zp_roots_squarefree(
     P: list[int], ctx: PadicContext, depth: int = 0
-) -> tuple[list[PadicNumber], bool]:
-    """Simple roots of a square-free integer polynomial in Z_p."""
+) -> list[PadicNumber]:
+    """Simple roots of a square-free integer polynomial in Z_p; a disc still
+    unresolved after 3 * precision zoom levels is given up."""
     p = ctx.prime
     if depth > 3 * ctx.precision:
-        return [], False
-    roots: list[PadicNumber] = []
-    complete = True
-    for a in range(p):
-        if _poly_eval_mod(P, a, p) == 0:
-            sub, ok = _zp_roots_in_residue(P, a, ctx, depth)
-            roots.extend(sub)
-            complete = complete and ok
-    return roots, complete
+        return []
+    return [
+        root
+        for a in range(p)
+        if _poly_eval_mod(P, a, p) == 0
+        for root in _zp_roots_in_residue(P, a, ctx, depth)
+    ]
 
 
 def _zp_roots_in_residue(
     P: list[int], a: int, ctx: PadicContext, depth: int
-) -> tuple[list[PadicNumber], bool]:
+) -> list[PadicNumber]:
     """Roots in a + pZ_p of a square-free integer polynomial with a root a
-    mod p, plus a flag telling whether that disc was searched to the end."""
+    mod p."""
     p = ctx.prime
     if _poly_eval_mod(_poly_derivative_int(P), a, p) != 0:
-        return [_hensel_root(P, a, ctx)], True
+        return [_hensel_root(P, a, ctx)]
     # repeated residue root: zoom in on the sub-disc a + pZ_p
     zoomed = ratpoly.compose_linear(P, Fraction(a), Fraction(p))
     rescaled = [int(c) for c in zoomed]
     content = min(_vp(q, p) for q in rescaled if q != 0)
     Q = [q // p**content for q in rescaled]
-    sub, ok = _zp_roots_squarefree(Q, ctx, depth + 1)
     a_p = PadicNumber.from_int(a, ctx)
     p_p = PadicNumber.from_int(p, ctx)
-    return [a_p + p_p * y for y in sub], ok
+    return [a_p + p_p * y for y in _zp_roots_squarefree(Q, ctx, depth + 1)]
 
 
 def qp_roots(
@@ -129,7 +127,9 @@ def qp_roots(
     """All Q_p roots of a square-free rational polynomial, plus a flag
     telling whether the polynomial splits completely over Q_p.  Roots of
     negative valuation invert the roots in pZ_p of the reversal R, so R is
-    searched at residue 0 alone, and the flag covers only that residue of R.
+    searched at residue 0 alone.  The flag is len(roots) == deg: when P
+    splits over Q_p every residue root lies over a root, so a disc the zoom
+    gives up on, which holds none of the roots found, leaves fewer than deg.
     """
     poly = ratpoly.normalize([Fraction(c) for c in coeffs])
     deg = ratpoly.degree(poly)
@@ -143,15 +143,11 @@ def qp_roots(
         roots.append(PadicNumber.zero(ctx))
         poly = poly[1:]
     P = ratpoly._primitive(poly)
-    nonneg, ok1 = _zp_roots_squarefree(P, ctx)
-    roots.extend(nonneg)
-    small, ok2 = [], True
+    roots.extend(_zp_roots_squarefree(P, ctx))
     if P[-1] % ctx.prime == 0:
-        small, ok2 = _zp_roots_in_residue(P[::-1], 0, ctx, 0)
-    one = PadicNumber.from_int(1, ctx)
-    roots.extend(one / r for r in small if not r.is_zero)
-    complete = ok1 and ok2 and len(roots) == deg
-    return roots, complete
+        one = PadicNumber.from_int(1, ctx)
+        roots.extend(one / r for r in _zp_roots_in_residue(P[::-1], 0, ctx, 0))
+    return roots, len(roots) == deg
 
 
 def curve_branch_points(
@@ -159,13 +155,12 @@ def curve_branch_points(
 ) -> tuple[list[tuple[PadicNumber, int]], bool]:
     """Branch points of f in Q_p with multiplicities; the flag reports
     whether every branch point was found (full splitting)."""
-    points: list[tuple[PadicNumber, int]] = []
-    complete = True
-    for block, mult in curve.branch_blocks():
-        roots, ok = qp_roots(block, ctx)
-        complete = complete and ok
-        points.extend((r, mult) for r in roots)
-    return points, complete
+    points = [
+        (r, mult)
+        for block, mult in curve.branch_blocks()
+        for r in qp_roots(block, ctx)[0]
+    ]
+    return points, len(points) == curve.branch_point_count
 
 
 # -- cluster trees --------------------------------------------------------------
@@ -281,13 +276,22 @@ class ResidueAnnulus:
     m: int | None = None
 
     def __post_init__(self) -> None:
+        """Check the partition: theta_0 and rational_center at
+        v(x - center) >= hi, theta_infty at v(x - center) <= lo."""
         lo, hi = self.valuation_interval
         if lo >= hi:
             raise ValueError("empty annulus interval")
-        for th, _ in self.theta_0 + self.theta_infty:
+        c_rat = PadicNumber.from_int(self.rational_center, self.center.context)
+        for x in [c_rat, *(th for th, _ in self.theta_0)]:
+            diff = x - self.center
+            if not diff.is_zero and diff.valuation < hi:
+                raise ValueError(
+                    f"theta_0 or the rational center lies at v(x - center) < {hi}"
+                )
+        for th, _ in self.theta_infty:
             diff = th - self.center
-            if not diff.is_zero and lo < diff.valuation < hi:
-                raise ValueError("branch point strictly inside the annulus")
+            if diff.is_zero or diff.valuation > lo:
+                raise ValueError(f"theta_infty lies at v(x - center) > {lo}")
 
     def weighted_inner_count(self) -> int:
         return sum(n for _, n in self.theta_0)
@@ -313,12 +317,11 @@ def enumerate_maximal_annuli(
         center = tree.points[node.members[0]]
         hi = node.depth
         lo = node.parent_depth
-        if center.is_zero or center.valuation >= 0:
-            c_rat = center.value_mod(max(hi, 1)) if not center.is_zero else 0
-        else:
+        if not center.is_zero and center.valuation < 0:
             raise ValueError(
                 "annulus center of negative valuation; renormalize the curve"
             )
+        c_rat = center.value_mod(max(hi, 1))
         th0 = [(tree.points[i], tree.multiplicities[i]) for i in sorted(members)]
         thinf = [
             (tree.points[i], tree.multiplicities[i])
@@ -504,9 +507,16 @@ def _build_charts(
 
 def _chart_scale(
     q: PadicNumber, k: int, m: int, valuations: list[int]
-) -> PadicNumber | None:
+) -> PadicNumber:
     """The first scale U = u0 * p^v, over v in the given order and then
-    u0 = 1..p-1, for which q * U^k is an m-th power; None if there is none."""
+    u0 = 1..p-1, for which q * U^k is an m-th power.
+
+    With d = gcd(k, m), v(q) + k v = 0 mod m picks v modulo m/d, and the
+    residues u0^k reach every coset of the m-th powers that a d-th power
+    does.  So over m/d consecutive valuations a scale exists exactly when q
+    is a d-th power; callers test that first, and a search that finds none
+    raises ChartVerificationError.
+    """
     ctx = q.context
     p = ctx.prime
     for v in valuations:
@@ -514,7 +524,10 @@ def _chart_scale(
             cand = PadicNumber(ctx, v, u0, ctx.precision)
             if is_mth_power(q * cand**k, m):
                 return cand
-    return None
+    raise ChartVerificationError(
+        f"no scale U makes Q * U^{k} an m-th power for m = {m} over "
+        f"valuations {valuations}"
+    )
 
 
 def parameterize_annulus(
@@ -526,11 +539,11 @@ def parameterize_annulus(
 
     After recentering (x = c + p^L x') the curve reads
     y^m = Q0 * x'^k0 * h(x')^m with k0 branch points (with multiplicity)
-    inside and h a unit branch-series product.  Charts exist when
-    Q0 * U^k0 is an m-th power for a scale U = p^sigma * u0; each of the d
-    sheets is x'(z) = U z^(m/d), y_j(z) = zeta^j * Gamma * z^(k0/d) * h(x'(z)).
-    When Q0 is not even a d-th power there are no rational points over the
-    annulus at all.
+    inside and h a unit branch-series product.  When Q0 is a d-th power,
+    Q0 * U^k0 is an m-th power for a scale U = p^sigma * u0 (see
+    _chart_scale), and each of the d sheets is x'(z) = U z^(m/d),
+    y_j(z) = zeta^j * Gamma * z^(k0/d) * h(x'(z)).  Otherwise there are no
+    rational points over the annulus at all.
     """
     m = curve.m
     p = ctx.prime
@@ -541,16 +554,12 @@ def parameterize_annulus(
 
     scaled = ratpoly.compose_linear(curve.f, Fraction(c_rat), Fraction(p) ** L)
 
+    # the annulus's own partition check puts theta_0 at v >= beta and
+    # theta_infty at v <= 0 after recentering
     pl = PadicNumber.from_int(p, ctx) ** L
     c_p = PadicNumber.from_int(c_rat, ctx)
     theta0 = [((th - c_p) / pl, n) for th, n in a.theta_0]
     thetainf = [((th - c_p) / pl, n) for th, n in a.theta_infty]
-    for th, n in theta0:
-        if not th.is_zero and th.valuation < beta:
-            raise ValueError("inner branch point escaped the annulus recentering")
-    for th, n in thetainf:
-        if th.is_zero or th.valuation > 0:
-            raise ValueError("outer branch point escaped the annulus recentering")
 
     k0 = a.weighted_inner_count()
     d = math.gcd(k0, m)
@@ -559,22 +568,19 @@ def parameterize_annulus(
     q0 = math.prod(((-th) ** n for th, n in thetainf), start=lead)
 
     analysis = AnnulusAnalysis(annulus=a, status="unanalyzed")
-    analysis.power_tests["d_th_power(Q0)"] = str(is_mth_power(q0, d)) if d > 1 else "trivial"
+    is_power = d == 1 or is_mth_power(q0, d)
+    analysis.power_tests["d_th_power(Q0)"] = str(is_power) if d > 1 else "trivial"
+    if not is_power:
+        analysis.status = "no_points"
+        analysis.detail = (
+            "scale constant is not a d-th power: no rational points over "
+            "this annulus"
+        )
+        return analysis
 
     # U = u0 * p^sigma with sigma <= 0, so the chart coordinate annulus has
     # positive radii; sigma and sigma - m/d give the same power class
     scale = _chart_scale(q0, k0, m, [0, *range(1 - md, 0)])
-    if scale is None:
-        if d > 1 and not is_mth_power(q0, d):
-            analysis.status = "no_points"
-            analysis.detail = (
-                "scale constant is not a d-th power: no rational points over "
-                "this annulus"
-            )
-            return analysis
-        analysis.status = "unanalyzed"
-        analysis.detail = "no scale unit passed the m-th power test"
-        return analysis
     analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
 
     # The check runs at the x'-level, where every stored coefficient has
@@ -708,11 +714,9 @@ def parameterize_disc(
             "exact" if lam_eff == 1 else f"deepened to {lam_eff}"
         )
         # anchor the chart on the open unit disc:
-        # v(x - origin) = lam_eff + m(v(z) - 1)
+        # v(x - origin) = lam_eff + m(v(z) - 1); k = 1 makes d = 1, so a
+        # scale always exists
         k, scale = 1, _chart_scale(q, 1, m, [lam_eff - m])
-        if scale is None:
-            analysis.detail = "no scale unit passed the m-th power test"
-            return analysis
 
     order = max(24, ctx.precision // 2 + 8)
     dom = AnnulusSpec.disc()

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import superchab
-from superchab.padic import ChartVerificationError
+from superchab.geometry import ResidueAnnulus
+from superchab.padic import ChartVerificationError, PadicContext, PadicNumber
 
 PACKAGE = Path(superchab.__file__).parent
 
@@ -49,3 +52,56 @@ def test_total_bound_check_survives_optimize():
         "optimize 1",
         "caught sharp total 1000000032 exceeds the relaxed total 98",
     ]
+
+
+def test_scale_certificate_survives_optimize():
+    # a scale search that finds nothing is an explicit raise, not a None
+    # return a caller could miss
+    code = (
+        "import sys\n"
+        "from superchab.geometry import _chart_scale\n"
+        "from superchab.padic import ChartVerificationError, PadicContext, PadicNumber\n"
+        "q = PadicNumber.from_int(3, PadicContext(7, 10))\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "try:\n"
+        "    print('silent', _chart_scale(q, 2, 4, []))\n"
+        "except ChartVerificationError as exc:\n"
+        "    print('caught', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "optimize 1",
+        "caught no scale U makes Q * U^2 an m-th power for m = 4 over valuations []",
+    ]
+
+
+def _annulus(rational_center, inner, outer):
+    """The annulus 0 < v(x) < 1 of Q_7 about 0, with one inner and one outer
+    branch point."""
+    ctx = PadicContext(7, 10)
+    return ResidueAnnulus(
+        PadicNumber.from_int(0, ctx), rational_center, (0, 1),
+        [(PadicNumber.from_int(inner, ctx), 1)],
+        [(PadicNumber.from_int(outer, ctx), 1)],
+    )
+
+
+def test_annulus_partition_holds():
+    assert _annulus(7, 49, 1).valuation_interval == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "rational_center, inner, outer",
+    [
+        (3, 49, 1),  # rational center at v = 0 from the center, below hi
+        (0, 5, 1),  # inner point at v = 0 < hi
+        (0, 49, 14),  # outer point at v = 1 > lo
+    ],
+)
+def test_annulus_rejects_a_broken_partition(rational_center, inner, outer):
+    with pytest.raises(ValueError):
+        _annulus(rational_center, inner, outer)

@@ -25,6 +25,7 @@ from superchab.padic import (
     PadicContext,
     PadicNumber,
     is_mth_power,
+    is_prime,
     primitive_root_of_unity,
 )
 from superchab.series import LaurentSeries
@@ -83,6 +84,27 @@ class TestQpRoots:
         assert complete
         assert any(r.is_zero for r in roots)
 
+    @pytest.mark.parametrize("v", [-30, 12, 30])
+    def test_deep_root_keeps_every_digit(self, v):
+        # x - 7^v: the root is lifted by its own valuation, so neither a deep
+        # root of f nor one of its reversal is lost or taken for zero
+        roots, complete = qp_roots([-Fraction(7) ** v, Fraction(1)], Q7)
+        assert complete
+        [root] = roots
+        assert (root.valuation, root.unit, root.known) == (v, 1, Q7.precision)
+
+    def test_zoom_gives_up_below_three_times_precision(self):
+        # (x - 1)(x - 1 - 5^8): the two roots part at digit 8, past the
+        # 3 * precision zoom levels of precision 2 but not of precision 3
+        close = ratpoly.mul([Fraction(-1), Fraction(1)], [Fraction(-1 - 5**8), Fraction(1)])
+        roots, complete = qp_roots(close, PadicContext(5, 2))
+        assert roots == [] and not complete
+        with_three = ratpoly.mul(close, [Fraction(-3), Fraction(1)])
+        roots, complete = qp_roots(with_three, PadicContext(5, 2))
+        assert [r.value_mod(2) for r in roots] == [3] and not complete
+        roots, complete = qp_roots(close, PadicContext(5, 3))
+        assert len(roots) == 2 and complete
+
 
 def _two_scan_qp_roots(coeffs, ctx):
     """qp_roots as it was when the reversal was scanned over all p residues
@@ -98,14 +120,14 @@ def _two_scan_qp_roots(coeffs, ctx):
     P = [int(c * den) for c in poly]
     g = math.gcd(*(abs(c) for c in P))
     P = [c // g for c in P]
-    nonneg, ok1 = superchab.geometry._zp_roots_squarefree(P, ctx)
+    nonneg = superchab.geometry._zp_roots_squarefree(P, ctx)
     roots.extend(nonneg)
-    small, ok2 = superchab.geometry._zp_roots_squarefree(list(reversed(P)), ctx)
+    small = superchab.geometry._zp_roots_squarefree(list(reversed(P)), ctx)
     one = PadicNumber.from_int(1, ctx)
     for r in small:
         if not r.is_zero and r.valuation >= 1:
             roots.append(one / r)
-    return roots, ok1 and ok2 and len(roots) == deg
+    return roots, len(roots) == deg
 
 
 def _sweep_polynomial(rng, p):
@@ -394,6 +416,25 @@ class TestAnnulusVerdicts:
         assert analysis.status == "no_points"
         assert analysis.power_tests["d_th_power(Q0)"] == "False"
 
+    def test_no_points_is_one_dth_power_test(self, monkeypatch):
+        curve = SuperellipticCurve(4, [Fraction(c) for c in self._coeffs(2)])
+        pts, _ = curve_branch_points(curve, Q13)
+        tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
+        a = enumerate_maximal_annuli(tree, m=4, infinity_is_branch=False)[0]
+        exponents = []
+
+        def counted(x, m):
+            exponents.append(m)
+            return is_mth_power(x, m)
+
+        def no_search(*args):
+            raise AssertionError("scale searched on an annulus with no points")
+
+        monkeypatch.setattr(superchab.geometry, "is_mth_power", counted)
+        monkeypatch.setattr(superchab.geometry, "_chart_scale", no_search)
+        assert parameterize_annulus(a, curve, Q13).status == "no_points"
+        assert exponents == [a.d] == [2]
+
     def test_split_charts_and_deck_action(self):
         curve = SuperellipticCurve(4, [Fraction(c) for c in self._coeffs(1)])
         pts, _ = curve_branch_points(curve, Q13)
@@ -414,6 +455,38 @@ class TestAnnulusVerdicts:
         # lead * (x^2 - 1)(x^2 - 169^2)
         k = 169**2
         return [k * lead, 0, -(k + 1) * lead, 0, lead]
+
+
+class TestChartScale:
+    def test_scale_exists_exactly_for_dth_powers(self):
+        # with d = gcd(k, m), a scale among m/d consecutive valuations makes
+        # q * U^k an m-th power exactly when q is a d-th power; at k = 1
+        # (disc case 2) one always exists at the valuation the radius picks
+        rng = random.Random(18)
+        chart_scale = superchab.geometry._chart_scale
+        seen = {"split_prime": 0, "other_prime": 0, "found": 0, "none": 0}
+        for m in range(2, 10):
+            for p in [q for q in range(2, 80) if is_prime(q) and m % q]:
+                ctx = PadicContext(p, 4)
+                for vq in range(-8, 9):
+                    seen["split_prime" if p % m == 1 else "other_prime"] += 1
+                    unit = rng.randrange(1, p) + p * rng.randrange(p**3)
+                    q = PadicNumber(ctx, vq, unit, 4)
+                    k = rng.randint(1, 14)
+                    d = math.gcd(k, m)
+                    valuations = [0, *range(1 - m // d, 0)]
+                    if d == 1 or is_mth_power(q, d):
+                        scale = chart_scale(q, k, m, valuations)
+                        assert is_mth_power(q * scale**k, m)
+                        seen["found"] += 1
+                    else:
+                        with pytest.raises(ChartVerificationError):
+                            chart_scale(q, k, m, valuations)
+                        seen["none"] += 1
+                    lam = next(lam for lam in range(1, m + 1) if (lam + vq) % m == 0)
+                    scale = chart_scale(q, 1, m, [lam - m])
+                    assert is_mth_power(q * scale, m)
+        assert min(seen.values()) >= 800, seen
 
 
 class TestDiscCharts:
