@@ -1,24 +1,29 @@
 """Residue geometry over Q_p: cluster trees of branch points, maximal
 annuli, their classification, and explicit verified chart maps.
 
-Every chart, on an annulus or on a disc of case 1 or 2, recentres f at an
-origin and reads the curve through one identity,
+Every chart, on an annulus or on a disc, recentres f at an origin o and
+reads the curve through one identity,
 
     y^m = Q * t^k * h(t)^m,
 
-with Q a constant, k the branch points (with multiplicity) at the origin
-and h the unit product of the branch factors (1 - theta/t)^(n/m) inside
-and (1 - t/theta)^(n/m) outside.  One builder, _build_charts, takes gamma
-with gamma^m = Q * U^k for a scale U, checks the identity and records the
-d = gcd(k, m) sheets t = U z^(m/d), y_j = zeta_m^j gamma z^(k/d) h(U z^(m/d)).
-The check reads gamma^m - Q * U^k and every coefficient of the residual
-h^m * Q * t^k - f from the lowest exponent h^m knows up to its cut plus k,
-each to a cap: the digits truncation leaves reliable there.  There are two
-budgets.  On an annulus of width beta the cap falls by beta per exponent
-past k, and exponents whose cap is below the target are skipped.  On a disc
-every cap is the working precision, so each exponent the chart reports is
-checked.  A chart that misses its target raises ChartVerificationError,
-never a silent result.
+with t the recentred coordinate, k the branch points (with multiplicity) at
+the origin, h the unit product of the branch factors (1 - theta/t)^(n/m)
+inside and (1 - t/theta)^(n/m) outside, and Q the leading coefficient times
+prod (-theta)^n over the outside points.  On an annulus k counts the points
+inside; a disc's origin is its one branch point, with k its multiplicity,
+or its center, with k = 0.  The callers pick (o, Q, k) and the budget, and
+one set-up, _build_charts, does the rest.  With d = gcd(k, m) it records
+no_points when Q is not a d-th power; otherwise it finds a scale U with
+gamma^m = Q * U^k and records the d sheets t = U z^(m/d),
+y_j = zeta_m^j gamma z^(k/d) h(U z^(m/d)).  The check reads gamma^m - Q * U^k
+and every coefficient of the residual h^m * Q * t^k - f from exponent
+min(0, the lowest one h^m * t^k knows) up to the cut plus k, each to a cap:
+the digits truncation leaves reliable there.  There are two budgets.  On an
+annulus of width beta the cap falls by beta per exponent past k, and
+exponents whose cap is below the target are skipped.  On a disc every cap is
+the working precision, so each exponent the chart reports, and each one
+below k, is checked.  A chart that misses its target raises
+ChartVerificationError, never a silent result.
 """
 from __future__ import annotations
 
@@ -463,25 +468,45 @@ def _verified_digits(
 
 
 def _build_charts(
-    analysis: AnnulusAnalysis | DiscAnalysis, m: int, q: PadicNumber,
-    scale: PadicNumber, k: int, points: tuple[list, list], domain: AnnulusSpec,
+    analysis: AnnulusAnalysis | DiscAnalysis, m: int, q: PadicNumber, k: int,
+    origin: PadicNumber, points: tuple[list, list], domain: AnnulusSpec,
     order: int, cut: int, f_coeffs: list, cap: Callable[[int], int],
-    x_series: LaurentSeries,
 ):
-    """Verify y^m = Q * t^k * h(t)^m on one chart and record its sheets.
+    """Decide and verify y^m = Q * t^k * h(t)^m on one chart, and record its
+    sheets or that it has no rational points.
 
-    t is the recentred coordinate, f_coeffs the recentred f in t, and h the
-    unit branch product of the (inner, outer) points on domain, clipped at
-    order.  With gamma^m = Q * U^k and d = gcd(k, m) the chart is
-    t = U z^(m/d), its x read off x_series (whose domain is the z-domain),
-    and its d sheets are y_j = zeta_m^j * gamma * z^(k/d) * h(U z^(m/d)).
-    The residual h^m * Q * t^k - f, with h^m cut at cut, is read at every
-    exponent n from the lowest one h^m knows to cut + k, to cap(n) digits;
-    the z-charts inherit the identity through the exact monomial
-    substitution and gamma^m = Q * U^k, which is read too.
+    The chart coordinate is origin + t: x on a disc, and x' on an annulus,
+    whose origin is 0.  f_coeffs is f in t, and h the unit branch product
+    of the (inner, outer) points on domain, clipped at order.  With
+    d = gcd(k, m) there are no rational points unless Q is a d-th power.
+    Otherwise a scale U makes Q * U^k = gamma^m, each sheet's x_series is
+    origin + U z^(m/d), and the d sheets are
+    y_j = zeta_m^j * gamma * z^(k/d) * h(U z^(m/d)).  The residual
+    h^m * Q * t^k - f, with h^m cut at cut, is read at every exponent n from
+    min(0, the lowest one h^m * t^k knows) to cut + k, to cap(n) digits; the
+    z-charts inherit the identity through the exact monomial substitution
+    and gamma^m = Q * U^k, which is read too.
     """
     ctx = q.context
     d = math.gcd(k, m)
+    md = m // d
+    is_power = d == 1 or is_mth_power(q, d)
+    analysis.power_tests["d_th_power(Q0)"] = str(is_power) if d > 1 else "trivial"
+    if not is_power:
+        analysis.status = "no_points"
+        analysis.detail = (
+            "scale constant is not a d-th power: no rational points over "
+            f"this {'disc' if domain.is_disc else 'annulus'}"
+        )
+        return analysis
+
+    # U = u0 * p^sigma with 1 - m/d <= sigma <= 0, where one sigma solves
+    # v(Q) + k sigma = 0 mod m: the z-annulus keeps positive radii, and a
+    # disc chart reaches v(x - origin) = sigma + m/d >= 1 at v(z) = 1
+    scale = _chart_scale(
+        q, k, m, [v for v in range(1 - md, 1) if (q.valuation + k * v) % m == 0]
+    )
+    analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
     qu = q * scale**k
     gamma = mth_root(qu, m)
     h = _branch_series_product(*points, m, order, domain, ctx)
@@ -489,10 +514,14 @@ def _build_charts(
     resid = lhs - LaurentSeries.from_dict(dict(enumerate(f_coeffs)), ctx, domain)
     attained = _verified_digits(
         gamma**m - qu,
-        ((resid.coefficient(n), cap(n)) for n in range(lhs.lo, cut + k + 1)),
+        ((resid.coefficient(n), cap(n)) for n in range(min(lhs.lo, 0), cut + k + 1)),
         ctx.precision // 2,
     )
-    y0 = h.compose_monomial(scale, m // d, x_series.domain).shifted(k // d).scaled(gamma)
+    z_dom = domain if domain.is_disc else AnnulusSpec.annulus(
+        (domain.inner_valuation - scale.valuation) / md
+    )
+    x_series = LaurentSeries.from_dict({0: origin, md: scale}, ctx, z_dom)
+    y0 = h.compose_monomial(scale, md, z_dom).shifted(k // d).scaled(gamma)
     charts = [ChartMap(x_series, y0, 0, gamma, attained)]
     if d > 1:
         zeta = primitive_root_of_unity(m, ctx)
@@ -514,8 +543,8 @@ def _chart_scale(
     With d = gcd(k, m), v(q) + k v = 0 mod m picks v modulo m/d, and the
     residues u0^k reach every coset of the m-th powers that a d-th power
     does.  So over m/d consecutive valuations a scale exists exactly when q
-    is a d-th power; callers test that first, and a search that finds none
-    raises ChartVerificationError.
+    is a d-th power; _build_charts tests that first, and a search that finds
+    none raises ChartVerificationError.
     """
     ctx = q.context
     p = ctx.prime
@@ -539,11 +568,9 @@ def parameterize_annulus(
 
     After recentering (x = c + p^L x') the curve reads
     y^m = Q0 * x'^k0 * h(x')^m with k0 branch points (with multiplicity)
-    inside and h a unit branch-series product.  When Q0 is a d-th power,
-    Q0 * U^k0 is an m-th power for a scale U = p^sigma * u0 (see
-    _chart_scale), and each of the d sheets is x'(z) = U z^(m/d),
-    y_j(z) = zeta^j * Gamma * z^(k0/d) * h(x'(z)).  Otherwise there are no
-    rational points over the annulus at all.
+    inside, h a unit branch-series product and Q0 the leading coefficient
+    times prod (-theta)^n over the outer points.  _build_charts decides
+    no_points or the d sheets x'(z) = U z^(m/d) from (Q0, k0).
     """
     m = curve.m
     p = ctx.prime
@@ -562,26 +589,8 @@ def parameterize_annulus(
     thetainf = [((th - c_p) / pl, n) for th, n in a.theta_infty]
 
     k0 = a.weighted_inner_count()
-    d = math.gcd(k0, m)
-    md = m // d
     lead = PadicNumber.from_fraction(scaled[-1], ctx)
     q0 = math.prod(((-th) ** n for th, n in thetainf), start=lead)
-
-    analysis = AnnulusAnalysis(annulus=a, status="unanalyzed")
-    is_power = d == 1 or is_mth_power(q0, d)
-    analysis.power_tests["d_th_power(Q0)"] = str(is_power) if d > 1 else "trivial"
-    if not is_power:
-        analysis.status = "no_points"
-        analysis.detail = (
-            "scale constant is not a d-th power: no rational points over "
-            "this annulus"
-        )
-        return analysis
-
-    # U = u0 * p^sigma with sigma <= 0, so the chart coordinate annulus has
-    # positive radii; sigma and sigma - m/d give the same power class
-    scale = _chart_scale(q0, k0, m, [0, *range(1 - md, 0)])
-    analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
 
     # The check runs at the x'-level, where every stored coefficient has
     # nonnegative valuation.  Its cap falls by beta per exponent past k0, so
@@ -591,12 +600,11 @@ def parameterize_annulus(
     order = max(24, (target + 2) // beta + 12)
     vq = min(0, q0.valuation)
     reach = order + 1 + (vq - target) // beta
-    z_dom = AnnulusSpec.annulus(Fraction(beta + abs(scale.valuation), md))
     return _build_charts(
-        analysis, m, q0, scale, k0, (theta0, thetainf), AnnulusSpec.annulus(beta),
+        AnnulusAnalysis(annulus=a, status="unanalyzed"), m, q0, k0,
+        PadicNumber.zero(ctx), (theta0, thetainf), AnnulusSpec.annulus(beta),
         order, cut=max(reach, 0), f_coeffs=scaled,
         cap=lambda n: beta * (order + 1 - max(0, n - k0)) + vq,
-        x_series=LaurentSeries(ctx, {md: scale}, z_dom, md, md),
     )
 
 
@@ -626,18 +634,12 @@ class DiscAnalysis:
 def _shift_poly_padic(
     coeffs: list[Fraction], c: PadicNumber, ctx: PadicContext
 ) -> list[PadicNumber]:
-    """f(c + t) coefficients by binomial expansion around a p-adic center."""
-    n = len(coeffs)
-    out = [PadicNumber.zero(ctx) for _ in range(n)]
-    powers = [PadicNumber.from_int(1, ctx)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * c)
-    for k, ck in enumerate(coeffs):
-        if ck == 0:
-            continue
-        ckp = PadicNumber.from_fraction(ck, ctx)
-        for j in range(k + 1):
-            out[j] = out[j] + ckp * PadicNumber.from_int(math.comb(k, j), ctx) * powers[k - j]
+    """f(c + t) coefficients around a p-adic center, by the Taylor shift:
+    deg f rounds of synthetic division by t - c."""
+    out = [PadicNumber.from_fraction(ck, ctx) for ck in coeffs]
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + c * out[j + 1]
     return out
 
 
@@ -648,13 +650,13 @@ def parameterize_disc(
 ) -> DiscAnalysis:
     """Chart construction on a residue disc, split by branch-point count.
 
-    Both charted cases recentre at an origin o, x = o + t, and read
-    y^m = Q * t^k * h(t)^m with h the unit product over every branch point.
-    Case 1 (no branch point inside): o is the center, k = 0, Q = f(o) and
-    U = 1; if Q is an m-th power there are m disjoint disc charts x = o + z,
-    otherwise there are no rational points over the disc.  Case 2 (one
-    simple branch point): o is that point, k = 1 and Q = f'(o); one chart
-    x = o + U z^m over the m-th power map.  Case 3 (two branch points,
+    The origin o is the one branch point inside, with k its multiplicity
+    (case 2), or the center, with k = 0 (case 1).  Recentred at o, x = o + t,
+    the curve reads y^m = Q * t^k * h(t)^m with h the unit product over the
+    other branch points and Q the leading coefficient times prod (o - theta)^n
+    over them.  _build_charts decides from (Q, k) as on an annulus: no
+    rational points over the disc unless Q is a d-th power, d = gcd(k, m),
+    and otherwise d sheets x = o + U z^(m/d).  Case 3 (two branch points,
     m even) is reported unanalyzed, with no charts.
     """
     m = curve.m
@@ -665,11 +667,10 @@ def parameterize_disc(
             detail="branch locus does not split over Q_p; bound still valid",
         )
     center_p = PadicNumber.from_fraction(spec.center, ctx)
-    inside = []
+    inside, outside = [], []
     for th, n in points:
         diff = th - center_p
-        if diff.is_zero or diff.valuation >= 1:
-            inside.append((th, n))
+        (inside if diff.is_zero or diff.valuation >= 1 else outside).append((th, n))
     if len(inside) > 2:
         raise ValueError("disc contains more than two branch points")
     if len(inside) == 2:
@@ -680,51 +681,15 @@ def parameterize_disc(
             detail="two branch points in the disc; not charted",
         )
 
-    if not inside:
-        origin = center_p
-        analysis = DiscAnalysis(1, "unanalyzed")
-        f_coeffs = ratpoly.compose_linear(curve.f, spec.center, Fraction(1))
-        q = PadicNumber.from_fraction(f_coeffs[0], ctx)
-        ok = is_mth_power(q, m)
-        analysis.power_tests["m_th_power(f(center))"] = str(ok)
-        if not ok:
-            analysis.status = "no_points"
-            analysis.detail = "center value is not an m-th power"
-            return analysis
-        k, scale = 0, PadicNumber.from_int(1, ctx)
-    else:
-        [(origin, n)] = inside
-        analysis = DiscAnalysis(2, "unanalyzed")
-        if n > 1:
-            analysis.detail = f"branch point of multiplicity {n}; not charted"
-            return analysis
-        # recentre at the branch point: f(origin + t) = t * (f'(origin) + ...)
-        f_coeffs = _shift_poly_padic(curve.f, origin, ctx)
-        if not f_coeffs[0].is_zero and f_coeffs[0].valuation < ctx.precision // 2:
-            raise ValueError("disc case 2 center is not a branch point")
-        q = f_coeffs[1]
-        if q.is_zero:
-            raise ValueError("branch point is not simple")
-        # effective radius: valuations of x - origin on the curve satisfy
-        # v + v(f'(origin)) = 0 mod m
-        lam_eff = 1
-        while (lam_eff + q.valuation) % m:
-            lam_eff += 1
-        analysis.power_tests["radius_condition"] = (
-            "exact" if lam_eff == 1 else f"deepened to {lam_eff}"
-        )
-        # anchor the chart on the open unit disc:
-        # v(x - origin) = lam_eff + m(v(z) - 1); k = 1 makes d = 1, so a
-        # scale always exists
-        k, scale = 1, _chart_scale(q, 1, m, [lam_eff - m])
-
+    [(origin, k)] = inside or [(center_p, 0)]
+    outer = [(th - origin, n) for th, n in outside]
+    lead = PadicNumber.from_fraction(curve.leading_coefficient, ctx)
+    q = math.prod(((-th) ** n for th, n in outer), start=lead)
     order = max(24, ctx.precision // 2 + 8)
-    dom = AnnulusSpec.disc()
-    md = m // math.gcd(k, m)
     return _build_charts(
-        analysis, m, q, scale, k, ([], [(th - origin, n) for th, n in points]), dom,
-        order, cut=order, f_coeffs=f_coeffs, cap=lambda n: ctx.precision,
-        x_series=LaurentSeries(ctx, {0: origin, md: scale}, dom, 0, md),
+        DiscAnalysis(len(inside) + 1, "unanalyzed"), m, q, k, origin, ([], outer),
+        AnnulusSpec.disc(), order, cut=order,
+        f_coeffs=_shift_poly_padic(curve.f, origin, ctx), cap=lambda n: ctx.precision,
     )
 
 

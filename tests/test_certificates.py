@@ -79,6 +79,43 @@ def test_scale_certificate_survives_optimize():
     ]
 
 
+def test_disc_residual_below_k_survives_optimize():
+    # a disc chart of y^3 = x^3 - 2x at the origin o = 7^5, off the branch
+    # point 0, with k = 1 and the other points the roots of
+    # (f(x) - f(o)) / (x - o): the identity holds from t^1 on, and only the
+    # residual's constant term -f(o), of valuation 5, misses target 10
+    code = (
+        "import math, sys\n"
+        "from superchab.geometry import DiscAnalysis, _build_charts, _shift_poly_padic, qp_roots\n"
+        "from superchab.padic import ChartVerificationError, PadicContext, PadicNumber\n"
+        "from superchab.series import AnnulusSpec\n"
+        "ctx = PadicContext(7, 20)\n"
+        "o = 7**5\n"
+        "roots, _ = qp_roots([o * o - 2, o, 1], ctx)\n"
+        "origin = PadicNumber.from_int(o, ctx)\n"
+        "outer = [(th - origin, 1) for th in roots]\n"
+        "q = math.prod((-th for th, _ in outer), start=PadicNumber.from_int(1, ctx))\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "try:\n"
+        "    analysis = _build_charts(\n"
+        "        DiscAnalysis(2, 'unanalyzed'), 3, q, 1, origin, ([], outer),\n"
+        "        AnnulusSpec.disc(), 24, 24, _shift_poly_padic([0, -2, 0, 1], origin, ctx),\n"
+        "        lambda n: 20)\n"
+        "    print('silent', analysis.status, analysis.attained)\n"
+        "except ChartVerificationError as exc:\n"
+        "    print('caught', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "optimize 1",
+        "caught chart residual attains 5, below target 10",
+    ]
+
+
 def _annulus(rational_center, inner, outer):
     """The annulus 0 < v(x) < 1 of Q_7 about 0, with one inner and one outer
     branch point."""

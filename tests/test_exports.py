@@ -142,7 +142,9 @@ def test_cli_envelope_written_once():
     assert len(keys) <= 2
 
 
-@pytest.mark.parametrize("helper", ["_verified_digits", "_branch_series_product", "mth_root"])
+@pytest.mark.parametrize(
+    "helper", ["_verified_digits", "_branch_series_product", "mth_root", "_chart_scale"]
+)
 def test_one_chart_builder(helper):
     """Annuli and both disc cases verify y^m = Q * t^k * h(t)^m through one
     builder in geometry.py: a second function that calls one of its steps

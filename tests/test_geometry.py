@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -510,15 +511,18 @@ class TestDiscCharts:
         curve = SuperellipticCurve(3, [16, 0, -12, 0, 2])
         analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
         assert analysis.status == "no_points"
-        assert analysis.power_tests["m_th_power(f(center))"] == "False"
+        assert analysis.power_tests["d_th_power(Q0)"] == "False"
 
     def test_case_two_simple_branch_point(self):
         curve = SuperellipticCurve(3, [0, -2, 0, 1])  # y^3 = x^3 - 2x = x(x^2 - 2)
         analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
         assert analysis.case == 2
         assert analysis.status == "charts"
-        assert analysis.power_tests["radius_condition"] == "deepened to 3"
         chart = analysis.charts[0]
+        # v(x) + v(f'(0)) = 0 mod 3 with v(f'(0)) = v(-2) = 0 puts the disc's
+        # points at v(x) = 3, 6, ...: the scale U, the z^3 coefficient of x,
+        # is a unit
+        assert chart.x_series.coefficient(3).valuation == 0
         z0 = PadicNumber.from_int(7, Q7)
         x0 = chart.x_series.eval_at(z0)
         y0 = chart.y_series.eval_at(z0)
@@ -526,11 +530,38 @@ class TestDiscCharts:
         diff = y0**3 - fx
         assert diff.is_zero or diff.valuation >= 8
 
-    def test_case_two_multiplicity_unanalyzed(self):
-        curve = SuperellipticCurve(3, [0, 0, -1, 1])  # x^2(x - 1)
-        analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
-        assert analysis.status == "unanalyzed"
-        assert "multiplicity" in analysis.detail
+    @pytest.mark.parametrize(
+        "m, ctx, roots, sheets",
+        [
+            (3, Q7, [(0, 2), (1, 1)], 1),  # Q = -1, d = 1
+            (4, Q13, [(0, 2), (1, 1), (4, 1)], 2),  # Q = 4 = 2^2
+            (4, Q13, [(0, 2), (1, 1), (2, 1)], 0),  # Q = 2, no square mod 13
+            (6, Q7, [(0, 3), (1, 1), (6, 1)], 3),  # Q = 6 = (-1)^3
+        ],
+        ids=["m3_one_sheet", "m4_two_sheets", "m4_no_points", "m6_three_sheets"],
+    )
+    def test_case_two_multiplicity(self, m, ctx, roots, sheets):
+        # a branch point of multiplicity k at the origin gives gcd(k, m)
+        # sheets when Q is a gcd(k, m)-th power, and no points otherwise
+        curve = SuperellipticCurve.from_branch_points(m, 1, roots)
+        analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, ctx)
+        assert analysis.case == 2
+        assert len(analysis.charts) == sheets
+        if not sheets:
+            assert analysis.status == "no_points"
+            assert analysis.power_tests["d_th_power(Q0)"] == "False"
+            assert analysis.detail.endswith("over this disc")
+            return
+        assert analysis.status == "charts"
+        p = ctx.prime
+        for chart in analysis.charts:
+            for z in (p, 2 * p, p * p):
+                z0 = PadicNumber.from_int(z, ctx)
+                x0 = chart.x_series.eval_at(z0)
+                y0 = chart.y_series.eval_at(z0)
+                fx = PadicNumber.from_fraction(curve.evaluate_f(lift_fraction(x0)), ctx)
+                diff = y0**m - fx
+                assert diff.is_zero or diff.valuation >= 8
 
     def test_case_three_odd_m_rejected(self):
         curve = SuperellipticCurve(3, [98, 0, -51, 0, 1])
@@ -547,6 +578,90 @@ class TestDiscCharts:
                 assert analysis.case == 3
                 assert analysis.status == "unanalyzed"
                 assert analysis.charts == []
+
+
+def _binomial_shift(coeffs, c, ctx):
+    """f(c + t) by binomial expansion, term by term: the reference for the
+    Taylor shift."""
+    out = [PadicNumber.zero(ctx) for _ in coeffs]
+    for k, ck in enumerate(coeffs):
+        for j in range(k + 1):
+            term = PadicNumber.from_fraction(ck * math.comb(k, j), ctx) * c ** (k - j)
+            out[j] = out[j] + term
+    return out
+
+
+class TestShiftPolyPadic:
+    def test_seeded_sweep_against_exact_and_binomial_shift(self):
+        # at a rational center the shift agrees with the exact rational one,
+        # and at a p-adic center with the binomial expansion, to every
+        # digit of working precision
+        rng = random.Random(19)
+        shift = superchab.geometry._shift_poly_padic
+        for p in (5, 7, 13):
+            ctx = PadicContext(p, 20)
+            for _ in range(30):
+                coeffs = [Fraction(rng.randint(-50, 50)) for _ in range(rng.randint(2, 10))]
+                center = rng.randint(-3 * p, 3 * p)
+                exact = ratpoly.compose_linear(coeffs, Fraction(center), Fraction(1))
+                exact += [Fraction(0)] * (len(coeffs) - len(exact))
+                unit = rng.randrange(1, p) + p * rng.randrange(p**19)
+                padic_center = PadicNumber(ctx, rng.randint(0, 3), unit, 20)
+                pairs = [
+                    *zip(shift(coeffs, PadicNumber.from_int(center, ctx), ctx),
+                         [PadicNumber.from_fraction(e, ctx) for e in exact]),
+                    *zip(shift(coeffs, padic_center, ctx),
+                         _binomial_shift(coeffs, padic_center, ctx)),
+                ]
+                for got, want in pairs:
+                    diff = got - want
+                    assert diff.is_zero or diff.valuation >= ctx.precision
+
+
+def _is_dth_power_in_qp(q, d, p):
+    """Brute force for an integer q != 0 and p not dividing d: v_p(q) is a
+    multiple of d and the unit residue is a d-th power mod p."""
+    v = 0
+    while q % p == 0:
+        q //= p
+        v += 1
+    return v % d == 0 and q % p in {pow(u, d, p) for u in range(1, p)}
+
+
+class TestDiscStatusOracle:
+    def test_seeded_sweep_against_brute_force_power_test(self):
+        # a residue disc with one root o of multiplicity k, or none (o the
+        # residue, k = 0), has d = gcd(k, m) charts exactly when
+        # Q = lead * prod (o - theta)^n over the other roots is a d-th power
+        rng = random.Random(19)
+        seen = {}
+        start = time.process_time()
+        for m in range(3, 7):
+            p = next(r for r in range(m + 1, 50) if is_prime(r) and r % m == 1)
+            ctx = PadicContext(p, 20)
+            for _ in range(6):
+                lead = rng.choice([1, -1, 2, 3, p, 2 * p, p * p])
+                thetas = rng.sample(range(-12, 13), rng.randint(2, 4))
+                roots = [(t, rng.randint(1, m - 1)) for t in thetas]
+                curve = SuperellipticCurve.from_branch_points(m, lead, roots)
+                for x in range(p):
+                    inside = [(t, n) for t, n in roots if (t - x) % p == 0]
+                    if len(inside) > 1:
+                        continue
+                    o, k = inside[0] if inside else (x, 0)
+                    q = math.prod(((o - t) ** n for t, n in roots if t != o), start=lead)
+                    d = math.gcd(k, m)
+                    charted = _is_dth_power_in_qp(q, d, p)
+                    analysis = parameterize_disc(DiscSpec(Fraction(x)), curve, ctx)
+                    assert analysis.case == len(inside) + 1
+                    assert analysis.status == ("charts" if charted else "no_points")
+                    if charted:
+                        assert len(analysis.charts) == d
+                        assert analysis.attained >= ctx.precision // 2
+                    key = (analysis.status, k > 1)
+                    seen[key] = seen.get(key, 0) + 1
+        assert time.process_time() - start < 3.0
+        assert len(seen) == 4 and min(seen.values()) >= 5, seen
 
 
 class TestInertBranch:
