@@ -30,9 +30,8 @@ from .geometry import (
     enumerate_maximal_annuli,
     parameterize_annulus,
     parameterize_disc,
-    qp_roots,
 )
-from .padic import PadicContext, PadicNumber, chabauty_prime
+from .padic import PadicContext, PadicNumber, chabauty_prime, qp_roots
 from .search import RationalPoint, SearchReport, enumerate_points, verify_bound
 from .series import AnnulusSpec, LaurentSeries, bc_integral
 

@@ -68,12 +68,13 @@ class CurveInput:
 
 
 class _Scanner:
-    def __init__(self, text: str):
+    def __init__(self, text: str, first_line: int):
         self.text = text
+        self.first_line = first_line
         self.i = 0
 
     def _linecol(self, at: int) -> tuple[int, int]:
-        line = self.text.count("\n", 0, at) + 1
+        line = self.text.count("\n", 0, at) + self.first_line
         column = at - (self.text.rfind("\n", 0, at) + 1) + 1
         return line, column
 
@@ -123,8 +124,10 @@ class _Scanner:
         return Fraction(num)
 
 
-def parse_curve_input(text: str) -> CurveInput:
-    sc = _Scanner(text)
+def parse_curve_input(text: str, first_line: int = 1) -> CurveInput:
+    """Parse one curve text.  Errors count lines from first_line, the
+    text's line in its batch file."""
+    sc = _Scanner(text, first_line)
     sc.expect("m")
     sc.expect("=")
     m_at = sc.i
@@ -344,14 +347,16 @@ def _apply_flags(cin: CurveInput, args: argparse.Namespace) -> None:
     cin.height = args.height
 
 
-def _process(command: str, text: str | None, args: argparse.Namespace) -> tuple[dict, int]:
+def _process(
+    command: str, line: int, text: str | None, args: argparse.Namespace
+) -> tuple[dict, int]:
     try:
         if text is None:
             if args.m is None:
                 raise CurveParseError("--m is required", 1, 1)
             cin = CurveInput(m=args.m)
         else:
-            cin = parse_curve_input(text)
+            cin = parse_curve_input(text, line)
         _apply_flags(cin, args)
         return run(command, cin), EXIT_OK
     except CurveParseError as exc:
@@ -397,16 +402,18 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.batch:
+            # each text keeps its line number and indentation, so an error
+            # names the line and column in the file
             with open(args.batch, encoding="utf-8") as fh:
-                texts = [line.strip() for line in fh if line.strip()]
+                texts = [(n, line.rstrip()) for n, line in enumerate(fh, 1) if line.strip()]
         else:
-            texts = [_single_text(args)]
+            texts = [(1, _single_text(args))]
     except (OSError, CurveParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     code = EXIT_OK
-    for text in texts:
-        payload, text_code = _process(args.command, text, args)
+    for line, text in texts:
+        payload, text_code = _process(args.command, line, text, args)
         print(_dump(payload))
         if "error" in payload or not args.json:
             print(_summary(args.command, payload), file=sys.stderr)

@@ -1,5 +1,7 @@
 """Residue geometry over Q_p: cluster trees of branch points, maximal
-annuli, their classification, and explicit verified chart maps.
+annuli, their classification, and explicit verified chart maps.  The
+branch points themselves are the Q_p roots that padic.qp_roots finds;
+this module arranges them.
 
 Every chart, on an annulus or on a disc, recentres f at an origin o and
 reads the curve through one identity,
@@ -39,13 +41,10 @@ from .padic import (
     PadicContext,
     PadicNumber,
     _check_cap,
-    _hensel_lift,
-    _poly_derivative_int,
-    _poly_eval_mod,
-    _vp,
     is_mth_power,
     mth_root,
     primitive_root_of_unity,
+    qp_roots,
 )
 from .series import AnnulusSpec, LaurentSeries, TailBound, branch_root_series
 
@@ -67,92 +66,16 @@ __all__ = [
     "parameterize_annulus",
     "parameterize_disc",
     "pruned_annulus_count",
-    "qp_roots",
 ]
 
 
-# -- root finding over Q_p -----------------------------------------------------
+# -- branch points over Q_p ----------------------------------------------------
 
-# qp_roots scans all p residues once per square-free block, so its time grows
-# linearly in p: about 1 s of CPU at p = 999979 for a quartic with four
+# padic.qp_roots scans all p residues once per square-free block, so its time
+# grows linearly in p: about 1 s of CPU at p = 999979 for a quartic with four
 # rational roots (2-core x86 host, Python 3.11).  The limit admits the least
 # prime = 1 mod m for every m up to padic.MAX_M (the largest is 496747).
 MAX_PRIME = 1_000_000
-
-
-def _hensel_root(P: list[int], a: int, ctx: PadicContext) -> PadicNumber:
-    """Lift of a simple residue root a to `precision` known digits.  The root
-    is a unit unless a = 0; there P'(0) is a unit, so the root has valuation
-    v(P(0)) and is lifted by that many more digits (P(0) = 0: exact zero)."""
-    p = ctx.prime
-    if a == 0 and P[0] == 0:
-        return PadicNumber.zero(ctx)
-    v = _vp(P[0], p) if a == 0 else 0
-    x = _hensel_lift(P, a, p, ctx.precision + v)
-    return PadicNumber(ctx, v, x // p**v, ctx.precision)
-
-
-def _zp_roots_squarefree(
-    P: list[int], ctx: PadicContext, depth: int = 0
-) -> list[PadicNumber]:
-    """Simple roots of a square-free integer polynomial in Z_p; a disc still
-    unresolved after 3 * precision zoom levels is given up."""
-    p = ctx.prime
-    if depth > 3 * ctx.precision:
-        return []
-    return [
-        root
-        for a in range(p)
-        if _poly_eval_mod(P, a, p) == 0
-        for root in _zp_roots_in_residue(P, a, ctx, depth)
-    ]
-
-
-def _zp_roots_in_residue(
-    P: list[int], a: int, ctx: PadicContext, depth: int
-) -> list[PadicNumber]:
-    """Roots in a + pZ_p of a square-free integer polynomial with a root a
-    mod p."""
-    p = ctx.prime
-    if _poly_eval_mod(_poly_derivative_int(P), a, p) != 0:
-        return [_hensel_root(P, a, ctx)]
-    # repeated residue root: zoom in on the sub-disc a + pZ_p
-    zoomed = ratpoly.compose_linear(P, Fraction(a), Fraction(p))
-    rescaled = [int(c) for c in zoomed]
-    content = min(_vp(q, p) for q in rescaled if q != 0)
-    Q = [q // p**content for q in rescaled]
-    a_p = PadicNumber.from_int(a, ctx)
-    p_p = PadicNumber.from_int(p, ctx)
-    return [a_p + p_p * y for y in _zp_roots_squarefree(Q, ctx, depth + 1)]
-
-
-def qp_roots(
-    coeffs: list[Fraction], ctx: PadicContext
-) -> tuple[list[PadicNumber], bool]:
-    """All Q_p roots of a square-free rational polynomial, plus a flag
-    telling whether the polynomial splits completely over Q_p.  Roots of
-    negative valuation invert the roots in pZ_p of the reversal R, so R is
-    searched at residue 0 alone.  The flag is len(roots) == deg: when P
-    splits over Q_p every residue root lies over a root, so a disc the zoom
-    gives up on, which holds none of the roots found, leaves fewer than deg.
-    """
-    poly = ratpoly.normalize([Fraction(c) for c in coeffs])
-    deg = ratpoly.degree(poly)
-    if deg < 1:
-        return [], True
-    if not ratpoly.is_squarefree(poly):
-        raise ValueError("qp_roots expects a square-free polynomial")
-    roots: list[PadicNumber] = []
-    # strip a root at the origin before reversing
-    if poly[0] == 0:
-        roots.append(PadicNumber.zero(ctx))
-        poly = poly[1:]
-    P = ratpoly._primitive(poly)
-    roots.extend(_zp_roots_squarefree(P, ctx))
-    if P[-1] % ctx.prime == 0:
-        one = PadicNumber.from_int(1, ctx)
-        roots.extend(one / r for r in _zp_roots_in_residue(P[::-1], 0, ctx, 0))
-    return roots, len(roots) == deg
 
 
 def curve_branch_points(
@@ -631,18 +554,6 @@ class DiscAnalysis:
     detail: str = ""
 
 
-def _shift_poly_padic(
-    coeffs: list[Fraction], c: PadicNumber, ctx: PadicContext
-) -> list[PadicNumber]:
-    """f(c + t) coefficients around a p-adic center, by the Taylor shift:
-    deg f rounds of synthetic division by t - c."""
-    out = [PadicNumber.from_fraction(ck, ctx) for ck in coeffs]
-    for i in range(len(out) - 1):
-        for j in range(len(out) - 2, i - 1, -1):
-            out[j] = out[j] + c * out[j + 1]
-    return out
-
-
 def parameterize_disc(
     spec: DiscSpec,
     curve: SuperellipticCurve,
@@ -683,13 +594,14 @@ def parameterize_disc(
 
     [(origin, k)] = inside or [(center_p, 0)]
     outer = [(th - origin, n) for th, n in outside]
-    lead = PadicNumber.from_fraction(curve.leading_coefficient, ctx)
-    q = math.prod(((-th) ** n for th, n in outer), start=lead)
+    f_padic = [PadicNumber.from_fraction(c, ctx) for c in curve.f]
+    q = math.prod(((-th) ** n for th, n in outer), start=f_padic[-1])
     order = max(24, ctx.precision // 2 + 8)
     return _build_charts(
         DiscAnalysis(len(inside) + 1, "unanalyzed"), m, q, k, origin, ([], outer),
         AnnulusSpec.disc(), order, cut=order,
-        f_coeffs=_shift_poly_padic(curve.f, origin, ctx), cap=lambda n: ctx.precision,
+        f_coeffs=ratpoly.compose_linear(f_padic, origin, PadicNumber.from_int(1, ctx)),
+        cap=lambda n: ctx.precision,
     )
 
 

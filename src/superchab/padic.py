@@ -13,6 +13,13 @@ without a call per pair.  Each `PadicContext` builds its table
 p^0..p^precision once (`PadicContext.powers`), and the arithmetic reads
 moduli from it.  The precision is capped at MAX_PRECISION,
 so the table stays small.
+
+Every root in Z_p the package needs is found here, by a scan of the
+residues mod p and one Newton lift (`_hensel_lift`): the m-th root gamma of
+a chart (`mth_root`), the root of unity zeta_m of its deck action
+(`primitive_root_of_unity`), and the Q_p roots of a rational polynomial, the
+branch points of y^m = f(x) (`qp_roots`, which zooms into a residue that is
+a repeated root mod p).
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+
+from . import ratpoly
 
 __all__ = [
     "ChartVerificationError",
@@ -36,6 +45,7 @@ __all__ = [
     "mth_root",
     "is_mth_power",
     "primitive_root_of_unity",
+    "qp_roots",
 ]
 
 # The power table of a context holds O(precision^2) bits.
@@ -397,7 +407,7 @@ def mth_root(x: PadicNumber, m: int) -> PadicNumber:
         raise ValueError("not an m-th power in Q_p")
     p = x.context.prime
     u0 = x.residue()
-    w0 = min(w for w in range(1, p) if pow(w, m, p) == u0)
+    w0 = next(w for w in range(1, p) if pow(w, m, p) == u0)
     w = _hensel_lift([-x.unit_mod(x.known)] + [0] * (m - 1) + [1], w0, p, x.known)
     return PadicNumber(x.context, x.valuation // m, w, x.known)
 
@@ -422,6 +432,85 @@ def primitive_root_of_unity(m: int, ctx: PadicContext) -> PadicNumber:
         raise ChartVerificationError(f"no residue of order {m} modulo {p}")
     w = _hensel_lift([-1] + [0] * (m - 1) + [1], w0, p, ctx.precision)
     return PadicNumber(ctx, 0, w, ctx.precision)
+
+
+# -- roots of rational polynomials in Q_p --------------------------------------
+
+
+def _hensel_root(P: list[int], a: int, ctx: PadicContext) -> PadicNumber:
+    """Lift of a simple residue root a to `precision` known digits.  The root
+    is a unit unless a = 0; there P'(0) is a unit, so the root has valuation
+    v(P(0)) and is lifted by that many more digits (P(0) = 0: exact zero)."""
+    p = ctx.prime
+    if a == 0 and P[0] == 0:
+        return PadicNumber.zero(ctx)
+    v = _vp(P[0], p) if a == 0 else 0
+    x = _hensel_lift(P, a, p, ctx.precision + v)
+    return PadicNumber(ctx, v, x // p**v, ctx.precision)
+
+
+def _zp_roots_squarefree(
+    P: list[int], ctx: PadicContext, depth: int = 0
+) -> list[PadicNumber]:
+    """Simple roots of a square-free integer polynomial in Z_p; a disc still
+    unresolved after 3 * precision zoom levels is given up."""
+    p = ctx.prime
+    if depth > 3 * ctx.precision:
+        return []
+    return [
+        root
+        for a in range(p)
+        if _poly_eval_mod(P, a, p) == 0
+        for root in _zp_roots_in_residue(P, a, ctx, depth)
+    ]
+
+
+def _zp_roots_in_residue(
+    P: list[int], a: int, ctx: PadicContext, depth: int
+) -> list[PadicNumber]:
+    """Roots in a + pZ_p of a square-free integer polynomial with a root a
+    mod p."""
+    p = ctx.prime
+    if _poly_eval_mod(_poly_derivative_int(P), a, p) != 0:
+        return [_hensel_root(P, a, ctx)]
+    # repeated residue root: zoom in on the sub-disc a + pZ_p
+    zoomed = ratpoly.compose_linear(P, a, p)
+    content = min(_vp(q, p) for q in zoomed if q != 0)
+    Q = [q // p**content for q in zoomed]
+    a_p = PadicNumber.from_int(a, ctx)
+    p_p = PadicNumber.from_int(p, ctx)
+    return [a_p + p_p * y for y in _zp_roots_squarefree(Q, ctx, depth + 1)]
+
+
+def qp_roots(
+    coeffs: list[Fraction], ctx: PadicContext
+) -> tuple[list[PadicNumber], bool]:
+    """All Q_p roots of a square-free rational polynomial, plus a flag
+    telling whether the polynomial splits completely over Q_p.  Roots of
+    negative valuation invert the roots in pZ_p of the reversal R, so R is
+    searched at residue 0 alone.  The flag is len(roots) == deg: when P
+    splits over Q_p every residue root lies over a root, so a disc the zoom
+    gives up on, which holds none of the roots found, leaves fewer than deg.
+    """
+    poly = ratpoly.normalize(coeffs)
+    deg = ratpoly.degree(poly)
+    if deg < 1:
+        return [], True
+    if not ratpoly.is_squarefree(poly):
+        raise ValueError("qp_roots expects a square-free polynomial")
+    roots: list[PadicNumber] = []
+    # strip a root at the origin before reversing
+    if poly[0] == 0:
+        roots.append(PadicNumber.zero(ctx))
+        poly = poly[1:]
+    P = ratpoly._primitive(poly)
+    roots.extend(_zp_roots_squarefree(P, ctx))
+    if P[-1] % ctx.prime == 0:
+        one = PadicNumber.from_int(1, ctx)
+        roots.extend(one / r for r in _zp_roots_in_residue(P[::-1], 0, ctx, 0))
+    return roots, len(roots) == deg
+
+
 
 
 def _ilog(n: int, p: int) -> int:

@@ -1,9 +1,10 @@
 """Dense polynomials over Q as plain coefficient lists (ascending powers).
 
 Just enough exact machinery for the curve model: arithmetic, the integer
-form, gcd (on the integer form, so coefficient sizes stay bounded), and Yun's
-square-free decomposition.  Lists are never mutated in place
-by the exported helpers.
+form, gcd (on the integer form, so coefficient sizes stay bounded), Yun's
+square-free decomposition, and the package's one recentring f(a + b*x),
+which also runs over integer and p-adic coefficients.  Lists are never
+mutated in place by the exported helpers.
 """
 
 from __future__ import annotations
@@ -150,12 +151,21 @@ def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]
     return lead, factors
 
 
-def compose_linear(f: Poly, a: Fraction, b: Fraction) -> Poly:
-    """f(a + b*x)."""
-    out: Poly = []
-    for c in reversed(normalize(f)):
-        out = add(mul(out, [a, b]), [c])
-    return out
+def compose_linear(f: list, a, b) -> list:
+    """f(a + b*x), by the Taylor shift: deg f rounds of synthetic division
+    by x - a give f(a + x), then x -> b*x.
+
+    It works over int, Fraction and PadicNumber alike: f, a and b share one
+    type (b = 1 over Q_p is PadicNumber.from_int(1, ctx)), and every sum and
+    product runs in it.  Nothing is normalised, so a trailing zero of f
+    stays in the result; callers pass f without one (curve.f and the
+    primitive integer forms have none).
+    """
+    out = list(f)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] = out[j] + a * out[j + 1]
+    return [c * b**i for i, c in enumerate(out)]
 
 
 def reverse(f: Poly, n: int) -> Poly:

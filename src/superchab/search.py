@@ -103,12 +103,21 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _iroot(n: int, k: int) -> tuple[int, bool]:
-    """Largest r >= 0 with r^k <= n, plus exactness, by integer Newton."""
+    """Largest r >= 0 with r^k <= n, plus exactness, by integer Newton.
+
+    The step y = floor(((k-1) x + floor(n / x^(k-1))) / k) equals
+    floor(((k-1) x + n / x^(k-1)) / k), since floor((A + floor(B)) / k) =
+    floor((A + B) / k) for an integer A; by AM-GM that real mean is at
+    least n^(1/k), so every step stays at or above r.  While x > r, x^k > n
+    puts n / x^(k-1) below x, so the step goes strictly down.  The start
+    2^ceil(bits(n) / k) is above r, so the loop stops exactly at r, with no
+    correction after it.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if k < 1:
         raise ValueError("root index must be positive")
-    if n in (0, 1) or k == 1:
+    if n in (0, 1):
         return n, True
     if n.bit_length() <= k:  # 2 <= n < 2^k
         return 1, False
@@ -118,10 +127,6 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
         if y >= x:
             break
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
     return x, x ** k == n
 
 

@@ -86,8 +86,9 @@ def test_disc_residual_below_k_survives_optimize():
     # residual's constant term -f(o), of valuation 5, misses target 10
     code = (
         "import math, sys\n"
-        "from superchab.geometry import DiscAnalysis, _build_charts, _shift_poly_padic, qp_roots\n"
-        "from superchab.padic import ChartVerificationError, PadicContext, PadicNumber\n"
+        "from superchab.geometry import DiscAnalysis, _build_charts\n"
+        "from superchab.padic import ChartVerificationError, PadicContext, PadicNumber, qp_roots\n"
+        "from superchab.ratpoly import compose_linear\n"
         "from superchab.series import AnnulusSpec\n"
         "ctx = PadicContext(7, 20)\n"
         "o = 7**5\n"
@@ -99,7 +100,9 @@ def test_disc_residual_below_k_survives_optimize():
         "try:\n"
         "    analysis = _build_charts(\n"
         "        DiscAnalysis(2, 'unanalyzed'), 3, q, 1, origin, ([], outer),\n"
-        "        AnnulusSpec.disc(), 24, 24, _shift_poly_padic([0, -2, 0, 1], origin, ctx),\n"
+        "        AnnulusSpec.disc(), 24, 24,\n"
+        "        compose_linear([PadicNumber.from_int(c, ctx) for c in [0, -2, 0, 1]],\n"
+        "                       origin, PadicNumber.from_int(1, ctx)),\n"
         "        lambda n: 20)\n"
         "    print('silent', analysis.status, analysis.attained)\n"
         "except ChartVerificationError as exc:\n"

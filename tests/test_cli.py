@@ -473,6 +473,15 @@ class TestBatch:
         assert "genus" in payloads[0]
         assert captured.err == f"error: {payloads[1]['error']}\n"
 
+    def test_errors_name_the_line_and_column_in_the_file(self, tmp_path, capsys):
+        # a blank line still counts, and indentation shifts the column
+        batch = tmp_path / "curves.txt"
+        batch.write_text("m=3; f=[1,0,0,0,1]\n\n  m=3; f=[1,0,x]\n")
+        code, payloads, _ = _run(capsys, ["genus", "--batch", str(batch), "--json"])
+        assert code == 3
+        assert payloads[0]["genus"] == 3
+        assert payloads[1]["error"] == "line 3, column 15: expected an integer"
+
     def test_batch_search(self, tmp_path, capsys):
         batch = tmp_path / "curves.txt"
         batch.write_text("m=3; f=[1,0,0,0,1]\nm=2; f=[1,0,0,0,0,0,1]\n")
@@ -564,11 +573,11 @@ class TestGolden:
             '"verification_precision":10}],"annulus_count":2,"command":"analyze",'
             '"m":3,"precision":20,"prime":7,"schema":1}\n'
             '{"command":"analyze","error":"' + INERT_ERROR + '","schema":1}\n'
-            '{"command":"analyze","error":"line 1, column 13: expected an integer",'
+            '{"command":"analyze","error":"line 3, column 13: expected an integer",'
             '"schema":1}\n'
         )
         assert captured.err == (
             "2 annulus orbit(s) analyzed at prime 7\n"
             "error: " + INERT_ERROR + "\n"
-            "error: line 1, column 13: expected an integer\n"
+            "error: line 3, column 13: expected an integer\n"
         )

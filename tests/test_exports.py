@@ -130,6 +130,18 @@ def test_denominators_cleared_only_in_ratpoly():
     assert users == ["ratpoly.py"]
 
 
+@pytest.mark.parametrize(
+    "helper", ["_hensel_lift", "_poly_eval_mod", "_poly_derivative_int", "_vp"]
+)
+def test_zp_roots_found_only_in_padic(helper):
+    """Roots in Z_p (branch points, m-th roots, roots of unity) have one
+    finder, in padic.py: no other module reaches its residue scan, its
+    Newton lift or the valuation they read."""
+    paths = sorted(Path(superchab.__file__).parent.glob("*.py"))
+    users = [path.name for path, tree in zip(paths, _parse(paths)) if _references(tree)[helper]]
+    assert users == ["padic.py"]
+
+
 def test_cli_envelope_written_once():
     """The payload envelope has one writer for results (cli.run) and one for
     errors (cli._process); a command that adds its own "schema" key is a

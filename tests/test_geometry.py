@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import superchab.geometry
+import superchab.padic
 from helpers import lift_fraction, series_agree
 from superchab import ratpoly
 from superchab.curve import SuperellipticCurve, genus
@@ -20,7 +21,6 @@ from superchab.geometry import (
     parameterize_annulus,
     parameterize_disc,
     pruned_annulus_count,
-    qp_roots,
 )
 from superchab.padic import (
     PadicContext,
@@ -28,6 +28,7 @@ from superchab.padic import (
     is_mth_power,
     is_prime,
     primitive_root_of_unity,
+    qp_roots,
 )
 from superchab.series import LaurentSeries
 
@@ -121,9 +122,9 @@ def _two_scan_qp_roots(coeffs, ctx):
     P = [int(c * den) for c in poly]
     g = math.gcd(*(abs(c) for c in P))
     P = [c // g for c in P]
-    nonneg = superchab.geometry._zp_roots_squarefree(P, ctx)
+    nonneg = superchab.padic._zp_roots_squarefree(P, ctx)
     roots.extend(nonneg)
-    small = superchab.geometry._zp_roots_squarefree(list(reversed(P)), ctx)
+    small = superchab.padic._zp_roots_squarefree(list(reversed(P)), ctx)
     one = PadicNumber.from_int(1, ctx)
     for r in small:
         if not r.is_zero and r.valuation >= 1:
@@ -591,13 +592,20 @@ def _binomial_shift(coeffs, c, ctx):
     return out
 
 
+def _padic_shift(coeffs, c, ctx):
+    """f(c + t) over Q_p as parameterize_disc computes it: the Taylor shift
+    of ratpoly.compose_linear on the p-adic images of the coefficients."""
+    padic = [PadicNumber.from_fraction(ck, ctx) for ck in coeffs]
+    return ratpoly.compose_linear(padic, c, PadicNumber.from_int(1, ctx))
+
+
 class TestShiftPolyPadic:
     def test_seeded_sweep_against_exact_and_binomial_shift(self):
         # at a rational center the shift agrees with the exact rational one,
         # and at a p-adic center with the binomial expansion, to every
         # digit of working precision
         rng = random.Random(19)
-        shift = superchab.geometry._shift_poly_padic
+        shift = _padic_shift
         for p in (5, 7, 13):
             ctx = PadicContext(p, 20)
             for _ in range(30):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superchab.geometry import qp_roots
 from superchab.padic import (
     MAX_M,
     MAX_PRECISION,
@@ -22,6 +21,7 @@ from superchab.padic import (
     iwasawa_log,
     mth_root,
     primitive_root_of_unity,
+    qp_roots,
 )
 
 Q7 = PadicContext(7, 20)
@@ -210,6 +210,8 @@ class TestHenselLift:
             (PadicNumber.from_int(3, q13), 4, (0, 29490207606702364, 15)),
             (PadicNumber.from_rational(25, 6, q31), 5, (0, 325107998386650448, 12)),
             (PadicNumber.from_int(31**5 * 30, q31), 5, (1, 534764195231326620, 12)),
+            # the scan stops at the least cube root 60 of 60^3 mod p
+            (PadicNumber.from_int(216000, PadicContext(999979, 20)), 3, (0, 60, 20)),
         ]
         for x, m, want in cases:
             assert self._digits(mth_root(x, m)) == want

@@ -107,3 +107,29 @@ class TestSquarefreeDecomposition:
             got_lead, got = ratpoly.squarefree_decomposition(f)
             assert got_lead == lead
             assert sorted((e, g) for g, e in got) == sorted((e, g) for g, e in factors)
+
+
+def _horner_compose(f, a, b):
+    """f(a + b*x) by Horner over polynomials, as ratpoly.compose_linear
+    computed it before the Taylor shift."""
+    out = []
+    for c in reversed(ratpoly.normalize(f)):
+        out = ratpoly.add(ratpoly.mul(out, [a, b]), [c])
+    return out
+
+
+class TestComposeLinear:
+    def test_taylor_shift_matches_horner(self):
+        # over Fraction and over int (the Q_p zoom's integer polynomials),
+        # with the same values and an int result for int input
+        rng = random.Random(2020)
+        for _ in range(200):
+            f = _random_poly(rng, rng.randint(0, 9), rng.choice(((1,), (2, 3, 7))))
+            a = Fraction(rng.randint(-30, 30), rng.choice((1, 1, 4)))
+            b = Fraction(rng.choice((1, 3, 7, 49, -5)), rng.choice((1, 1, 2)))
+            assert ratpoly.compose_linear(f, a, b) == _horner_compose(f, a, b)
+            ints = [rng.randint(-99, 99) for _ in range(rng.randint(0, 9))] + [rng.randint(1, 9)]
+            a, b = rng.randint(0, 12), rng.choice((2, 7, 13))
+            got = ratpoly.compose_linear(ints, a, b)
+            assert all(type(c) is int for c in got)
+            assert got == _horner_compose(ints, Fraction(a), Fraction(b))

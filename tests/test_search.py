@@ -216,6 +216,27 @@ class TestIntegerRoot:
         assert not exact
         assert r ** 4 <= n < (r + 1) ** 4
 
+    @staticmethod
+    def _check(n, k):
+        r, exact = _iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+        assert exact == (r ** k == n)
+
+    def test_exhaustive_small(self):
+        # Newton alone stops at the floor root: no correction step after it
+        for k in range(1, 9):
+            for n in range(1 << 14):
+                self._check(n, k)
+
+    def test_random_large_and_neighbours_of_powers(self):
+        rng = random.Random(4141)
+        for _ in range(3000):
+            k = rng.randint(1, 40)
+            self._check(rng.getrandbits(rng.randint(1, 3000)), k)
+            r = rng.getrandbits(rng.randint(1, 3000 // k)) + 1
+            for n in (r ** k - 1, r ** k, r ** k + 1):
+                self._check(n, k)
+
 
 def is_on_curve(pt: RationalPoint, curve: SuperellipticCurve) -> bool:
     """Exact check y^m = f(x) for an affine point."""
