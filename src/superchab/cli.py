@@ -67,6 +67,11 @@ class CurveInput:
         return SuperellipticCurve(self.m, self.coefficients)
 
 
+# The only whitespace the grammar knows, also what a batch line is trimmed
+# of, so no character outside ASCII is ever skipped.
+_WHITESPACE = " \t\r\n"
+
+
 class _Scanner:
     def __init__(self, text: str, first_line: int):
         self.text = text
@@ -83,7 +88,7 @@ class _Scanner:
         raise CurveParseError(message, line, column)
 
     def skip_ws(self) -> None:
-        while self.i < len(self.text) and self.text[self.i] in " \t\r\n":
+        while self.i < len(self.text) and self.text[self.i] in _WHITESPACE:
             self.i += 1
 
     def at_end(self) -> bool:
@@ -107,10 +112,17 @@ class _Scanner:
         if self.i < len(self.text) and self.text[self.i] in "+-":
             self.i += 1
         digits = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
             self.i += 1
         if self.i == digits:
             self.fail("expected an integer", start)
+        limit = sys.get_int_max_str_digits()
+        if limit and self.i - digits > limit:
+            self.fail(
+                f"integer literal of {self.i - digits} digits exceeds the "
+                f"limit of {limit} digits",
+                start,
+            )
         return int(self.text[start : self.i])
 
     def rational(self) -> Fraction:
@@ -405,10 +417,14 @@ def main(argv: list[str] | None = None) -> int:
             # each text keeps its line number and indentation, so an error
             # names the line and column in the file
             with open(args.batch, encoding="utf-8") as fh:
-                texts = [(n, line.rstrip()) for n, line in enumerate(fh, 1) if line.strip()]
+                texts = [
+                    (n, line.rstrip(_WHITESPACE))
+                    for n, line in enumerate(fh, 1)
+                    if line.strip(_WHITESPACE)
+                ]
         else:
             texts = [(1, _single_text(args))]
-    except (OSError, CurveParseError) as exc:
+    except (OSError, UnicodeDecodeError, CurveParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     code = EXIT_OK

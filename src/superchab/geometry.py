@@ -9,12 +9,13 @@ reads the curve through one identity,
     y^m = Q * t^k * h(t)^m,
 
 with t the recentred coordinate, k the branch points (with multiplicity) at
-the origin, h the unit product of the branch factors (1 - theta/t)^(n/m)
-inside and (1 - t/theta)^(n/m) outside, and Q the leading coefficient times
-prod (-theta)^n over the outside points.  On an annulus k counts the points
-inside; a disc's origin is its one branch point, with k its multiplicity,
-or its center, with k = 0.  The callers pick (o, Q, k) and the budget, and
-one set-up, _build_charts, does the rest.  With d = gcd(k, m) it records
+the origin, h the unit product of the branch factors, (1 - theta/t)^(n/m)
+for v(theta) > 0 (inside) and (1 - t/theta)^(n/m) for v(theta) <= 0
+(outside), and Q the leading coefficient times prod (-theta)^n over the
+outside points.  On an annulus k counts the points inside; a disc's origin
+is its one branch point, with k its multiplicity, or its center, with
+k = 0.  The callers pick (o, Q, k) and the budget, and one set-up,
+_build_charts, does the rest.  With d = gcd(k, m) it records
 no_points when Q is not a d-th power; otherwise it finds a scale U with
 gamma^m = Q * U^k and records the d sheets t = U z^(m/d),
 y_j = zeta_m^j gamma z^(k/d) h(U z^(m/d)).  The check reads gamma^m - Q * U^k
@@ -331,32 +332,28 @@ class AnnulusAnalysis:
 
 
 def _branch_series_product(
-    theta0: list[tuple[PadicNumber, int]],
-    thetainf: list[tuple[PadicNumber, int]],
+    points: list[tuple[PadicNumber, int]],
     m: int,
     order: int,
     domain: AnnulusSpec,
     ctx: PadicContext,
 ) -> LaurentSeries:
-    """h = prod over inner points of (1 - theta/x)^(n/m) times prod over
-    outer points of (1 - x/theta)^(n/m); converges on the open annulus, or
-    on the open disc when there are no inner points.  Each partial product
-    is clipped to exponents [-order, order] on an annulus, [0, order] on a
-    disc."""
+    """h = prod of the branch factors (1 - theta/x)^(n/m) for points of
+    positive valuation and (1 - x/theta)^(n/m) for the rest; converges on
+    the open annulus, or on the open disc when no point has positive
+    valuation.  Each partial product is clipped to exponents [-order, order]
+    on an annulus, [0, order] on a disc."""
     lo = 0 if domain.is_disc else -order
     h = LaurentSeries.one(ctx, domain)
-    for side, points in (("plus", theta0), ("minus", thetainf)):
-        for th, n in points:
-            if th.is_zero:
-                continue  # factor x^n is carried by the monomial part
-            # The exactly-zero side of each factor is tagged with an explicit
-            # floor so repeated products keep the full window instead of
-            # pinning at the one-sided supports (a disc has no lower side).
-            fac = _pseudo_entire(
-                branch_root_series(th, m, side, order=order, domain=domain)
-            )
-            for _ in range(n):
-                h = (h * fac).window_clipped(lo, order)
+    for th, n in points:
+        if th.is_zero:
+            continue  # factor x^n is carried by the monomial part
+        # The exactly-zero side of each factor is tagged with an explicit
+        # floor so repeated products keep the full window instead of
+        # pinning at the one-sided supports (a disc has no lower side).
+        fac = _pseudo_entire(branch_root_series(th, m, order=order, domain=domain))
+        for _ in range(n):
+            h = (h * fac).window_clipped(lo, order)
     return h
 
 
@@ -392,7 +389,7 @@ def _verified_digits(
 
 def _build_charts(
     analysis: AnnulusAnalysis | DiscAnalysis, m: int, q: PadicNumber, k: int,
-    origin: PadicNumber, points: tuple[list, list], domain: AnnulusSpec,
+    origin: PadicNumber, points: list, domain: AnnulusSpec,
     order: int, cut: int, f_coeffs: list, cap: Callable[[int], int],
 ):
     """Decide and verify y^m = Q * t^k * h(t)^m on one chart, and record its
@@ -400,7 +397,8 @@ def _build_charts(
 
     The chart coordinate is origin + t: x on a disc, and x' on an annulus,
     whose origin is 0.  f_coeffs is f in t, and h the unit branch product
-    of the (inner, outer) points on domain, clipped at order.  With
+    of the recentred points on domain, clipped at order; each factor takes
+    its side from the point's valuation.  With
     d = gcd(k, m) there are no rational points unless Q is a d-th power.
     Otherwise a scale U makes Q * U^k = gamma^m, each sheet's x_series is
     origin + U z^(m/d), and the d sheets are
@@ -432,7 +430,7 @@ def _build_charts(
     analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
     qu = q * scale**k
     gamma = mth_root(qu, m)
-    h = _branch_series_product(*points, m, order, domain, ctx)
+    h = _branch_series_product(points, m, order, domain, ctx)
     lhs = pow(h, m, cut).shifted(k).scaled(q)
     resid = lhs - LaurentSeries.from_dict(dict(enumerate(f_coeffs)), ctx, domain)
     attained = _verified_digits(
@@ -504,8 +502,9 @@ def parameterize_annulus(
 
     scaled = ratpoly.compose_linear(curve.f, Fraction(c_rat), Fraction(p) ** L)
 
-    # the annulus's own partition check puts theta_0 at v >= beta and
-    # theta_infty at v <= 0 after recentering
+    # the annulus's own partition check puts theta_0 at v >= beta (or at
+    # zero) and theta_infty at v <= 0 after recentering, so each branch
+    # factor's valuation puts it on its side
     pl = PadicNumber.from_int(p, ctx) ** L
     c_p = PadicNumber.from_int(c_rat, ctx)
     theta0 = [((th - c_p) / pl, n) for th, n in a.theta_0]
@@ -525,7 +524,7 @@ def parameterize_annulus(
     reach = order + 1 + (vq - target) // beta
     return _build_charts(
         AnnulusAnalysis(annulus=a, status="unanalyzed"), m, q0, k0,
-        PadicNumber.zero(ctx), (theta0, thetainf), AnnulusSpec.annulus(beta),
+        PadicNumber.zero(ctx), theta0 + thetainf, AnnulusSpec.annulus(beta),
         order, cut=max(reach, 0), f_coeffs=scaled,
         cap=lambda n: beta * (order + 1 - max(0, n - k0)) + vq,
     )
@@ -598,7 +597,7 @@ def parameterize_disc(
     q = math.prod(((-th) ** n for th, n in outer), start=f_padic[-1])
     order = max(24, ctx.precision // 2 + 8)
     return _build_charts(
-        DiscAnalysis(len(inside) + 1, "unanalyzed"), m, q, k, origin, ([], outer),
+        DiscAnalysis(len(inside) + 1, "unanalyzed"), m, q, k, origin, outer,
         AnnulusSpec.disc(), order, cut=order,
         f_coeffs=ratpoly.compose_linear(f_padic, origin, PadicNumber.from_int(1, ctx)),
         cap=lambda n: ctx.precision,

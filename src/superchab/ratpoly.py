@@ -1,9 +1,11 @@
 """Dense polynomials over Q as plain coefficient lists (ascending powers).
 
-Just enough exact machinery for the curve model: arithmetic, the integer
-form, gcd (on the integer form, so coefficient sizes stay bounded), Yun's
-square-free decomposition, and the package's one recentring f(a + b*x),
-which also runs over integer and p-adic coefficients.  Lists are never
+Just enough exact machinery for the curve model: products, the integer
+form, gcd, Yun's square-free decomposition, and the package's one
+recentring f(a + b*x), which also runs over integer and p-adic
+coefficients.  The exact algebra (gcd, square-freeness, Yun) runs on
+primitive integer forms only, so coefficient sizes stay bounded and no
+Fraction is built until a monic result is returned.  Lists are never
 mutated in place by the exported helpers.
 """
 
@@ -11,32 +13,26 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 Poly = list[Fraction]
 
 
 def normalize(c: list) -> Poly:
     """Coerce to Fraction and strip trailing zeros (zero poly -> [])."""
-    out = [Fraction(x) for x in c]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return _strip([Fraction(x) for x in c])
+
+
+def _strip(f: list) -> list:
+    """f without its trailing zeros, stripped in place."""
+    while f and f[-1] == 0:
+        f.pop()
+    return f
 
 
 def degree(f: Poly) -> int:
     """Degree, with deg 0 = -1 by convention."""
     return len(f) - 1
-
-
-def add(f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    return normalize(
-        [(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)]
-    )
-
-
-def scale(f: Poly, c: Fraction) -> Poly:
-    return normalize([c * a for a in f])
 
 
 def mul(f: Poly, g: Poly) -> Poly:
@@ -47,25 +43,6 @@ def mul(f: Poly, g: Poly) -> Poly:
         for j, b in enumerate(g):
             out[i + j] += a * b
     return normalize(out)
-
-
-def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    inv_lead = 1 / g[-1]
-    while len(rem) >= len(g) and any(c != 0 for c in rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        shift = len(rem) - len(g)
-        coef = rem[-1] * inv_lead
-        quo[shift] = coef
-        for i, b in enumerate(g):
-            rem[shift + i] -= coef * b
-        rem.pop()
-    return normalize(quo), normalize(rem)
 
 
 def integer_form(f: Poly) -> tuple[list[int], int]:
@@ -100,55 +77,81 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
                 rem[shift + i] -= top * c
         rem.pop()
         shift -= 1
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+    return _strip(rem)
 
 
-def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd by a primitive pseudo-remainder sequence on the integer forms.
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer polynomials with b primitive and dividing a over Q.
+
+    By Gauss's lemma the quotient then has integer coefficients, so each
+    step of the long division divides its leading coefficient exactly.
+    """
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(quo) - 1, -1, -1):
+        coef = quo[shift] = rem[shift + len(b) - 1] // b[-1]
+        for i, c in enumerate(b):
+            rem[shift + i] -= coef * c
+    return quo
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two integer polynomials (zero for two zeros),
+    by a primitive pseudo-remainder sequence.
 
     Each remainder is divided by its content, so the coefficients stay as
     small as the gcd allows; over Fraction, Euclid's remainders grow so fast
     that degree 128 takes minutes.
     """
-    a, b = (_primitive(h) if h else [] for h in (normalize(f), normalize(g)))
+    a, b = (_primitive_part(h) if h else [] for h in (a, b))
     while b:
         r = _pseudo_remainder(a, b)
         a, b = b, (_primitive_part(r) if r else r)
-    return [Fraction(c, a[-1]) for c in a]
+    return a
 
 
-def derivative(f: Poly) -> Poly:
-    return normalize([i * c for i, c in enumerate(f)][1:])
+def _monic(f: list[int]) -> Poly:
+    return [Fraction(c, f[-1]) for c in f]
+
+
+def gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd by _int_gcd on the integer forms."""
+    return _monic(_int_gcd(*(integer_form(normalize(h))[0] for h in (f, g))))
+
+
+def derivative(f: list) -> list:
+    """f' over int or Fraction coefficients, for f with no trailing zero."""
+    return [i * c for i, c in enumerate(f)][1:]
 
 
 def squarefree_decomposition(f: Poly) -> tuple[Fraction, list[tuple[Poly, int]]]:
     """Yun's algorithm: f = lead * prod g_i^i with the g_i monic, square-free,
     and pairwise coprime.  Returns (lead, [(g_i, i), ...]) omitting trivial
     factors.
+
+    It runs on the primitive integer form of f.  Yun's monic b_i, c_i and
+    d_i = c_i - b_i' are kept as integer polynomials b, c and d with
+    b_i = b / lead(b), c_i = c / lead(b) and d_i = d / lead(b): exact
+    division by each primitive gcd keeps that scale, so no step before the
+    monic output builds a Fraction.
     """
     f = normalize(f)
     if not f:
         raise ValueError("zero polynomial")
-    lead = f[-1]
-    f = scale(f, 1 / lead)
-    df = derivative(f)
-    a = gcd(f, df)
-    b = divmod_poly(f, a)[0]
-    c = divmod_poly(df, a)[0]
-    d = add(c, scale(derivative(b), Fraction(-1)))
+    b = _primitive(f)
+    c = derivative(b)
+    a = _int_gcd(b, c)
+    b, c = _exact_quotient(b, a), _exact_quotient(c, a)
     factors: list[tuple[Poly, int]] = []
     i = 1
-    while degree(b) > 0:
-        g = gcd(b, d)
-        if degree(g) > 0:
-            factors.append((g, i))
-        b = divmod_poly(b, g)[0]
-        c = divmod_poly(d, g)[0]
-        d = add(c, scale(derivative(b), Fraction(-1)))
+    while len(b) > 1:
+        d = _strip([x - y for x, y in zip_longest(c, derivative(b), fillvalue=0)])
+        g = _int_gcd(b, d)
+        if len(g) > 1:
+            factors.append((_monic(g), i))
+        b, c = _exact_quotient(b, g), _exact_quotient(d, g)
         i += 1
-    return lead, factors
+    return f[-1], factors
 
 
 def compose_linear(f: list, a, b) -> list:
@@ -181,4 +184,7 @@ def reverse(f: Poly, n: int) -> Poly:
 
 def is_squarefree(f: Poly) -> bool:
     f = normalize(f)
-    return degree(f) >= 1 and degree(gcd(f, derivative(f))) == 0
+    if degree(f) < 1:
+        return False
+    b = _primitive(f)
+    return len(_int_gcd(b, derivative(b))) == 1

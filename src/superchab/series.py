@@ -27,6 +27,10 @@ and its key order equal the full power's.  The dropped side gets a
 constant tail floor at m times the least stored valuation, which no
 dropped coefficient goes below.  The chart checks read only a prefix of
 h^m and pass the last exponent they read.
+
+A branch factor's side is its point's valuation and nothing else:
+branch_root_series expands (1 - theta/x)^(1/m) in inverse powers when
+v(theta) > 0 and (1 - x/theta)^(1/m) otherwise.
 """
 
 from __future__ import annotations
@@ -675,42 +679,39 @@ def bc_integral(
 def branch_root_series(
     theta: PadicNumber,
     m: int,
-    side: str,
     order: int,
     domain: AnnulusSpec,
 ) -> LaurentSeries:
-    """m-th root factor attached to one branch point.
+    """m-th root factor attached to one branch point, on the side its
+    valuation puts it.
 
-    side "minus": (1 - x/theta)^(1/m), a power series converging on
-    v(x) > v(theta); side "plus": (1 - theta/x)^(1/m) in inverse powers,
-    converging on v(x) < v(theta).  The binomial coefficients binom(1/m, k)
-    are p-integral as long as p does not divide m; they come from the
-    recurrence b_k = b_(k-1) * (1 - m(k-1)) / (mk) in Q_p at full precision,
-    and the powers of -1/theta (or -theta) by one product per term.
+    v(theta) > 0: (1 - theta/x)^(1/m) in inverse powers on [-order, 0],
+    converging on v(x) < v(theta); otherwise (1 - x/theta)^(1/m), a power
+    series on [0, order] converging on v(x) > v(theta).  The binomial
+    coefficients binom(1/m, k) are p-integral as long as p does not divide
+    m; they come from the recurrence b_k = b_(k-1) * (1 - m(k-1)) / (mk) in
+    Q_p at full precision, and the powers of -theta (or -1/theta) by one
+    product per term.
     """
     ctx = theta.context
     if theta.is_zero:
         raise ValueError("branch factor at the origin is a plain monomial")
     if m < 1 or math.gcd(ctx.prime, m) != 1:
         raise ValueError("p divides m")
-    if side not in ("minus", "plus"):
-        raise ValueError("side must be 'plus' or 'minus'")
     one = PadicNumber.from_int(1, ctx)
-    step, sign = (-(one / theta), 1) if side == "minus" else (-theta, -1)
+    tv = Fraction(theta.valuation)
+    inner = tv > 0
+    step, sign = (-theta, -1) if inner else (-(one / theta), 1)
     coeffs: dict[int, PadicNumber] = {0: one}
     binom = power = one
     for k in range(1, order + 1):
         binom = binom * PadicNumber.from_rational(1 - m * (k - 1), m * k, ctx)
         power = power * step
         coeffs[sign * k] = power * binom
-    tv = Fraction(theta.valuation)
-    if side == "minus":
-        tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))
-        return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
-    if tv <= 0:
-        raise ValueError("plus side needs a branch point of positive valuation")
-    tail = TailBound(tv, tv * (order + 1))
-    return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
+    tail = TailBound(abs(tv), abs(tv) * (order + 1))
+    if inner:
+        return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
+    return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
 
 
 # -- zero bounds ---------------------------------------------------------------

@@ -37,6 +37,71 @@ def fraction_horner(f: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
+def fraction_divmod(
+    f: list[Fraction], g: list[Fraction]
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of long division over Fraction, trailing
+    zeros stripped: the division Yun's algorithm and Euclid ran on before
+    the integer forms."""
+    rem = list(f)
+    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        coef = rem[-1] / g[-1]
+        shift = len(rem) - len(g)
+        quo[shift] = coef
+        for i, c in enumerate(g):
+            rem[shift + i] -= coef * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    while quo and quo[-1] == 0:
+        quo.pop()
+    return quo, rem
+
+
+def fraction_euclid(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+    """The monic gcd by Euclid over Fraction, as ratpoly.gcd computed it
+    before the integer form; f and g have no trailing zero."""
+    a, b = f, g
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def fraction_yun(f: list[Fraction]) -> tuple[Fraction, list[tuple[list[Fraction], int]]]:
+    """Yun's square-free decomposition over Fraction, as
+    ratpoly.squarefree_decomposition computed it before the integer forms,
+    with Euclid over Fraction for its gcd: the oracle for it.  f is nonzero
+    and has no trailing zero."""
+
+    def derivative(h):
+        return [i * c for i, c in enumerate(h)][1:]
+
+    def minus(h, k):
+        out = [(h[i] if i < len(h) else 0) - (k[i] if i < len(k) else 0)
+               for i in range(max(len(h), len(k)))]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    lead = f[-1]
+    f = [c / lead for c in f]
+    df = derivative(f)
+    a = fraction_euclid(f, df)
+    b = fraction_divmod(f, a)[0]
+    d = minus(fraction_divmod(df, a)[0], derivative(b))
+    factors = []
+    i = 1
+    while len(b) > 1:
+        g = fraction_euclid(b, d)
+        if len(g) > 1:
+            factors.append((g, i))
+        b = fraction_divmod(b, g)[0]
+        d = minus(fraction_divmod(d, g)[0], derivative(b))
+        i += 1
+    return lead, factors
+
+
 def series_agree(s: LaurentSeries, t: LaurentSeries, abs_digits: int) -> bool:
     """Coefficientwise agreement modulo p^abs_digits on the joint window."""
     return all(

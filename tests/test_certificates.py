@@ -99,7 +99,7 @@ def test_disc_residual_below_k_survives_optimize():
         "print('optimize', sys.flags.optimize)\n"
         "try:\n"
         "    analysis = _build_charts(\n"
-        "        DiscAnalysis(2, 'unanalyzed'), 3, q, 1, origin, ([], outer),\n"
+        "        DiscAnalysis(2, 'unanalyzed'), 3, q, 1, origin, outer,\n"
         "        AnnulusSpec.disc(), 24, 24,\n"
         "        compose_linear([PadicNumber.from_int(c, ctx) for c in [0, -2, 0, 1]],\n"
         "                       origin, PadicNumber.from_int(1, ctx)),\n"

@@ -2,8 +2,12 @@
 canonical JSON, and batch ordering."""
 
 import json
+import random
+import re
+import string
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -88,6 +92,34 @@ class TestParser:
     def test_zero_denominator(self):
         with pytest.raises(CurveParseError, match="denominator"):
             parse_curve_input("m=3; f=[1/0]")
+
+    @pytest.mark.parametrize("f", ["[1,2\u00b2]", "[1,\u0663]", "[\u0661,2]"])
+    def test_only_ascii_digits(self, f, capsys):
+        # a superscript two or an Arabic-Indic digit is not a digit of the
+        # grammar: a parse error at its position, not int()'s ValueError
+        # (exit 2) nor a silent read as 2 or 3
+        with pytest.raises(CurveParseError):
+            parse_curve_input(f"m=3; f={f}")
+        code, payloads, _ = _run(capsys, ["genus", "--m", "3", "--f", f, "--json"])
+        assert code == 3
+        assert payloads[0]["error"].startswith("line 1, column ")
+
+    def test_over_long_literal(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, payloads, _ = _run(
+            capsys, ["genus", "--m", "3", "--f", f"[1,-{'7' * (limit + 1)}]", "--json"]
+        )
+        assert code == 3
+        assert payloads[0]["error"] == (
+            f"line 1, column 11: integer literal of {limit + 1} digits exceeds "
+            f"the limit of {limit} digits"
+        )
+        # a literal at the limit is still read
+        code, payloads, _ = _run(
+            capsys, ["genus", "--m", "3", "--f", f"[1,{'7' * limit}]", "--json"]
+        )
+        assert code == 0
+        assert payloads[0]["degree"] == 1
 
 
 class TestSubcommands:
@@ -482,6 +514,26 @@ class TestBatch:
         assert payloads[0]["genus"] == 3
         assert payloads[1]["error"] == "line 3, column 15: expected an integer"
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        batch = tmp_path / "curves.txt"
+        batch.write_bytes(b"\xff\xfe m=3; f=[1,2]\n")
+        code, payloads, captured = _run(capsys, ["genus", "--batch", str(batch)])
+        assert code == 3
+        assert payloads == []
+        assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_lines_trimmed_of_grammar_whitespace_only(self, tmp_path, capsys):
+        # an ideographic space or a next-line character at the end of a line
+        # is input outside ASCII, as it is in single mode, not whitespace
+        batch = tmp_path / "curves.txt"
+        batch.write_text("m=3; f=[1,0,0,0,1] \t\r\n", encoding="utf-8")
+        assert _run(capsys, ["genus", "--batch", str(batch), "--json"])[0] == 0
+        for tail in ("\u3000", "\x85"):
+            batch.write_text(f"m=3; f=[1,0,0,0,1]{tail}\n", encoding="utf-8")
+            code, payloads, _ = _run(capsys, ["genus", "--batch", str(batch), "--json"])
+            assert code == 3
+            assert payloads[0]["error"] == "line 1, column 19: unexpected trailing input"
+
     def test_batch_search(self, tmp_path, capsys):
         batch = tmp_path / "curves.txt"
         batch.write_text("m=3; f=[1,0,0,0,1]\nm=2; f=[1,0,0,0,0,0,1]\n")
@@ -491,6 +543,98 @@ class TestBatch:
         assert code == 0
         assert payloads[0]["count"] == 1
         assert payloads[1]["count"] == 2
+
+
+# The curve texts of the README and of the parser tests, as --m and --f.
+FUZZ_SEEDS = [
+    (3, "[1,0,0,0,0,0,0,0,0,0,0,0,1]"),
+    (3, "prod[(1,1),(-1,1),(7,1),(-7,1)]"),
+    (3, "[1,0,0,0,1]"),
+    (4, "[1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1]"),
+    (3, "prod[(1/2,2)]; c=-3/5"),
+]
+FUZZ_ALPHABET = string.punctuation + string.digits + " \t" + "\u00b2\u0663\u00e9\x00"
+
+
+class TestFuzz:
+    """Seeded edits of valid curve texts through main, in single and batch
+    mode: every run ends in exit 0, 2 or 3 with one JSON line per text, and
+    a text the grammar cannot hold (a character outside ASCII, or an
+    integer literal past Python's int-to-str limit) is a parse error."""
+
+    @staticmethod
+    def _edit(rng, text, alphabet):
+        # half the new characters are digits, so that many edited texts
+        # still parse and reach the commands
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            new = rng.choice(string.digits if rng.random() < 0.5 else alphabet)
+            kind = rng.randrange(3)
+            if kind == 0:
+                text = text[:at] + new + text[at:]
+            elif kind == 1:
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + new + text[at + 1:]
+        return text
+
+    @staticmethod
+    def _splice_digits(rng, text, limit):
+        at = rng.randint(0, len(text))
+        run_ = "".join(rng.choice(string.digits) for _ in range(limit + rng.randint(1, 50)))
+        return text[:at] + run_ + text[at:]
+
+    @staticmethod
+    def _unholdable(text, limit):
+        return not text.isascii() or re.search(f"[0-9]{{{limit + 1}}}", text)
+
+    def test_seeded_cli_fuzz(self, tmp_path, capsys):
+        rng = random.Random(2026)
+        limit = sys.get_int_max_str_digits()
+        start = time.process_time()
+        exits = Counter()
+        unholdable = 0
+        for i in range(400):
+            command = rng.choice(("genus", "prime"))
+            m, f = rng.choice(FUZZ_SEEDS)
+            kind = i % 8
+            if kind < 3:
+                # single mode: --m stays valid, --f is edited
+                f = self._edit(rng, f, FUZZ_ALPHABET + "\n")
+                if kind == 2:
+                    f = self._splice_digits(rng, f, limit)
+                argv, text = [command, "--m", str(m), f"--f={f}"], f
+            elif kind < 7:
+                # batch mode: the whole text on one line is edited
+                text = self._edit(rng, f"m={m}; f={f}", FUZZ_ALPHABET)
+                if kind == 6:
+                    text = self._splice_digits(rng, text, limit)
+                batch = tmp_path / f"edit{i}.txt"
+                batch.write_text(text + "\n", encoding="utf-8")
+                argv = [command, "--batch", str(batch)]
+            else:
+                batch = tmp_path / f"bytes{i}.txt"
+                if rng.random() < 0.5:
+                    data = rng.randbytes(rng.randint(0, 120))
+                else:
+                    pieces = [c.encode() for c in string.printable + "\u00b2\u0663\u00e9"]
+                    data = b"".join(rng.choice(pieces + [b"\xff", b"m=3; f=[1,0,1]\n"])
+                                    for _ in range(rng.randint(0, 40)))
+                batch.write_bytes(data)
+                argv, text = [command, "--batch", str(batch)], None
+            if rng.random() < 0.5:
+                argv.append("--json")
+            code = main(argv)
+            out = capsys.readouterr().out
+            exits[code] += 1
+            assert code in (0, 2, 3), argv
+            for line in out.splitlines():
+                assert json.loads(line)["schema"] == 1, argv
+            if text is not None and self._unholdable(text, limit):
+                unholdable += 1
+                assert code == 3, argv
+        assert unholdable >= 100 and exits[0] >= 20
+        assert time.process_time() - start < 5.0
 
 
 F12 = "[1" + ",0" * 11 + ",1]"

@@ -811,10 +811,10 @@ class TestChartGolden:
         honest = superchab.geometry.branch_root_series
         for last in (False, True):
 
-            def faulty(theta, m, side, order, domain):
-                s = honest(theta, m, side, order=order, domain=domain)
+            def faulty(theta, m, order, domain):
+                s = honest(theta, m, order=order, domain=domain)
                 ctx = s.context
-                n = (order if last else 1) * (1 if side == "minus" else -1)
+                n = (order if last else 1) * (-1 if theta.valuation > 0 else 1)
                 coeffs = dict(s.coefficients)
                 coeffs[n] = coeffs[n] + PadicNumber.from_int(ctx.prime**3, ctx)
                 return LaurentSeries(

@@ -1,5 +1,6 @@
 """Polynomials over Q: the integer-form gcd against Euclid over Fraction,
-and Yun's square-free decomposition built on it."""
+and Yun's square-free decomposition on integer forms against Yun over
+Fraction."""
 
 import random
 import time
@@ -7,18 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import fraction_euclid as _fraction_euclid
+from helpers import fraction_yun
 from superchab import ratpoly
-
-
-def _fraction_euclid(f, g):
-    """The monic gcd by Euclid over Fraction, as ratpoly.gcd computed it
-    before the integer form."""
-    a, b = ratpoly.normalize(f), ratpoly.normalize(g)
-    while b:
-        a, b = b, ratpoly.divmod_poly(a, b)[1]
-    if a:
-        a = ratpoly.scale(a, 1 / a[-1])
-    return a
 
 
 def _random_poly(rng, degree, dens=(1,)):
@@ -42,7 +34,8 @@ def _planted_pair(rng):
     f = _product(shared + [(_random_poly(rng, rng.randint(0, 4), dens), rng.randint(1, 2))])
     g = _product(shared[: rng.randint(0, len(shared))]
                  + [(_random_poly(rng, rng.randint(0, 4), dens), 1)])
-    return ratpoly.scale(f, Fraction(rng.randint(1, 9), rng.randint(1, 9))), g
+    scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return [scale * c for c in f], g
 
 
 class TestGcd:
@@ -103,10 +96,27 @@ class TestSquarefreeDecomposition:
                 if roots:
                     factors.append((_product([([-t, Fraction(1)], 1) for t in sorted(roots)]), e))
             lead = Fraction(rng.choice((-2, 1, 3)), rng.choice((1, 5)))
-            f = ratpoly.scale(_product(factors), lead)
+            f = [lead * c for c in _product(factors)]
             got_lead, got = ratpoly.squarefree_decomposition(f)
             assert got_lead == lead
             assert sorted((e, g) for g, e in got) == sorted((e, g) for g, e in factors)
+
+    def test_integer_forms_match_fraction_yun(self):
+        """Identical (lead, blocks) to Yun over Fraction, on products of
+        random blocks with rational coefficients, content other than 1,
+        negative leads and multiplicities 1 to 4."""
+        rng = random.Random(21)
+        repeated = 0
+        for _ in range(150):
+            dens = rng.choice(((1,), (1, 2, 3), (5, 7, 12)))
+            factors = [(_random_poly(rng, rng.randint(0, 3), dens), rng.randint(1, 4))
+                       for _ in range(rng.randint(1, 3))]
+            lead = Fraction(rng.choice((-6, -2, -1, 1, 4, 9)), rng.choice((1, 3, 10)))
+            f = [lead * c for c in _product(factors)]
+            got = ratpoly.squarefree_decomposition(f)
+            assert got == fraction_yun(f)
+            repeated += any(e > 1 for _, e in got[1])
+        assert repeated >= 75
 
 
 def _horner_compose(f, a, b):
@@ -114,7 +124,8 @@ def _horner_compose(f, a, b):
     computed it before the Taylor shift."""
     out = []
     for c in reversed(ratpoly.normalize(f)):
-        out = ratpoly.add(ratpoly.mul(out, [a, b]), [c])
+        out = ratpoly.mul(out, [a, b]) or [Fraction(0)]
+        out = ratpoly.normalize([out[0] + c, *out[1:]])
     return out
 
 

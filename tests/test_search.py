@@ -346,7 +346,7 @@ class TestEdgeBits:
                      Fraction(1, height)}
             planted = ratpoly.mul([-height ** 2, 0, 1], [-1, 0, height ** 2])
             for m in (2, 3):
-                for f in (planted, ratpoly.add(planted, [1])):
+                for f in (planted, [planted[0] + 1, *planted[1:]]):
                     curve = SuperellipticCurve(m, f)
                     ints, den = curve.integer_f
                     tables, _ = _sieve_tables(ints, den, m, height)

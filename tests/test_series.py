@@ -67,7 +67,7 @@ class TestRingOps:
         assert a.shifted(3).coefficient(3).residue() == 5
 
     def test_scaled_by_p_raises_tail_floor(self):
-        f = branch_root_series(PadicNumber.from_int(7, Q7), 3, "plus", order=8, domain=ANN1)
+        f = branch_root_series(PadicNumber.from_int(7, Q7), 3, order=8, domain=ANN1)
         g = f.scaled(PadicNumber.from_int(7, Q7))
         assert g.tail_below.offset == f.tail_below.offset + 1
 
@@ -377,31 +377,38 @@ class TestNewtonPolygon:
 class TestBranchFactors:
     def test_minus_side_linear_coefficient(self):
         theta = PadicNumber.from_int(2, Q7)
-        f = branch_root_series(theta, 3, "minus", order=16, domain=DISC)
+        f = branch_root_series(theta, 3, order=16, domain=DISC)
         want = PadicNumber.from_rational(-1, 6, Q7)
         assert (f.coefficient(1) - want).is_zero
 
     def test_minus_side_cubes_back(self):
         theta = PadicNumber.from_int(2, Q7)
-        f = branch_root_series(theta, 3, "minus", order=24, domain=DISC)
+        f = branch_root_series(theta, 3, order=24, domain=DISC)
         cube = (f * f * f).window_clipped(0, 20)
         target = series({0: 1, 1: Fraction(-1, 2)}, domain=AnnulusSpec.disc())
         assert series_agree(cube, target, 15)
 
     def test_plus_side_window_and_decay(self):
         theta = PadicNumber.from_int(7, Q7)
-        f = branch_root_series(theta, 3, "plus", order=24, domain=ANN1)
+        f = branch_root_series(theta, 3, order=24, domain=ANN1)
         assert (f.lo, f.hi) == (-24, 0)
         assert f.tail_below.slope == 1
         assert (f.coefficient(-1) - PadicNumber.from_rational(-7, 3, Q7)).is_zero
 
-    def test_plus_side_requires_positive_valuation(self):
-        with pytest.raises(ValueError):
-            branch_root_series(PadicNumber.from_int(2, Q7), 3, "plus", 64, ANN1)
+    def test_side_follows_valuation(self):
+        # v(theta) = 0 gives the outer factor (1 - x/theta)^(1/m) on
+        # [0, order]; v(theta) = 1 the inner one (1 - theta/x)^(1/m) on
+        # [-order, 0]
+        outer = branch_root_series(PadicNumber.from_int(2, Q7), 3, 16, DISC)
+        assert (outer.lo, outer.hi) == (0, 16)
+        assert (outer.tail_below, outer.tail_above.slope) == (None, 0)
+        inner = branch_root_series(PadicNumber.from_int(14, Q7), 3, 16, ANN1)
+        assert (inner.lo, inner.hi) == (-16, 0)
+        assert (inner.tail_below.slope, inner.tail_above) == (1, None)
 
     def test_p_dividing_m_rejected(self):
         with pytest.raises(ValueError):
-            branch_root_series(PadicNumber.from_int(2, Q7), 7, "minus", 64, DISC)
+            branch_root_series(PadicNumber.from_int(2, Q7), 7, 64, DISC)
 
     @given(
         theta=st.integers(min_value=1, max_value=40).filter(lambda n: n % 7),
@@ -410,16 +417,17 @@ class TestBranchFactors:
     @settings(max_examples=40, deadline=None)
     def test_mth_power_recovers_linear(self, theta, m):
         t = PadicNumber.from_int(theta, Q7)
-        f = branch_root_series(t, m, "minus", order=28, domain=DISC)
+        f = branch_root_series(t, m, order=28, domain=DISC)
         power = pow(f, m, 12)
         target = series({0: 1, 1: Fraction(-1, theta)}, domain=AnnulusSpec.disc())
         assert series_agree(power, target, 10)
 
 
-def _fraction_branch_root_series(theta, m, side, order, domain):
+def _fraction_branch_root_series(theta, m, order, domain):
     """branch_root_series as it was before the p-adic recurrence: exact
     Fraction binomials, each turned into Q_p, times a fresh power."""
     ctx = theta.context
+    inner = theta.valuation > 0
     coeffs = {}
     binom = Fraction(1)
     alpha = Fraction(1, m)
@@ -427,48 +435,48 @@ def _fraction_branch_root_series(theta, m, side, order, domain):
     for k in range(order + 1):
         if k > 0:
             binom *= (alpha - (k - 1)) / k
-        if side == "minus":
-            coeffs[k] = (-inv_theta) ** k * PadicNumber.from_fraction(binom, ctx)
-        else:
+        if inner:
             coeffs[-k] = (-theta) ** k * PadicNumber.from_fraction(binom, ctx)
+        else:
+            coeffs[k] = (-inv_theta) ** k * PadicNumber.from_fraction(binom, ctx)
     tv = Fraction(theta.valuation)
-    if side == "minus":
-        tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))
-        return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
-    tail = TailBound(tv, tv * (order + 1))
-    return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
+    if inner:
+        tail = TailBound(tv, tv * (order + 1))
+        return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
+    tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))
+    return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
 
 
 class TestBranchRootOracle:
     def test_seeded_sweep(self):
         """Same window, tails and (valuation, unit, known) in key order as
-        the Fraction binomials, for m = 2..9, both sides and every v(theta)
-        in -2..3 the side admits, with theta known to full or fewer digits."""
+        the Fraction binomials, for m = 2..9 and every v(theta) in -2..3,
+        the side read off v(theta), with theta known to full or fewer
+        digits."""
         rng = random.Random(20261019)
         cases = 0
         for m in range(2, 10):
-            for side, vals in (("minus", range(-2, 4)), ("plus", range(1, 4))):
-                for v in vals:
-                    for order in (rng.randint(0, 63), 64):
-                        p = rng.choice([q for q in (3, 5, 7, 11, 13) if m % q])
-                        ctx = PadicContext(p, rng.randint(2, 40))
-                        known = ctx.precision if rng.random() < 0.7 else rng.randint(1, ctx.precision)
-                        unit = rng.randrange(1, p**known)
-                        theta = PadicNumber(ctx, v, unit + (unit % p == 0), known)
-                        domain = DISC if side == "minus" and v <= 0 else ANN1
-                        got = branch_root_series(theta, m, side, order, domain)
-                        want = _fraction_branch_root_series(theta, m, side, order, domain)
-                        assert (got.lo, got.hi) == (want.lo, want.hi)
-                        assert (got.tail_below, got.tail_above) == (want.tail_below, want.tail_above)
-                        assert _triples(got.coefficients.items()) == _triples(want.coefficients.items())
-                        cases += 1
-        assert cases == 8 * 9 * 2
+            for v in range(-2, 4):
+                for order in (rng.randint(0, 63), 64):
+                    p = rng.choice([q for q in (3, 5, 7, 11, 13) if m % q])
+                    ctx = PadicContext(p, rng.randint(2, 40))
+                    known = ctx.precision if rng.random() < 0.7 else rng.randint(1, ctx.precision)
+                    unit = rng.randrange(1, p**known)
+                    theta = PadicNumber(ctx, v, unit + (unit % p == 0), known)
+                    domain = ANN1 if v > 0 else DISC
+                    got = branch_root_series(theta, m, order, domain)
+                    want = _fraction_branch_root_series(theta, m, order, domain)
+                    assert (got.lo, got.hi) == (want.lo, want.hi)
+                    assert (got.tail_below, got.tail_above) == (want.tail_below, want.tail_above)
+                    assert _triples(got.coefficients.items()) == _triples(want.coefficients.items())
+                    cases += 1
+        assert cases == 8 * 6 * 2
 
 
 class TestComposeInvert:
     def test_compose_monomial(self):
         theta = PadicNumber.from_int(2, Q7)
-        f = branch_root_series(theta, 3, "minus", order=16, domain=DISC)
+        f = branch_root_series(theta, 3, order=16, domain=DISC)
         g = f.compose(series({1: 7}, domain=AnnulusSpec.disc()))
         assert (g.coefficient(1) - PadicNumber.from_rational(-7, 6, Q7)).is_zero
 
