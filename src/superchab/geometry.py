@@ -341,8 +341,14 @@ def _branch_series_product(
     """h = prod of the branch factors (1 - theta/x)^(n/m) for points of
     positive valuation and (1 - x/theta)^(n/m) for the rest; converges on
     the open annulus, or on the open disc when no point has positive
-    valuation.  Each partial product is clipped to exponents [-order, order]
-    on an annulus, [0, order] on a disc."""
+    valuation.  Each partial product is kept to exponents [-order, order]
+    on an annulus, [0, order] on a disc.
+
+    An outer factor (v(theta) <= 0, window [0, order]) multiplies under
+    the series kernel's top cut, which skips every pair landing above
+    order.  An inner factor (window [-order, 0]) never lifts the product
+    above order, so a top cut would skip nothing there; its product is
+    full and clipped below -order."""
     lo = 0 if domain.is_disc else -order
     h = LaurentSeries.one(ctx, domain)
     for th, n in points:
@@ -353,7 +359,10 @@ def _branch_series_product(
         # pinning at the one-sided supports (a disc has no lower side).
         fac = _pseudo_entire(branch_root_series(th, m, order=order, domain=domain))
         for _ in range(n):
-            h = (h * fac).window_clipped(lo, order)
+            if th.valuation > 0:
+                h = (h * fac).window_clipped(lo, order)
+            else:
+                h = h.mul_cut(fac, order)
     return h
 
 

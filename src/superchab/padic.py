@@ -374,15 +374,11 @@ def _poly_eval_mod(P: list[int], x: int, mod: int) -> int:
     return acc
 
 
-def _poly_derivative_int(P: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(P) if k > 0] or [0]
-
-
 def _hensel_lift(P: list[int], w0: int, p: int, digits: int) -> int:
     """Lift a simple root w0 mod p of the integer polynomial P (ascending
     coefficients) to its unique lift modulo p^digits, doubling the digits
     per Newton step."""
-    dP = _poly_derivative_int(P)
+    dP = ratpoly.derivative(P)
     w, have = w0 % p, 1
     while have < digits:
         have = min(2 * have, digits)
@@ -471,7 +467,7 @@ def _zp_roots_in_residue(
     """Roots in a + pZ_p of a square-free integer polynomial with a root a
     mod p."""
     p = ctx.prime
-    if _poly_eval_mod(_poly_derivative_int(P), a, p) != 0:
+    if _poly_eval_mod(ratpoly.derivative(P), a, p) != 0:
         return [_hensel_root(P, a, ctx)]
     # repeated residue root: zoom in on the sub-disc a + pZ_p
     zoomed = ratpoly.compose_linear(P, a, p)

@@ -28,6 +28,11 @@ constant tail floor at m times the least stored valuation, which no
 dropped coefficient goes below.  The chart checks read only a prefix of
 h^m and pass the last exponent they read.
 
+The same cut serves branch products: `s.mul_cut(t, hi)` is s * t cut to
+exponents <= hi, its dropped side floored at the sum of the two least
+stored valuations.  The chart set-up multiplies each power-series branch
+factor this way, at the top of its window.
+
 A branch factor's side is its point's valuation and nothing else:
 branch_root_series expands (1 - theta/x)^(1/m) in inverse powers when
 v(theta) > 0 and (1 - x/theta)^(1/m) otherwise.
@@ -409,6 +414,17 @@ class LaurentSeries:
         }
         below = _product_floor(self, self.tail_below, other, other.tail_below)
         return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
+
+    def mul_cut(self, other: "LaurentSeries", hi: int) -> "LaurentSeries":
+        """self * other cut to exponents <= hi.
+
+        Every kept coefficient, and its place in the key order, is the one
+        the full product has.  Each pair's product has valuation at least
+        the sum of the two least stored valuations, and so has every sum of
+        them, which is the constant tail floor the cut adds above.
+        """
+        floor = self._min_stored_valuation() + other._min_stored_valuation()
+        return self._product(other, hi, floor)
 
     def __pow__(self, m: int, hi: int) -> "LaurentSeries":
         """self^m cut to exponents <= hi (`pow(s, m, hi)`).

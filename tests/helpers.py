@@ -3,8 +3,9 @@ command needs them, so they live with the tests, not in the package."""
 
 from fractions import Fraction
 
+from superchab.geometry import _pseudo_entire
 from superchab.padic import PadicNumber
-from superchab.series import LaurentSeries
+from superchab.series import LaurentSeries, branch_root_series
 
 
 def abs_precision(x: PadicNumber) -> int | None:
@@ -108,3 +109,20 @@ def series_agree(s: LaurentSeries, t: LaurentSeries, abs_digits: int) -> bool:
         padic_agree(s.coefficient(n), t.coefficient(n), abs_digits)
         for n in range(max(s.lo, t.lo), min(s.hi, t.hi) + 1)
     )
+
+
+def full_branch_product(points, m, order, domain, ctx) -> LaurentSeries:
+    """h as geometry._branch_series_product built it before outer factors
+    multiplied under the kernel's top cut: every factor over its full
+    window, then the product clipped to [lo, order], with the least
+    valuation of the coefficients clipped above folded into its tail
+    floor.  The oracle for the cut."""
+    lo = 0 if domain.is_disc else -order
+    h = LaurentSeries.one(ctx, domain)
+    for th, n in points:
+        if th.is_zero:
+            continue
+        fac = _pseudo_entire(branch_root_series(th, m, order=order, domain=domain))
+        for _ in range(n):
+            h = (h * fac).window_clipped(lo, order)
+    return h

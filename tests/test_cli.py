@@ -636,6 +636,40 @@ class TestFuzz:
         assert unholdable >= 100 and exits[0] >= 20
         assert time.process_time() - start < 5.0
 
+    def test_seeded_fuzz_of_the_counting_commands(self, tmp_path, capsys):
+        """bound, search and verify on edited curve texts, with --rank 0 to
+        3 and --height 5, 10 or 20, in single and batch mode; a third of
+        the texts take digit edits only, so that many reach the commands.
+        analyze is left out: on valid curves with a root of negative
+        valuation it exits 4 (ROADMAP item 11), which this test would have
+        to forgive."""
+        rng = random.Random(2222)
+        start = time.process_time()
+        exits = Counter()
+        for i in range(600):
+            command = rng.choice(("bound", "search", "verify"))
+            m, f = rng.choice(FUZZ_SEEDS)
+            alphabet = string.digits if i % 3 == 0 else FUZZ_ALPHABET
+            options = ["--rank", str(rng.randint(0, 3)), "--height", str(rng.choice((5, 10, 20)))]
+            if i % 2:
+                f = self._edit(rng, f, alphabet)
+                argv = [command, "--m", str(m), f"--f={f}", *options]
+            else:
+                batch = tmp_path / f"edit{i}.txt"
+                batch.write_text(self._edit(rng, f"m={m}; f={f}", alphabet) + "\n",
+                                 encoding="utf-8")
+                argv = [command, "--batch", str(batch), *options]
+            if rng.random() < 0.5:
+                argv.append("--json")
+            code = main(argv)
+            out = capsys.readouterr().out
+            exits[code] += 1
+            assert code in (0, 2, 3), argv
+            for line in out.splitlines():
+                assert json.loads(line)["schema"] == 1, argv
+        assert min(exits[0], exits[2], exits[3]) >= 30, exits
+        assert time.process_time() - start < 5.0
+
 
 F12 = "[1" + ",0" * 11 + ",1]"
 F16 = "[1" + ",0" * 15 + ",1]"

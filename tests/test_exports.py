@@ -131,7 +131,7 @@ def test_denominators_cleared_only_in_ratpoly():
 
 
 @pytest.mark.parametrize(
-    "helper", ["_hensel_lift", "_poly_eval_mod", "_poly_derivative_int", "_vp"]
+    "helper", ["_hensel_lift", "_poly_eval_mod", "_vp"]
 )
 def test_zp_roots_found_only_in_padic(helper):
     """Roots in Z_p (branch points, m-th roots, roots of unity) have one

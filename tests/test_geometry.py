@@ -7,13 +7,14 @@ import pytest
 
 import superchab.geometry
 import superchab.padic
-from helpers import lift_fraction, series_agree
+from helpers import full_branch_product, lift_fraction, series_agree
 from superchab import ratpoly
 from superchab.curve import SuperellipticCurve, genus
 from superchab.geometry import (
     ChartVerificationError,
     ClusterNode,
     DiscSpec,
+    _branch_series_product,
     annulus_orbit_count,
     build_cluster_tree,
     curve_branch_points,
@@ -30,7 +31,7 @@ from superchab.padic import (
     primitive_root_of_unity,
     qp_roots,
 )
-from superchab.series import LaurentSeries
+from superchab.series import AnnulusSpec, LaurentSeries, TailBound, branch_root_series
 
 Q7 = PadicContext(7, 20)
 Q13 = PadicContext(13, 20)
@@ -489,6 +490,94 @@ class TestChartScale:
                     scale = chart_scale(q, 1, m, [lam - m])
                     assert is_mth_power(q * scale, m)
         assert min(seen.values()) >= 800, seen
+
+
+def _floor_holds(cut, full):
+    """Every coefficient of full above cut's window sits on or above cut's
+    upper tail floor."""
+    return all(
+        c.valuation >= cut.tail_above.at(n - cut.hi)
+        for n, c in full.coefficients.items()
+        if n > cut.hi
+    )
+
+
+def _branch_setup(rng, i):
+    """Branch points of one seeded set-up: a disc's are all outer
+    (v(theta) <= 0); an annulus mixes outer and inner (v(theta) > 0)."""
+    m = 3 + i % 4
+    p = rng.choice([q for q in (5, 7, 11, 13) if m % q])
+    ctx = PadicContext(p, rng.randint(8, 20))
+    disc = i % 3 == 0
+    points = []
+    for j in range(rng.randint(1, 4)):
+        inner = not disc and (j == 0 or rng.random() < 0.5)
+        v = rng.randint(1, 3) if inner else rng.randint(-2, 0)
+        # p >= 5, so the denominator is a unit
+        u = Fraction(rng.choice([a for a in range(1, 4 * p) if a % p]), rng.choice((1, 2, 3, 4)))
+        theta = PadicNumber.from_fraction(rng.choice((1, -1)) * u * Fraction(p) ** v, ctx)
+        points.append((theta, rng.randint(1, 3)))
+    domain = AnnulusSpec.disc() if disc else AnnulusSpec.annulus(1)
+    return points, m, rng.randint(4, 14), domain, ctx
+
+
+class TestBranchProductOracle:
+    """The branch product under the kernel's top cut against the product it
+    replaced, which multiplied every factor over its full window and then
+    clipped (`helpers.full_branch_product`)."""
+
+    def test_cut_matches_the_full_product(self):
+        rng = random.Random(22)
+        kinds = set()
+        for i in range(60):
+            points, m, order, domain, ctx = _branch_setup(rng, i)
+            kinds |= {(domain.is_disc, th.valuation > 0, n) for th, n in points}
+            h = _branch_series_product(points, m, order, domain, ctx)
+            old = full_branch_product(points, m, order, domain, ctx)
+            assert list(h.coefficients) == list(old.coefficients)
+            for n, c in h.coefficients.items():
+                o = old.coefficients[n]
+                assert (c.valuation, c.unit, c.known) == (o.valuation, o.unit, o.known)
+            assert (h.lo, h.hi) == (old.lo, old.hi)
+            assert (h.tail_below is None, h.tail_above is None) == (
+                old.tail_below is None, old.tail_above is None
+            )
+            assert h.tail_below == old.tail_below
+            if h.tail_above is not None:
+                assert h.tail_above.slope <= old.tail_above.slope
+                assert h.tail_above.offset <= old.tail_above.offset
+        assert {(d, inner) for d, inner, _ in kinds} == {
+            (True, False), (False, False), (False, True)
+        }
+        assert {n for _, _, n in kinds} == {1, 2, 3}
+
+    def test_cut_floor_bounds_every_dropped_coefficient(self):
+        rng = random.Random(2022)
+        dropped = 0
+        for i in range(60):
+            points, m, order, domain, ctx = _branch_setup(rng, i)
+            p = ctx.prime
+            h = full_branch_product(points, m, order, domain, ctx)
+            theta = PadicNumber.from_fraction(
+                Fraction(rng.choice((1, -1, 2, 3)), p ** rng.randint(0, 2)), ctx
+            )
+            fac = branch_root_series(theta, m, order, domain)
+            # with no tails on either factor, the cut's upper floor is the
+            # kernel's floor alone
+            h, fac = (LaurentSeries(ctx, s.coefficients, domain, s.lo, s.hi) for s in (h, fac))
+            cut = h.mul_cut(fac, order)
+            full = h * fac
+            above = [c.valuation for n, c in full.coefficients.items() if n > cut.hi]
+            if not above:
+                continue
+            dropped += 1
+            assert cut.tail_above.slope == 0 and _floor_holds(cut, full)
+            planted = LaurentSeries(
+                ctx, cut.coefficients, domain, cut.lo, cut.hi, cut.tail_below,
+                TailBound(Fraction(0), Fraction(min(above) + 1)),
+            )
+            assert not _floor_holds(planted, full)
+        assert dropped >= 30
 
 
 class TestDiscCharts:
