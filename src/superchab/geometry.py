@@ -23,10 +23,12 @@ and every coefficient of the residual h^m * Q * t^k - f from exponent
 min(0, the lowest one h^m * t^k knows) up to the cut plus k, each to a cap:
 the digits truncation leaves reliable there.  There are two budgets.  On an
 annulus of width beta the cap falls by beta per exponent past k, and
-exponents whose cap is below the target are skipped.  On a disc every cap is
-the working precision, so each exponent the chart reports, and each one
-below k, is checked.  A chart that misses its target raises
-ChartVerificationError, never a silent result.
+exponents whose cap is below the target are skipped; h^m is also cut
+below, where a sloped floor from h's stored valuations already clears the
+cap, and the check reads that floor in place of the dropped coefficients.
+On a disc every cap is the working precision, so each exponent the chart
+reports, and each one below k, is checked.  A chart that misses its target
+raises ChartVerificationError, never a silent result.
 """
 from __future__ import annotations
 
@@ -47,7 +49,13 @@ from .padic import (
     primitive_root_of_unity,
     qp_roots,
 )
-from .series import AnnulusSpec, LaurentSeries, TailBound, branch_root_series
+from .series import (
+    AnnulusSpec,
+    LaurentSeries,
+    TailBound,
+    _negative_slope,
+    branch_root_series,
+)
 
 __all__ = [
     "AnnulusAnalysis",
@@ -366,8 +374,34 @@ def _branch_series_product(
     return h
 
 
+def _bottom_cut(
+    h: LaurentSeries, m: int, q: PadicNumber, k: int, cap: Callable[[int], int]
+) -> int | None:
+    """The exponent lo below which an annulus chart leaves h^m uncomputed,
+    or None when it computes all of h^m.
+
+    With alpha the least stored valuation of h and sigma > 0 its
+    _negative_slope, every computed coefficient of h^m at e < 0 has
+    valuation at least m * alpha + sigma * (-e) (LaurentSeries.__pow__).
+    Below -k the residual Q * t^k * h^m - f is lhs alone, f having no
+    negative exponent, and an annulus's cap is the same at every exponent
+    below 0.  So lo is the greatest e <= -k at which the floor of the
+    residual at e - 1, v(Q) + m * alpha + sigma * (1 - e), reaches that cap;
+    it reaches it at every lower exponent too.
+    """
+    sigma = _negative_slope(h)
+    if sigma is None or sigma <= 0:
+        return None
+    need = cap(-1) - q.valuation - m * h._min_stored_valuation()
+    lo = min(-k, 1 - math.ceil(need / sigma))
+    return lo if lo > m * h.lo else None
+
+
 def _verified_digits(
-    constant: PadicNumber, checks: Iterable[tuple[PadicNumber, int]], target: int
+    constant: PadicNumber,
+    checks: Iterable[tuple[PadicNumber, int]],
+    target: int,
+    floor: tuple[Fraction, int] | None = None,
 ) -> int:
     """Digits to which a chart's identity holds, checked against a budget.
 
@@ -377,6 +411,15 @@ def _verified_digits(
     skipped; every other value counts min(v, cap) digits, and a zero one
     min(cap, working precision).  A residual read at no exponent verifies
     nothing, whatever the constant.
+
+    floor, when a bottom cut left h^m uncomputed below some exponent, is
+    the residual's valuation floor at the first exponent dropped, paired
+    with that exponent's cap and read under the same rule.  The floor must
+    reach the cap, a certificate checked here, and it then counts the cap.
+    Read one by one, each dropped coefficient, being at or above the
+    floor, would count that same cap (an annulus's caps are equal below 0),
+    or min(cap, working precision) when zero, which the constant's count
+    never exceeds.  So the floor leaves the digits attained as they were.
     """
     if target < 1:
         raise ValueError(
@@ -384,11 +427,19 @@ def _verified_digits(
             "digit; use precision 2 or more"
         )
     precision = constant.context.precision
-    read = [(c, cap) for c, cap in checks if cap >= target]
-    attained = min(
-        min(cap, precision) if c.is_zero else min(c.valuation, cap)
-        for c, cap in [(constant, precision), *read]
-    ) if read else None
+
+    def digits(c: PadicNumber, cap: int) -> int:
+        return min(cap, precision) if c.is_zero else min(c.valuation, cap)
+
+    read = [digits(c, cap) for c, cap in checks if cap >= target]
+    if floor is not None and floor[1] >= target:
+        value, cap = floor
+        if value < cap:
+            raise ChartVerificationError(
+                f"residual floor {value} below the cut of h^m is under its cap {cap}"
+            )
+        read.append(cap)
+    attained = min(digits(constant, precision), *read) if read else None
     if attained is None or attained < target:
         raise ChartVerificationError(
             f"chart residual attains {attained}, below target {target}"
@@ -416,6 +467,11 @@ def _build_charts(
     min(0, the lowest one h^m * t^k knows) to cut + k, to cap(n) digits; the
     z-charts inherit the identity through the exact monomial substitution
     and gamma^m = Q * U^k, which is read too.
+
+    On an annulus h^m is also cut below, at _bottom_cut's exponent, where
+    its sloped floor reaches the cap: every dropped exponent would count
+    its cap, so the check reads the floor at the first one in their place
+    and attains the same digits.  A disc has no negative side to cut.
     """
     ctx = q.context
     d = math.gcd(k, m)
@@ -440,12 +496,14 @@ def _build_charts(
     qu = q * scale**k
     gamma = mth_root(qu, m)
     h = _branch_series_product(points, m, order, domain, ctx)
-    lhs = pow(h, m, cut).shifted(k).scaled(q)
+    lo = None if domain.is_disc else _bottom_cut(h, m, q, k, cap)
+    lhs = h.__pow__(m, cut, lo).shifted(k).scaled(q)
     resid = lhs - LaurentSeries.from_dict(dict(enumerate(f_coeffs)), ctx, domain)
     attained = _verified_digits(
         gamma**m - qu,
         ((resid.coefficient(n), cap(n)) for n in range(min(lhs.lo, 0), cut + k + 1)),
         ctx.precision // 2,
+        None if lo is None else (lhs.tail_below.at(1), cap(lhs.lo - 1)),
     )
     z_dom = domain if domain.is_disc else AnnulusSpec.annulus(
         (domain.inner_valuation - scale.valuation) / md

@@ -28,6 +28,12 @@ constant tail floor at m times the least stored valuation, which no
 dropped coefficient goes below.  The chart checks read only a prefix of
 h^m and pass the last exponent they read.
 
+`s.__pow__(m, hi, lo)` also cuts below lo, the same way from the other
+side.  There the floor slopes: with alpha the least stored valuation and
+sigma > 0 the least (v(s_n) - alpha) / -n over stored n < 0, no computed
+coefficient of s^m at e < 0 goes below m * alpha + sigma * (-e).  An
+annulus chart cuts h^m where that floor already clears its check's cap.
+
 The same cut serves branch products: `s.mul_cut(t, hi)` is s * t cut to
 exponents <= hi, its dropped side floored at the sum of the two least
 stored valuations.  The chart set-up multiplies each power-series branch
@@ -127,6 +133,16 @@ def _fold_clipped(coeffs: dict[int, PadicNumber], lo: int, hi: int, below, above
     if dropped_hi:
         above = _merge_tails(above, TailBound(Fraction(0), Fraction(min(dropped_hi))))
     return below, above
+
+
+def _negative_slope(s: "LaurentSeries") -> Fraction | None:
+    """sigma, the least (v(c_n) - alpha) / -n over the stored n < 0, with
+    alpha the least stored valuation; None when nothing is stored below 0."""
+    alpha = s._min_stored_valuation()
+    return min(
+        (Fraction(c.valuation - alpha, -n) for n, c in s.coefficients.items() if n < 0),
+        default=None,
+    )
 
 
 def _product_floor(
@@ -313,10 +329,19 @@ class LaurentSeries:
         return self._product(other, None, None)
 
     def _product(
-        self, other: "LaurentSeries", top: int | None, floor: Fraction | None
+        self,
+        other: "LaurentSeries",
+        top: int | None,
+        floor: Fraction | None,
+        bottom: int | None = None,
+        tail: TailBound | None = None,
     ) -> "LaurentSeries":
-        """self * other, cut to exponents <= top unless top is None; floor
-        bounds the valuation of every coefficient the cut drops."""
+        """self * other, cut to exponents <= top unless top is None and to
+        exponents >= bottom unless bottom is None.  floor bounds the
+        valuation of every coefficient the top cut drops.  A bottom cut at
+        or above the product's own lower edge becomes that edge, and tail,
+        the floor of every coefficient computed below it here or in the
+        factors, is its lower tail floor in place of the factors' own."""
         ctx = self.context
         if other.context != ctx:
             raise ValueError("mixed p-adic contexts")
@@ -333,11 +358,13 @@ class LaurentSeries:
         # residue.  `val[n] is None` marks a fresh state: never reached
         # (known -1) or collapsed to exact zero, which keeps its place in
         # the first-reached order and takes the next product as it is.
-        # Under a cut the pairs that land above it are skipped, row by row;
-        # every kept pair and exponent keeps its place in that order.
+        # Under a cut the pairs that land above it, or below it, are skipped,
+        # row by row; every kept pair and exponent keeps its place in that
+        # order.
         powers = ctx.powers
         p = ctx.prime
         cut = (hi if top is None else min(hi, top)) - base
+        start = 0 if bottom is None else bottom - base
         size = max(cut + 1, 0)
         val: list[int | None] = [None] * size
         unit = [0] * size
@@ -348,10 +375,11 @@ class LaurentSeries:
         j_hi = max(other.coefficients, default=0) - base
         for i, a in self.coefficients.items():
             room = cut - i
-            if room >= j_hi:
+            least = start - i
+            if room >= j_hi and least <= j_lo:
                 row = right
-            elif room >= j_lo:
-                row = [r for r in right if r[0] <= room]
+            elif room >= j_lo and least <= j_hi:
+                row = [r for r in right if least <= r[0] <= room]
             else:
                 continue
             va, ua, ka = a.valuation, a.unit, a.known
@@ -403,6 +431,10 @@ class LaurentSeries:
         if top is not None and top < hi:
             hi = top
             above = _merge_tails(above, TailBound(Fraction(0), floor))
+        below = _product_floor(self, self.tail_below, other, other.tail_below)
+        if bottom is not None and bottom >= lo:
+            lo = bottom
+            below = tail
         lo = max(lo, -MAX_WINDOW)
         hi = min(hi, MAX_WINDOW)
         if lo > hi:
@@ -412,7 +444,6 @@ class LaurentSeries:
             for n in order
             if val[n] is not None and lo <= n + base <= hi
         }
-        below = _product_floor(self, self.tail_below, other, other.tail_below)
         return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
 
     def mul_cut(self, other: "LaurentSeries", hi: int) -> "LaurentSeries":
@@ -426,8 +457,9 @@ class LaurentSeries:
         floor = self._min_stored_valuation() + other._min_stored_valuation()
         return self._product(other, hi, floor)
 
-    def __pow__(self, m: int, hi: int) -> "LaurentSeries":
-        """self^m cut to exponents <= hi (`pow(s, m, hi)`).
+    def __pow__(self, m: int, hi: int, lo: int | None = None) -> "LaurentSeries":
+        """self^m cut to exponents <= hi (`pow(s, m, hi)`), and to exponents
+        >= lo unless lo is None (`s.__pow__(m, hi, lo)`).
 
         Every kept coefficient, and its place in the key order, is the one
         the full power has.  With L the least stored exponent of self, no
@@ -439,23 +471,47 @@ class LaurentSeries:
         hi.  Every coefficient of the full self^e has valuation at least e
         times the least stored valuation of self, which is the constant
         tail floor each cut adds above.
+
+        The bottom cut mirrors it with H the greatest stored exponent:
+        self^e is cut below at b - (m - e) * H, with b = min(lo, m * H - 1),
+        and the last product at lo.  With alpha the least stored valuation
+        and sigma = _negative_slope(self) > 0, every stored coefficient at
+        n sits at or above alpha + sigma * (-n), so every computed
+        coefficient of self^e at n has valuation at least
+        e * alpha + sigma * (-n): pair valuations add, and the p-adic sum
+        rule never lowers a valuation.  That sloped floor, and not the
+        factors' own tails, is the lower tail floor each bottom cut leaves.
         """
         if m < 0:
             raise ValueError("series powers must be nonnegative")
         least = min(self.coefficients, default=0)
+        greatest = max(self.coefficients, default=0)
         top = max(hi, m * least + 1)
         v = self._min_stored_valuation()
+        if lo is not None:
+            slope = _negative_slope(self)
+            if slope is None or slope <= 0:
+                raise ValueError("a bottom cut needs a positive slope below exponent 0")
+            bottom = min(lo, m * greatest - 1)
+
+        def cuts(e: int, last: bool) -> tuple:
+            """The _product cut arguments for self^e."""
+            upper = hi if last else top - (m - e) * least
+            if lo is None:
+                return upper, e * v
+            lower = lo if last else bottom - (m - e) * greatest
+            return upper, e * v, lower, TailBound(slope, e * v - slope * lower)
+
         result = LaurentSeries.one(self.context, self.domain)
         base, e, done, rest = self, 1, 0, m
         while rest:
             if rest & 1:
                 done += e
-                cut = hi if done == m else top - (m - done) * least
-                result = result._product(base, cut, done * v)
+                result = result._product(base, *cuts(done, done == m))
             rest >>= 1
             if rest:
                 e *= 2
-                base = base._product(base, top - (m - e) * least, e * v)
+                base = base._product(base, *cuts(e, False))
         return result
 
     # -- composition ---------------------------------------------------------

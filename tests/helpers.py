@@ -3,6 +3,7 @@ command needs them, so they live with the tests, not in the package."""
 
 from fractions import Fraction
 
+from superchab import geometry
 from superchab.geometry import _pseudo_entire
 from superchab.padic import PadicNumber
 from superchab.series import LaurentSeries, branch_root_series
@@ -126,3 +127,15 @@ def full_branch_product(points, m, order, domain, ctx) -> LaurentSeries:
         for _ in range(n):
             h = (h * fac).window_clipped(lo, order)
     return h
+
+
+def full_power_annulus(a, curve, ctx):
+    """geometry.parameterize_annulus with h^m computed whole below, as
+    pow(h, m, cut), and the residual read at every exponent: the chart
+    set-up before the bottom cut, and the oracle for it."""
+    saved = geometry._bottom_cut
+    geometry._bottom_cut = lambda *args: None
+    try:
+        return geometry.parameterize_annulus(a, curve, ctx)
+    finally:
+        geometry._bottom_cut = saved

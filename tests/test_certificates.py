@@ -119,6 +119,40 @@ def test_disc_residual_below_k_survives_optimize():
     ]
 
 
+def test_bottom_cut_floor_survives_optimize():
+    # the rotation annulus of y^3 = (x^2 - 1)(x^2 - 49) over Q_7, whose h
+    # has slope 1 below exponent 0, cut as if it had slope 2: h's stored
+    # coefficients violate the claimed slope, so the floor that h^m's cut
+    # reports at the first dropped exponent, 13, misses the cap 25 there
+    code = (
+        "import sys\n"
+        "import superchab.geometry as g\n"
+        "from superchab.curve import SuperellipticCurve\n"
+        "from superchab.padic import ChartVerificationError, PadicContext\n"
+        "ctx = PadicContext(7, 20)\n"
+        "curve = SuperellipticCurve.from_branch_points(3, 1, [(1, 1), (-1, 1), (7, 1), (-7, 1)])\n"
+        "pts, _ = g.curve_branch_points(curve, ctx)\n"
+        "tree = g.build_cluster_tree([t for t, _ in pts], [n for _, n in pts])\n"
+        "[a] = g.enumerate_maximal_annuli(tree, 3, False)\n"
+        "honest = g._negative_slope\n"
+        "g._negative_slope = lambda h: honest(h) + 1\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "try:\n"
+        "    print('silent', g.parameterize_annulus(a, curve, ctx).attained)\n"
+        "except ChartVerificationError as exc:\n"
+        "    print('caught', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "optimize 1",
+        "caught residual floor 13 below the cut of h^m is under its cap 25",
+    ]
+
+
 def _annulus(rational_center, inner, outer):
     """The annulus 0 < v(x) < 1 of Q_7 about 0, with one inner and one outer
     branch point."""

@@ -7,7 +7,7 @@ import pytest
 
 import superchab.geometry
 import superchab.padic
-from helpers import full_branch_product, lift_fraction, series_agree
+from helpers import full_branch_product, full_power_annulus, lift_fraction, series_agree
 from superchab import ratpoly
 from superchab.curve import SuperellipticCurve, genus
 from superchab.geometry import (
@@ -578,6 +578,85 @@ class TestBranchProductOracle:
             )
             assert not _floor_holds(planted, full)
         assert dropped >= 30
+
+
+def _series_state(s):
+    return (s.lo, s.hi, s.tail_below, s.tail_above, [
+        (n, c.valuation, c.unit, c.known) for n, c in s.coefficients.items()
+    ])
+
+
+def _nested_annulus(rng, i):
+    """One seeded annulus: a cluster of inner branch points about 0 at
+    valuation beta >= 2, with 0 itself among them half of the time, and at
+    least two outer points at units.  Multiplicities below m make k0 large,
+    and a leading coefficient p^j sets v(Q) = j, negative or large."""
+    m = 2 + i % 6
+    p = rng.choice([q for q in (5, 7, 11, 13, 29) if q % m == 1])
+    ctx = PadicContext(p, rng.randint(12, 24))
+    beta = rng.randint(2, 3)
+    mult = lambda: rng.randint(1, m - 1)
+    units = rng.sample(range(1, p), 3)
+    inner = [(p**beta * u, mult()) for u in units[: rng.randint(1, 3)]]
+    if rng.random() < 0.5 or len(inner) == 1:
+        inner.append((0, mult()))
+    outer = [(u + p * rng.randint(-2, 2), mult()) for u in rng.sample(range(1, p), rng.randint(2, 3))]
+    roots = inner + outer
+    roots[0] = (roots[0][0], 1)  # gcd(m, multiplicities) = 1
+    j = rng.choice((-2, -1, 0, 1, 2 * beta * 12, 2 * beta * 20))
+    curve = SuperellipticCurve.from_branch_points(m, Fraction(p) ** j, roots)
+    pts, _ = curve_branch_points(curve, ctx)
+    tree = build_cluster_tree([t for t, _ in pts], [n for _, n in pts])
+    [a] = enumerate_maximal_annuli(tree, m, curve.degree % m != 0)
+    assert a.valuation_interval[1] - a.valuation_interval[0] == beta
+    return a, curve, ctx
+
+
+class TestBottomCutCharts:
+    """Annulus charts with h^m cut below against the set-up that computed
+    it whole (`helpers.full_power_annulus`)."""
+
+    def test_charts_match_the_whole_power(self, monkeypatch):
+        rng = random.Random(23)
+        cuts = []
+        honest = superchab.geometry._bottom_cut
+
+        def recorded(h, m, q, k, cap):
+            lo = honest(h, m, q, k, cap)
+            cuts.append((lo, -k, q.valuation))
+            return lo
+
+        monkeypatch.setattr(superchab.geometry, "_bottom_cut", recorded)
+        charted = set()
+        for i in range(96):
+            a, curve, ctx = _nested_annulus(rng, i)
+            try:
+                want = full_power_annulus(a, curve, ctx)
+            except ChartVerificationError as exc:
+                with pytest.raises(ChartVerificationError) as caught:
+                    parameterize_annulus(a, curve, ctx)
+                assert str(caught.value) == str(exc)
+                continue
+            got = parameterize_annulus(a, curve, ctx)
+            assert got.report() == want.report()
+            assert len(got.charts) == len(want.charts)
+            for g, w in zip(got.charts, want.charts):
+                assert (g.sheet_index, g.attained) == (w.sheet_index, w.attained)
+                assert (g.gamma.valuation, g.gamma.unit, g.gamma.known) == (
+                    w.gamma.valuation, w.gamma.unit, w.gamma.known
+                )
+                assert _series_state(g.x_series) == _series_state(w.x_series)
+                assert _series_state(g.y_series) == _series_state(w.y_series)
+            if got.status == "charts":
+                charted.add(curve.m)
+        made = [c for c in cuts if c[0] is not None]
+        assert charted == {2, 3, 4, 5, 6, 7}
+        assert len(made) >= 45
+        # each side of the cut rule binds: the residual's support, e + k < 0,
+        # and the floor reaching the cap
+        assert sum(lo == k for lo, k, _ in made) >= 10
+        assert sum(lo < k for lo, k, _ in made) >= 20
+        assert sum(vq < 0 for _, _, vq in made) >= 10
 
 
 class TestDiscCharts:

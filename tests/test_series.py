@@ -306,6 +306,94 @@ class TestProductOracle:
             a * b
 
 
+def _inner_like(rng):
+    """A series shaped like a product of inner branch factors: coefficients
+    at -n of valuation about n * beta, a few at n >= 0, all shifted by a
+    common valuation, some known to fewer digits than the precision, and a
+    tail on both sides."""
+    ctx = PadicContext(rng.choice((3, 5, 7, 13)), rng.randint(8, 30))
+    p, prec = ctx.prime, ctx.precision
+    beta, shift = rng.randint(1, 3), rng.randint(-2, 2)
+    below, above = rng.randint(1, 8), rng.randint(0, 5)
+    coeffs = {}
+    for n in range(-below, above + 1):
+        if n not in (-1, 0) and rng.random() < 0.2:
+            continue
+        v = shift + beta * max(-n, 0) + (0 if n == 0 else rng.randint(0, 2))
+        known = prec if rng.random() < 0.7 else rng.randint(1, prec)
+        unit = rng.randrange(1, p**known)
+        coeffs[n] = PadicNumber(ctx, v, unit + (unit % p == 0), known)
+    domain = AnnulusSpec.annulus(beta)
+    lo, hi = -below - rng.randint(0, 2), above + rng.randint(0, 2)
+    return LaurentSeries(
+        ctx, coeffs, domain, lo, hi,
+        TailBound(Fraction(beta), Fraction(beta * (below + 1) + shift)),
+        TailBound(Fraction(rng.randint(0, 1)), Fraction(shift)),
+    )
+
+
+def _bottom_floor_holds(cut, full):
+    """Every coefficient of full below cut's window sits on or above cut's
+    lower tail floor."""
+    return all(
+        c.valuation >= cut.tail_below.at(cut.lo - n)
+        for n, c in full.coefficients.items()
+        if n < cut.lo
+    )
+
+
+class TestBottomCut:
+    """`s.__pow__(m, hi, lo)` against the power whole below,
+    `pow(s, m, hi)`, kept as its oracle."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(2023)
+        cuts = dropped = partial = 0
+        for _ in range(400):
+            s = _inner_like(rng)
+            m = rng.randint(2, 7)
+            whole = pow(s, m, s.hi * m)
+            for hi in (whole.hi, rng.randint(0, whole.hi)):
+                full = pow(s, m, hi)
+                lo = rng.randint(full.lo - 2, min(0, hi))
+                got = s.__pow__(m, hi, lo)
+                kept = [(n, c) for n, c in full.coefficients.items() if n >= lo]
+                assert _triples(got.coefficients.items()) == _triples(kept)
+                assert got.hi == full.hi
+                assert (got.tail_above is None) == (full.tail_above is None)
+                if lo < full.lo:
+                    assert (got.lo, got.tail_below) == (full.lo, full.tail_below)
+                    continue
+                cuts += 1
+                partial += hi < whole.hi
+                assert got.lo == lo
+                assert _bottom_floor_holds(got, full)
+                low = [c.valuation for n, c in full.coefficients.items() if n < lo]
+                if not low:
+                    continue
+                dropped += 1
+                planted = LaurentSeries(
+                    s.context, got.coefficients, s.domain, got.lo, got.hi,
+                    TailBound(Fraction(0), Fraction(min(low) + 1)), got.tail_above,
+                )
+                assert not _bottom_floor_holds(planted, full)
+        assert cuts >= 500
+        assert dropped >= 400
+        assert partial >= 200
+
+    def test_floor_is_the_stored_slope(self):
+        # alpha = 0 and sigma = 2/2 = 1: the floor at exponent e < 0 of s^3
+        # is -e, read from the cut at -2 as 2 + d at distance d
+        s = series({-2: 7**2, -1: 7**3, 0: 1, 1: 1})
+        got = s.__pow__(3, 3, -2)
+        assert got.tail_below == TailBound(Fraction(1), Fraction(2))
+
+    def test_needs_a_positive_slope(self):
+        for data in ({0: 1, 1: 1}, {-1: 1, 0: 1}, {-1: Fraction(1, 7), 0: 1}):
+            with pytest.raises(ValueError, match="positive slope"):
+                series(data).__pow__(3, 3, -1)
+
+
 class TestNewtonPolygon:
     def test_z2_minus_7(self):
         s = series({2: 1, 0: -7})
