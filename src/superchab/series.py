@@ -14,9 +14,15 @@ loop over flat per-exponent lists and build one PadicNumber per output
 coefficient.  Each pair's product keeps the lesser `known`, as
 `PadicNumber.__mul__` does; each sum applies the p-adic sum rule of
 `PadicNumber.__add__` inline, with moduli read from the context's power
-table.  The pairs are summed in the order of a double loop over the two
-coefficient dicts, so every `known`, every collapse to exact zero and the
+table.  The state of an exponent is the least valuation summed into it,
+a unit not yet stripped of p, and the absolute precision; p is stripped
+once, when the output coefficient is built.  The pairs are summed in the
+order of a double loop over the two coefficient dicts, so every `known`,
+every collapse to exact zero, every "additive window exhausted" and the
 key order of the result are the ones PadicNumber arithmetic would give.
+The collapse (a sum that vanishes modulo its whole window is taken for
+exact zero and the exponent starts afresh) is one explicit branch of the
+loop, the one a capped-absolute kernel would change.
 
 Powers are truncated: `pow(s, m, hi)` is s^m cut to exponents <= hi, the
 truncated power series of the capped model (Caruso, Roe and Vaccon,
@@ -41,7 +47,8 @@ factor this way, at the top of its window.
 
 A branch factor's side is its point's valuation and nothing else:
 branch_root_series expands (1 - theta/x)^(1/m) in inverse powers when
-v(theta) > 0 and (1 - x/theta)^(1/m) otherwise.
+v(theta) > 0 and (1 - x/theta)^(1/m) otherwise, by an integer binomial
+recurrence modulo p^known with one modular inverse per factor.
 """
 
 from __future__ import annotations
@@ -351,16 +358,25 @@ class LaurentSeries:
         # Convolve in the pair order of a PadicNumber double loop, each
         # product as in PadicNumber.__mul__ and each sum by the p-adic sum
         # rule (PadicNumber.__add__), written out inline over three flat
-        # lists indexed by exponent - base.  A pair's unit product is reduced
-        # mod p^k only when it starts a state: a sum's window is at most k
-        # when the product is the lower term, and at most k + d when it is
-        # the higher term shifted by p^d, so the raw product gives the same
-        # residue.  `val[n] is None` marks a fresh state: never reached
-        # (known -1) or collapsed to exact zero, which keeps its place in
-        # the first-reached order and takes the next product as it is.
-        # Under a cut the pairs that land above it, or below it, are skipped,
-        # row by row; every kept pair and exponent keeps its place in that
-        # order.
+        # lists indexed by exponent - base.  The state of an exponent is
+        # p^val * unit known modulo p^prec: val is the least valuation summed
+        # since the state started, unit is not stripped of p, and prec is the
+        # absolute precision, the least v + k of the pairs summed.  A sum
+        # costs one product, one shift by p^d, one reduction mod p^(prec -
+        # val) and a zero test; p is stripped once per output coefficient,
+        # where the dict is built, which gives the PadicNumber the stripped
+        # rule would have given.  A pair's unit product is reduced mod p^k
+        # only when it starts a state: a sum's window is at most k when the
+        # product is the lower term, and at most k + d when it is the higher
+        # term shifted by p^d, so the raw product gives the same residue.
+        # `val[n] is None` marks a fresh state: never reached (prec None) or
+        # collapsed to exact zero, which keeps its place in the
+        # first-reached order and takes the next product as it is.  That
+        # collapse, a sum that vanishes modulo its whole window taken for
+        # exact zero, is the `elif k` branch below, the one branch a
+        # capped-absolute kernel changes.  Under a cut the pairs that land
+        # above it, or below it, are skipped, row by row; every kept pair
+        # and exponent keeps its place in that order.
         powers = ctx.powers
         p = ctx.prime
         cut = (hi if top is None else min(hi, top)) - base
@@ -368,7 +384,7 @@ class LaurentSeries:
         size = max(cut + 1, 0)
         val: list[int | None] = [None] * size
         unit = [0] * size
-        known = [-1] * size
+        prec: list[int | None] = [None] * size
         order: list[int] = []
         right = [(j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
         j_lo = min(other.coefficients, default=0) - base
@@ -388,37 +404,40 @@ class LaurentSeries:
                 k = ka if ka < kb else kb
                 v = va + vb
                 u = ua * ub
-                vs = val[n]
-                if vs is None:
-                    if known[n] < 0:
+                w = val[n]
+                if w is None:
+                    if prec[n] is None:
                         order.append(n)
                     val[n] = v
                     unit[n] = u % powers[k]
-                    known[n] = k
+                    prec[n] = v + k
                     continue
-                ks = known[n]
-                if v < vs:
-                    d = vs - v
-                    window = ks + d if ks + d < k else k
+                ap = v + k
+                if prec[n] < ap:
+                    ap = prec[n]
+                if v < w:
+                    d = w - v
+                    w = v
+                    window = ap - v
                     s = u + unit[n] * powers[d] if d < window else u
                 else:
-                    d = v - vs
-                    window = k + d if k + d < ks else ks
+                    d = v - w
+                    window = ap - w
                     s = unit[n] + u * powers[d] if d < window else unit[n]
-                    v = vs
                 if window <= 0:
                     raise PrecisionError("additive window exhausted")
                 s %= powers[window]
-                if s == 0:
+                if s:
+                    val[n] = w
+                    unit[n] = s
+                    prec[n] = ap
+                elif k:
                     val[n] = None
-                    continue
-                while s % p == 0:
-                    s //= p
-                    v += 1
-                    window -= 1
-                val[n] = v
-                unit[n] = s
-                known[n] = window
+                else:
+                    # With k = 0 the pair adds no digit, so the sum vanishes
+                    # only when the pair lands at or below the state's
+                    # stripped valuation, where its window is exhausted.
+                    raise PrecisionError("additive window exhausted")
         # Knowledge boundaries: an entire side of one factor extends the other
         # factor's window by its extreme stored exponent; a truncated side pins
         # the result at the sum of the truncated edges.
@@ -439,11 +458,18 @@ class LaurentSeries:
         hi = min(hi, MAX_WINDOW)
         if lo > hi:
             raise PrecisionError("product window collapsed")
-        coeffs = {
-            n + base: PadicNumber(ctx, val[n], unit[n], known[n])
-            for n in order
-            if val[n] is not None and lo <= n + base <= hi
-        }
+        coeffs = {}
+        for n in order:
+            v = val[n]
+            if v is None or not lo <= n + base <= hi:
+                continue
+            s, k = unit[n], prec[n] - v
+            if k:
+                while s % p == 0:
+                    s //= p
+                    v += 1
+                    k -= 1
+            coeffs[n + base] = PadicNumber(ctx, v, s, k)
         return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
 
     def mul_cut(self, other: "LaurentSeries", hi: int) -> "LaurentSeries":
@@ -761,26 +787,64 @@ def branch_root_series(
     converging on v(x) < v(theta); otherwise (1 - x/theta)^(1/m), a power
     series on [0, order] converging on v(x) > v(theta).  The binomial
     coefficients binom(1/m, k) are p-integral as long as p does not divide
-    m; they come from the recurrence b_k = b_(k-1) * (1 - m(k-1)) / (mk) in
-    Q_p at full precision, and the powers of -theta (or -1/theta) by one
-    product per term.
+    m.  Coefficient k is binom(1/m, k) * step^k, with step = -theta (or
+    -1/theta), so it is coefficient k - 1 times (1 - m(k-1)) / (mk) * step.
+    The recurrence runs on plain integers modulo p^known, known the digits
+    of theta: each factor's numerator and denominator are stripped of p
+    into the valuation, the unit of theta joins the numerator (or the
+    denominator), the prefix products are kept, and one modular inverse of
+    the last denominator prefix gives every other one on a walk back.  Each
+    coefficient becomes one PadicNumber, the one the Q_p recurrence at full
+    precision would give.
+
+    Every coefficient of the factor is binom(1/m, k) * step^k, of
+    valuation at least k * |v(theta)|, so the dropped side at distance
+    d past the edge sits at or above |v(theta)| * order + |v(theta)| * d.
     """
     ctx = theta.context
     if theta.is_zero:
         raise ValueError("branch factor at the origin is a plain monomial")
-    if m < 1 or math.gcd(ctx.prime, m) != 1:
+    p = ctx.prime
+    if m < 1 or math.gcd(p, m) != 1:
         raise ValueError("p divides m")
-    one = PadicNumber.from_int(1, ctx)
-    tv = Fraction(theta.valuation)
+    tv = theta.valuation
     inner = tv > 0
-    step, sign = (-theta, -1) if inner else (-(one / theta), 1)
-    coeffs: dict[int, PadicNumber] = {0: one}
-    binom = power = one
+    known = theta.known
+    mod = ctx.powers[known]
+    step_val, sign = (tv, -1) if inner else (-tv, 1)
+    # the unit of step is -u (inner) or -1/u (outer), u the unit of theta
+    num_unit, den_unit = (-theta.unit, 1) if inner else (-1, theta.unit)
+    # coefficient k: valuation vals[k], and unit units[k] once divided by
+    # the product of steps[:k], the denominators of its k factors
+    vals, units, steps = [0], [1], []
+    v, num, den = 0, 1, 1
     for k in range(1, order + 1):
-        binom = binom * PadicNumber.from_rational(1 - m * (k - 1), m * k, ctx)
-        power = power * step
-        coeffs[sign * k] = power * binom
-    tail = TailBound(abs(tv), abs(tv) * (order + 1))
+        a, b = 1 - m * (k - 1), m * k
+        if a == 0:
+            break  # binom(1/m, k) vanishes from here on (m = 1)
+        while a % p == 0:
+            a //= p
+            v += 1
+        while b % p == 0:
+            b //= p
+            v -= 1
+        v += step_val
+        b = b * den_unit % mod
+        num = num * a * num_unit % mod
+        den = den * b % mod
+        vals.append(v)
+        units.append(num)
+        steps.append(b)
+    # walking back from the top, inv is 1 over the product of steps[:k]
+    inv = pow(den, -1, mod)
+    for k in range(len(units) - 1, 0, -1):
+        units[k] = units[k] * inv % mod
+        inv = inv * steps[k - 1] % mod
+    coeffs = {0: PadicNumber.from_int(1, ctx)}
+    for k in range(1, len(units)):
+        coeffs[sign * k] = PadicNumber(ctx, vals[k], units[k], known)
+    slope = Fraction(abs(tv))
+    tail = TailBound(slope, slope * order)
     if inner:
         return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
     return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)

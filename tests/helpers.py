@@ -5,8 +5,15 @@ from fractions import Fraction
 
 from superchab import geometry
 from superchab.geometry import _pseudo_entire
-from superchab.padic import PadicNumber
-from superchab.series import LaurentSeries, branch_root_series
+from superchab.padic import PadicNumber, PrecisionError
+from superchab.series import (
+    MAX_WINDOW,
+    LaurentSeries,
+    TailBound,
+    _merge_tails,
+    _product_floor,
+    branch_root_series,
+)
 
 
 def abs_precision(x: PadicNumber) -> int | None:
@@ -139,3 +146,97 @@ def full_power_annulus(a, curve, ctx):
         return geometry.parameterize_annulus(a, curve, ctx)
     finally:
         geometry._bottom_cut = saved
+
+
+def fused_product_stripped(a, b, top, floor, bottom=None, tail=None) -> LaurentSeries:
+    """LaurentSeries._product as it was before its state kept the unit
+    unstripped: the per-pair sum rule stripped p from every sum and kept
+    (valuation, unit, known) per exponent.  The oracle for the kernel that
+    strips once per output coefficient; same arguments, same result."""
+    ctx = a.context
+    if b.context != ctx:
+        raise ValueError("mixed p-adic contexts")
+    domain = a._join_domain(b)
+    lo = base = a.lo + b.lo
+    hi = a.hi + b.hi
+    powers = ctx.powers
+    p = ctx.prime
+    cut = (hi if top is None else min(hi, top)) - base
+    start = 0 if bottom is None else bottom - base
+    size = max(cut + 1, 0)
+    val = [None] * size
+    unit = [0] * size
+    known = [-1] * size
+    order = []
+    right = [(j - base, c.valuation, c.unit, c.known) for j, c in b.coefficients.items()]
+    j_lo = min(b.coefficients, default=0) - base
+    j_hi = max(b.coefficients, default=0) - base
+    for i, c in a.coefficients.items():
+        room = cut - i
+        least = start - i
+        if room >= j_hi and least <= j_lo:
+            row = right
+        elif room >= j_lo and least <= j_hi:
+            row = [r for r in right if least <= r[0] <= room]
+        else:
+            continue
+        va, ua, ka = c.valuation, c.unit, c.known
+        for j, vb, ub, kb in row:
+            n = i + j
+            k = ka if ka < kb else kb
+            v = va + vb
+            u = ua * ub
+            vs = val[n]
+            if vs is None:
+                if known[n] < 0:
+                    order.append(n)
+                val[n] = v
+                unit[n] = u % powers[k]
+                known[n] = k
+                continue
+            ks = known[n]
+            if v < vs:
+                d = vs - v
+                window = ks + d if ks + d < k else k
+                s = u + unit[n] * powers[d] if d < window else u
+            else:
+                d = v - vs
+                window = k + d if k + d < ks else ks
+                s = unit[n] + u * powers[d] if d < window else unit[n]
+                v = vs
+            if window <= 0:
+                raise PrecisionError("additive window exhausted")
+            s %= powers[window]
+            if s == 0:
+                val[n] = None
+                continue
+            while s % p == 0:
+                s //= p
+                v += 1
+                window -= 1
+            val[n] = v
+            unit[n] = s
+            known[n] = window
+    for x, y in ((a, b), (b, a)):
+        if x.tail_above is None and y.tail_above is not None:
+            hi = y.hi + min(x.coefficients, default=0)
+        if x.tail_below is None and y.tail_below is not None:
+            lo = y.lo + max(x.coefficients, default=0)
+    above = _product_floor(a, a.tail_above, b, b.tail_above)
+    if top is not None and top < hi:
+        hi = top
+        above = _merge_tails(above, TailBound(Fraction(0), floor))
+    below = _product_floor(a, a.tail_below, b, b.tail_below)
+    if bottom is not None and bottom >= lo:
+        lo = bottom
+        below = tail
+    lo = max(lo, -MAX_WINDOW)
+    hi = min(hi, MAX_WINDOW)
+    if lo > hi:
+        raise PrecisionError("product window collapsed")
+    coeffs = {
+        n + base: PadicNumber(ctx, val[n], unit[n], known[n])
+        for n in order
+        if val[n] is not None and lo <= n + base <= hi
+    }
+    return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)

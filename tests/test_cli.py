@@ -1,6 +1,7 @@
 """CLI: grammar parsing with positions, subcommand payloads, exit codes,
 canonical JSON, and batch ordering."""
 
+import hashlib
 import json
 import random
 import re
@@ -730,6 +731,23 @@ class TestGolden:
         captured = capsys.readouterr()
         assert captured.out == out
         assert captured.err == err
+
+    @pytest.mark.parametrize(
+        "precision, digest",
+        [
+            ("20", "b68559fa291843fb6e94805a4ebdc1bd97a342b50fbb5d764c07be7a4ab1f28f"),
+            ("40", "4ef1490d9341a21907bb2361e62cc3bd7887c3046b631f370e22035d3eed2caf"),
+            ("80", "8b50efce7715b9146d7799e10fc25723c87256346a79c1ab8bb232f39e8c3c17"),
+        ],
+        ids=["precision20", "precision40", "precision80"],
+    )
+    def test_nested_cubic_analyze(self, capsys, precision, digest):
+        # the nested 12-root cubic of the README timings: nine annulus
+        # orbits, every chart through the series kernel and branch factors
+        f = "prod[" + ",".join(f"({a},1)" for a in (1, 8, 50, 344, 2, 9, 51, 345, 3, 10, 52, 346)) + "]"
+        assert main(["analyze", "--m", "3", "--f", f, "--precision", precision]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_analyze_batch(self, tmp_path, capsys):
         batch = tmp_path / "curves.txt"

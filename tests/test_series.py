@@ -1,15 +1,19 @@
 """Laurent series on discs and annuli: arithmetic, Newton polygons, zero
 counts, branch factors and Coleman integration on a single chart."""
 
+import inspect
 import random
+import textwrap
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import abs_precision, lift_fraction, series_agree
+import superchab.series
+from helpers import abs_precision, fused_product_stripped, lift_fraction, series_agree
 from superchab.padic import PadicContext, PadicNumber, PrecisionError, _vp, iwasawa_log
 from superchab.series import (
     AnnulusSpec,
@@ -394,6 +398,194 @@ class TestBottomCut:
                 series(data).__pow__(3, 3, -1)
 
 
+# -- the stripped-state kernel as the oracle for the unstripped one -------------
+
+
+def _chart_shaped(rng, ctx, domain, zero_known):
+    """A series shaped like a chart's branch product: 30 to 70 stored
+    coefficients around exponent 0, valuations growing with |n| (a steeper
+    rate below 0, as inner factors give, than above), some known to fewer
+    digits than the precision, one known to no digit when zero_known, a tail
+    on each side or none, and often keys out of exponent order."""
+    p, prec = ctx.prime, ctx.precision
+    count = rng.randint(30, 70)
+    span = count + rng.randint(0, 6)
+    below = 0 if domain.is_disc else rng.randint(span // 4, 3 * span // 4)
+    exps = sorted(rng.sample(range(-below, span - below), count))
+    down, up, shift = rng.randint(1, 3), rng.randint(0, 1), rng.randint(-2, 2)
+    coeffs = {}
+    for n in exps:
+        v = shift + down * max(-n, 0) + up * max(n, 0) + rng.randint(0, 1)
+        known = prec if rng.random() < 0.7 else rng.randint(1, prec)
+        unit = rng.randrange(1, p**known)
+        coeffs[n] = PadicNumber(ctx, v, unit + (unit % p == 0), known)
+    if zero_known:
+        n = rng.choice(exps)
+        coeffs[n] = PadicNumber(ctx, coeffs[n].valuation, 0, 0)
+    if rng.random() < 0.5:
+        items = list(coeffs.items())
+        rng.shuffle(items)
+        coeffs = dict(items)
+    lo, hi = exps[0] - rng.randint(0, 2), exps[-1] + rng.randint(0, 2)
+    if domain.is_disc:
+        lo = 0
+    below_tail = TailBound(Fraction(down), Fraction(shift + down * (-lo)))
+    above_tail = TailBound(Fraction(up), Fraction(shift + up * hi))
+    return LaurentSeries(
+        ctx, coeffs, domain, lo, hi,
+        below_tail if rng.random() < 0.6 else None,
+        above_tail if rng.random() < 0.6 else None,
+    )
+
+
+def _plant_cancellation(rng, x, y):
+    """y with one coefficient y_j2 replaced so that the coefficient of x * y
+    at some n = i1 + j1 is p^r * w, w = 0 or small and r past most
+    windows, and the exponent n; y and None when the drawn pair has no
+    room in y."""
+    ctx = x.context
+    p = ctx.prime
+    i1, i2 = rng.sample(sorted(x.coefficients), 2)
+    j1 = rng.choice(sorted(y.coefficients))
+    n, j2 = i1 + j1, i1 + j1 - i2
+    if not y.lo <= j2 <= y.hi or not x.coefficients[i2].known:
+        return y, None
+    lift = lambda s, k: lift_fraction(s.coefficients[k]) if k in s.coefficients else 0
+    rest = sum(lift(x, i) * lift(y, n - i) for i in x.coefficients if i != i2)
+    v = x.coefficients[i1].valuation + y.coefficients[j1].valuation
+    target = Fraction(p) ** (v + rng.randint(1, ctx.precision + 4)) * rng.choice((0, rng.randint(1, 50)))
+    if target == rest:
+        return y, None
+    exact = PadicNumber.from_fraction((target - rest) / lift(x, i2), ctx)
+    keep = ctx.precision if rng.random() < 0.6 else rng.randint(1, ctx.precision)
+    coeffs = dict(y.coefficients)
+    coeffs[j2] = _truncated(exact, keep)
+    planted = LaurentSeries(ctx, coeffs, y.domain, y.lo, y.hi, y.tail_below, y.tail_above)
+    return planted, n
+
+
+def _kernel_case(rng):
+    """Two chart-shaped factors with planted cancellations, and the cut
+    arguments of one _product call: a top cut with its floor, a bottom
+    cut with its tail, both or neither."""
+    ctx = PadicContext(rng.choice((3, 5, 7, 13)), rng.randint(6, 40))
+    domain = DISC if rng.random() < 0.25 else AnnulusSpec.annulus(rng.randint(1, 3))
+    zero = rng.random() < 0.15
+    x = _chart_shaped(rng, ctx, domain, zero and rng.random() < 0.5)
+    y = _chart_shaped(rng, ctx, domain, zero)
+    planted = []
+    for _ in range(rng.randint(1, 3)):
+        y, n = _plant_cancellation(rng, x, y)
+        if n is not None:
+            planted.append(n)
+    lo, hi = x.lo + y.lo, x.hi + y.hi
+    top = floor = bottom = tail = None
+    if rng.random() < 0.6:
+        top = rng.randint((lo + hi) // 2, hi + 2)
+        floor = x._min_stored_valuation() + y._min_stored_valuation()
+    if not domain.is_disc and rng.random() < 0.5:
+        upper = hi if top is None else min(hi, top)
+        bottom = rng.randint(lo - 2, (lo + upper) // 2)
+        tail = TailBound(Fraction(rng.randint(1, 3)), Fraction(rng.randint(-4, 8)))
+    return x, y, (top, floor, bottom, tail), planted
+
+
+def _outcome(kernel, x, y, cut):
+    """Triples in key order, window and tails of kernel(x, y, *cut), or the
+    type and message of what it raised."""
+    try:
+        r = kernel(x, y, *cut)
+    except Exception as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return (_triples(r.coefficients.items()), (r.lo, r.hi), (r.tail_below, r.tail_above))
+
+
+def _kernel_sweep(kernel, seed, cases):
+    """kernel against fused_product_stripped on seeded chart-shaped products;
+    counts of the branches the cases reached."""
+    rng = random.Random(seed)
+    seen = Counter()
+    for _ in range(cases):
+        x, y, cut, planted = _kernel_case(rng)
+        want = _outcome(fused_product_stripped, x, y, cut)
+        assert _outcome(kernel, x, y, cut) == want
+        seen["top"] += cut[0] is not None
+        seen["bottom"] += cut[2] is not None
+        seen["zero_known"] += any(not c.known for c in y.coefficients.values())
+        if want[0] == "raised":
+            seen[want[2]] += 1
+            continue
+        got = dict(want[0])
+        lo, hi = want[1]
+        seen["collapsed"] += sum(lo <= n <= hi and n not in got for n in planted)
+        seen["lowered"] += sum(n in got and got[n][2] < x.context.precision for n in planted)
+    return seen
+
+
+def _strip_first_mutant():
+    """LaurentSeries._product with p stripped from each sum before the
+    collapse test, the window shrunk by the digits stripped: a sum that
+    vanishes to more digits than its window no longer collapses."""
+    source = textwrap.dedent(inspect.getsource(LaurentSeries._product))
+    anchor = "s %= powers[window]\n"
+    assert source.count(anchor) == 1
+    indent = source[: source.index(anchor)].rsplit("\n", 1)[1]
+    strip = "".join(
+        indent + line + "\n"
+        for line in (
+            "while s and s % p == 0:",
+            "    s //= p",
+            "    w += 1",
+            "    window -= 1",
+        )
+    )
+    mutated = source.replace(indent + anchor, strip + indent + anchor)
+    namespace = dict(vars(superchab.series))
+    exec(mutated, namespace)
+    return namespace["_product"]
+
+
+class TestKernelOracle:
+    """LaurentSeries._product, which strips p once per output coefficient,
+    against the kernel that stripped it from every sum
+    (`helpers.fused_product_stripped`)."""
+
+    def test_seeded_sweep(self):
+        seen = _kernel_sweep(LaurentSeries._product, 20261020, 400)
+        assert seen["top"] >= 200 and seen["bottom"] >= 120
+        assert seen["zero_known"] >= 40
+        assert seen["additive window exhausted"] >= 40
+        assert seen["product window collapsed"] >= 10
+        assert seen["collapsed"] >= 50
+        assert seen["lowered"] >= 120
+
+    def test_strip_before_collapse_fails(self):
+        with pytest.raises(AssertionError):
+            _kernel_sweep(_strip_first_mutant(), 20261020, 160)
+
+    @pytest.mark.parametrize("v, want", [(2, None), (3, None), (4, (3, 1))])
+    def test_digitless_pair_over_a_cancellation(self, v, want):
+        # At z^1, 1 * (p^3 - 1) + 1 * 1 = p^3 is summed from valuation 0;
+        # then a pair of valuation v with no digit known lands there.  At or
+        # below the stripped valuation 3 its window is exhausted; above it
+        # the sum keeps valuation 3 known to v - 3 digits.
+        x = LaurentSeries(
+            Q7,
+            {0: PadicNumber.from_int(1, Q7), 1: PadicNumber.from_int(1, Q7),
+             2: PadicNumber(Q7, v, 0, 0)},
+            ANN1, 0, 2,
+        )
+        y = series({1: 7**3 - 1, 0: 1, -1: 1})
+        args = (x, y, (None, None, None, None))
+        assert _outcome(LaurentSeries._product, *args) == _outcome(fused_product_stripped, *args)
+        if want is None:
+            with pytest.raises(PrecisionError, match="additive window exhausted"):
+                x * y
+        else:
+            c = (x * y).coefficients[1]
+            assert (c.valuation, c.known) == want
+
+
 class TestNewtonPolygon:
     def test_z2_minus_7(self):
         s = series({2: 1, 0: -7})
@@ -494,6 +686,28 @@ class TestBranchFactors:
         assert (inner.lo, inner.hi) == (-16, 0)
         assert (inner.tail_below.slope, inner.tail_above) == (1, None)
 
+    def test_tail_floor_holds_past_the_window(self):
+        # theta = 7, m = 3: binom(1/3, 9) is a 7-adic unit, so z^-9 of the
+        # order-12 expansion has valuation 9, one step past the order-8
+        # window, and the floor there is 8 + 1 * 1
+        theta = PadicNumber.from_int(7, Q7)
+        short = branch_root_series(theta, 3, 8, ANN1)
+        longer = branch_root_series(theta, 3, 12, ANN1)
+        assert longer.coefficient(-9).valuation == 9
+        assert short.tail_below == TailBound(Fraction(1), Fraction(8))
+        # every coefficient past the window, on either side, sits on or
+        # above the floor at its distance
+        for num, den, m in ((7, 1, 3), (98, 1, 2), (49, 3, 5), (1, 7, 3), (2, 49, 4), (3, 1, 2)):
+            theta = PadicNumber.from_rational(num, den, Q7)
+            domain = ANN1 if theta.valuation > 0 else DISC
+            for order in (4, 8):
+                short = branch_root_series(theta, m, order, domain)
+                longer = branch_root_series(theta, m, order + 6, domain)
+                tail = short.tail_below or short.tail_above
+                for n, c in longer.coefficients.items():
+                    if abs(n) > order:
+                        assert c.valuation >= tail.at(abs(n) - order)
+
     def test_p_dividing_m_rejected(self):
         with pytest.raises(ValueError):
             branch_root_series(PadicNumber.from_int(2, Q7), 7, 64, DISC)
@@ -529,9 +743,9 @@ def _fraction_branch_root_series(theta, m, order, domain):
             coeffs[k] = (-inv_theta) ** k * PadicNumber.from_fraction(binom, ctx)
     tv = Fraction(theta.valuation)
     if inner:
-        tail = TailBound(tv, tv * (order + 1))
+        tail = TailBound(tv, tv * order)
         return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
-    tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * (order + 1))
+    tail = TailBound(max(-tv, Fraction(0)), max(-tv, Fraction(0)) * order)
     return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
 
 
