@@ -19,16 +19,16 @@ _build_charts, does the rest.  With d = gcd(k, m) it records
 no_points when Q is not a d-th power; otherwise it finds a scale U with
 gamma^m = Q * U^k and records the d sheets t = U z^(m/d),
 y_j = zeta_m^j gamma z^(k/d) h(U z^(m/d)).  The check reads gamma^m - Q * U^k
-and every coefficient of the residual h^m * Q * t^k - f from exponent
-min(0, the lowest one h^m * t^k knows) up to the cut plus k, each to a cap:
-the digits truncation leaves reliable there.  There are two budgets.  On an
-annulus of width beta the cap falls by beta per exponent past k, and
-exponents whose cap is below the target are skipped; h^m is also cut
-below, where a sloped floor from h's stored valuations already clears the
-cap, and the check reads that floor in place of the dropped coefficients.
-On a disc every cap is the working precision, so each exponent the chart
-reports, and each one below k, is checked.  A chart that misses its target
-raises ChartVerificationError, never a silent result.
+and, term by term, the residual Q * [h^m]_(n-k) - f_n at every n from
+min(0, the lowest exponent h^m * t^k knows) up to the cut plus k, each to
+a cap: the digits truncation leaves reliable there.  There are two
+budgets.  On an annulus of width beta the cap falls by beta per exponent
+past k, and exponents whose cap is below the target are skipped; h^m is
+also cut below, where a sloped floor from h's stored valuations already
+clears the cap, a certificate the check tests.  On a disc every cap is the
+working precision, so each exponent the chart reports, and each one below
+k, is checked.  A chart that misses its target raises
+ChartVerificationError, never a silent result.
 """
 from __future__ import annotations
 
@@ -383,9 +383,9 @@ def _bottom_cut(
     With alpha the least stored valuation of h and sigma > 0 its
     _negative_slope, every computed coefficient of h^m at e < 0 has
     valuation at least m * alpha + sigma * (-e) (LaurentSeries.__pow__).
-    Below -k the residual Q * t^k * h^m - f is lhs alone, f having no
-    negative exponent, and an annulus's cap is the same at every exponent
-    below 0.  So lo is the greatest e <= -k at which the floor of the
+    Below -k the residual Q * t^k * h^m - f is Q * t^k * h^m alone, f
+    having no negative exponent, and an annulus's cap is the same at every
+    exponent below 0.  So lo is the greatest e <= -k at which the floor of the
     residual at e - 1, v(Q) + m * alpha + sigma * (1 - e), reaches that cap;
     it reaches it at every lower exponent too.
     """
@@ -414,12 +414,10 @@ def _verified_digits(
 
     floor, when a bottom cut left h^m uncomputed below some exponent, is
     the residual's valuation floor at the first exponent dropped, paired
-    with that exponent's cap and read under the same rule.  The floor must
-    reach the cap, a certificate checked here, and it then counts the cap.
-    Read one by one, each dropped coefficient, being at or above the
-    floor, would count that same cap (an annulus's caps are equal below 0),
-    or min(cap, working precision) when zero, which the constant's count
-    never exceeds.  So the floor leaves the digits attained as they were.
+    with that exponent's cap.  It is a certificate only: a floor under a
+    cap that reaches the target fails the chart.  It counts no digits: each
+    dropped coefficient would count that cap (an annulus's caps are equal
+    below 0), and so can no exponent read up to 0 exceed it.
     """
     if target < 1:
         raise ValueError(
@@ -432,13 +430,12 @@ def _verified_digits(
         return min(cap, precision) if c.is_zero else min(c.valuation, cap)
 
     read = [digits(c, cap) for c, cap in checks if cap >= target]
-    if floor is not None and floor[1] >= target:
+    if floor is not None:
         value, cap = floor
-        if value < cap:
+        if target <= cap and value < cap:
             raise ChartVerificationError(
                 f"residual floor {value} below the cut of h^m is under its cap {cap}"
             )
-        read.append(cap)
     attained = min(digits(constant, precision), *read) if read else None
     if attained is None or attained < target:
         raise ChartVerificationError(
@@ -456,22 +453,21 @@ def _build_charts(
     sheets or that it has no rational points.
 
     The chart coordinate is origin + t: x on a disc, and x' on an annulus,
-    whose origin is 0.  f_coeffs is f in t, and h the unit branch product
-    of the recentred points on domain, clipped at order; each factor takes
-    its side from the point's valuation.  With
+    whose origin is 0.  f_coeffs is f in t over Q_p, and h the unit branch
+    product of the recentred points on domain, clipped at order; each
+    factor takes its side from the point's valuation.  With
     d = gcd(k, m) there are no rational points unless Q is a d-th power.
     Otherwise a scale U makes Q * U^k = gamma^m, each sheet's x_series is
     origin + U z^(m/d), and the d sheets are
-    y_j = zeta_m^j * gamma * z^(k/d) * h(U z^(m/d)).  The residual
-    h^m * Q * t^k - f, with h^m cut at cut, is read at every exponent n from
-    min(0, the lowest one h^m * t^k knows) to cut + k, to cap(n) digits; the
-    z-charts inherit the identity through the exact monomial substitution
-    and gamma^m = Q * U^k, which is read too.
+    y_j = zeta_m^j * gamma * z^(k/d) * h(U z^(m/d)).  With h^m cut at
+    cut, the residual Q * [h^m]_(n-k) - f_n is read term by term at every n
+    from min(0, the lowest exponent h^m * t^k knows) to cut + k, to cap(n)
+    digits; the z-charts inherit the identity through the exact monomial
+    substitution and gamma^m = Q * U^k, which is read too.
 
     On an annulus h^m is also cut below, at _bottom_cut's exponent, where
-    its sloped floor reaches the cap: every dropped exponent would count
-    its cap, so the check reads the floor at the first one in their place
-    and attains the same digits.  A disc has no negative side to cut.
+    its sloped floor reaches the cap; that floor plus v(Q) is checked as a
+    certificate for the dropped exponents.  A disc has no negative side.
     """
     ctx = q.context
     d = math.gcd(k, m)
@@ -497,13 +493,14 @@ def _build_charts(
     gamma = mth_root(qu, m)
     h = _branch_series_product(points, m, order, domain, ctx)
     lo = None if domain.is_disc else _bottom_cut(h, m, q, k, cap)
-    lhs = h.__pow__(m, cut, lo).shifted(k).scaled(q)
-    resid = lhs - LaurentSeries.from_dict(dict(enumerate(f_coeffs)), ctx, domain)
+    hm = h.__pow__(m, cut, lo)
+    f = dict(enumerate(f_coeffs))
     attained = _verified_digits(
         gamma**m - qu,
-        ((resid.coefficient(n), cap(n)) for n in range(min(lhs.lo, 0), cut + k + 1)),
+        ((hm.coefficient(n - k) * q - f.get(n, PadicNumber.zero(ctx)), cap(n))
+         for n in range(min(hm.lo + k, 0), cut + k + 1)),
         ctx.precision // 2,
-        None if lo is None else (lhs.tail_below.at(1), cap(lhs.lo - 1)),
+        None if lo is None else (hm.tail_below.at(1) + q.valuation, cap(hm.lo + k - 1)),
     )
     z_dom = domain if domain.is_disc else AnnulusSpec.annulus(
         (domain.inner_valuation - scale.valuation) / md
@@ -578,8 +575,8 @@ def parameterize_annulus(
     thetainf = [((th - c_p) / pl, n) for th, n in a.theta_infty]
 
     k0 = a.weighted_inner_count()
-    lead = PadicNumber.from_fraction(scaled[-1], ctx)
-    q0 = math.prod(((-th) ** n for th, n in thetainf), start=lead)
+    f_padic = [PadicNumber.from_fraction(c, ctx) for c in scaled]
+    q0 = math.prod(((-th) ** n for th, n in thetainf), start=f_padic[-1])
 
     # The check runs at the x'-level, where every stored coefficient has
     # nonnegative valuation.  Its cap falls by beta per exponent past k0, so
@@ -592,7 +589,7 @@ def parameterize_annulus(
     return _build_charts(
         AnnulusAnalysis(annulus=a, status="unanalyzed"), m, q0, k0,
         PadicNumber.zero(ctx), theta0 + thetainf, AnnulusSpec.annulus(beta),
-        order, cut=max(reach, 0), f_coeffs=scaled,
+        order, cut=max(reach, 0), f_coeffs=f_padic,
         cap=lambda n: beta * (order + 1 - max(0, n - k0)) + vq,
     )
 

@@ -1,7 +1,7 @@
 """Dense polynomials over Q as plain coefficient lists (ascending powers).
 
 Just enough exact machinery for the curve model: products, the integer
-form, gcd, Yun's square-free decomposition, and the package's one
+form, Yun's square-free decomposition, and the package's one
 recentring f(a + b*x), which also runs over integer and p-adic
 coefficients.  The exact algebra (gcd, square-freeness, Yun) runs on
 primitive integer forms only, so coefficient sizes stay bounded and no
@@ -112,11 +112,6 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def _monic(f: list[int]) -> Poly:
     return [Fraction(c, f[-1]) for c in f]
-
-
-def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd by _int_gcd on the integer forms."""
-    return _monic(_int_gcd(*(integer_form(normalize(h))[0] for h in (f, g))))
 
 
 def derivative(f: list) -> list:

@@ -45,6 +45,11 @@ exponents <= hi, its dropped side floored at the sum of the two least
 stored valuations.  The chart set-up multiplies each power-series branch
 factor this way, at the top of its window.
 
+A product's tail floor on a side is measured from its final edge, be it
+a pin, a cut or the sum of the factors' edges.  It covers each tail times
+the other factor's stored coefficients or tail, the pairs a cut skipped,
+and the coefficients computed past a pinned edge.
+
 A branch factor's side is its point's valuation and nothing else:
 branch_root_series expands (1 - theta/x)^(1/m) in inverse powers when
 v(theta) > 0 and (1 - x/theta)^(1/m) otherwise, by an integer binomial
@@ -153,17 +158,29 @@ def _negative_slope(s: "LaurentSeries") -> Fraction | None:
 
 
 def _product_floor(
-    a: "LaurentSeries", ta: TailBound | None, b: "LaurentSeries", tb: TailBound | None
+    a: "LaurentSeries", b: "LaurentSeries", edge: int, side: int
 ) -> TailBound | None:
-    """The tail floor of a * b on the side where a has tail ta and b has tb:
-    each tail times the other factor's stored mass, at the least slope."""
-    terms = [(t, s) for t, s in ((tb, a), (ta, b)) if t is not None]
+    """The tail floor of a * b past edge on one side (1 above, -1 below).
+
+    A tail t (slope >= 0) at a factor's window end rim bounds its
+    coefficient at rim + side * i, i >= 1, by t.at(i).  A pair of a's tail
+    with b's stored coefficients or tail lands d past edge only with i
+    (plus b's i) >= d - side * (rim_a + rim_b - edge), so its valuation is
+    at least t.offset + slope * that, slope the least tail slope there,
+    plus the least of b's stored valuations and tail offset; and likewise
+    with a and b swapped.
+    """
+    ta, tb = (s.tail_above if side > 0 else s.tail_below for s in (a, b))
+    terms = [(t, u, other) for t, u, other in ((ta, tb, b), (tb, ta, a)) if t is not None]
     if not terms:
         return None
-    return TailBound(
-        min(t.slope for t, _ in terms),
-        min(t.at(1) + s._min_stored_valuation() for t, s in terms),
+    slope = min(t.slope for t, _, _ in terms)
+    offset = min(
+        t.offset + min(other._min_stored_valuation(), u.offset if u else math.inf)
+        for t, u, other in terms
     )
+    rims = a.hi + b.hi if side > 0 else a.lo + b.lo
+    return TailBound(slope, offset - slope * side * (rims - edge))
 
 
 class LaurentSeries:
@@ -258,17 +275,6 @@ class LaurentSeries:
             raise ValueError("domain mismatch between Laurent series")
         return self.domain
 
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(
-            self.context,
-            {n: -c for n, c in self.coefficients.items()},
-            self.domain,
-            self.lo,
-            self.hi,
-            self.tail_below,
-            self.tail_above,
-        )
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         domain = self._join_domain(other)
         lo_known = max(
@@ -294,9 +300,6 @@ class LaurentSeries:
         for s in (self, other):
             below, above = _fold_clipped(s.coefficients, lo, hi, below, above)
         return LaurentSeries(self.context, coeffs, domain, lo, hi, below, above)
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
 
     def scaled(self, c: PadicNumber) -> "LaurentSeries":
         if c.is_zero:
@@ -446,22 +449,24 @@ class LaurentSeries:
                 hi = y.hi + min(x.coefficients, default=0)
             if x.tail_below is None and y.tail_below is not None:
                 lo = y.lo + max(x.coefficients, default=0)
-        above = _product_floor(self, self.tail_above, other, other.tail_above)
-        if top is not None and top < hi:
-            hi = top
-            above = _merge_tails(above, TailBound(Fraction(0), floor))
-        below = _product_floor(self, self.tail_below, other, other.tail_below)
-        if bottom is not None and bottom >= lo:
+        hi = min(hi, cut + base)  # the top cut, if any
+        cut_below = bottom is not None and bottom >= lo
+        if cut_below:
             lo = bottom
-            below = tail
         lo = max(lo, -MAX_WINDOW)
         hi = min(hi, MAX_WINDOW)
         if lo > hi:
             raise PrecisionError("product window collapsed")
-        coeffs = {}
+        above = _product_floor(self, other, hi, 1)
+        if top is not None and top < self.hi + other.hi:
+            # the kernel skipped the pairs above top, under a pin too
+            above = _merge_tails(above, TailBound(Fraction(0), floor))
+        below = tail if cut_below else _product_floor(self, other, lo, -1)
+        # a coefficient computed past a pinned edge folds into its floor
+        coeffs, dropped = {}, {}
         for n in order:
             v = val[n]
-            if v is None or not lo <= n + base <= hi:
+            if v is None:
                 continue
             s, k = unit[n], prec[n] - v
             if k:
@@ -469,7 +474,9 @@ class LaurentSeries:
                     s //= p
                     v += 1
                     k -= 1
-            coeffs[n + base] = PadicNumber(ctx, v, s, k)
+            e = n + base
+            (coeffs if lo <= e <= hi else dropped)[e] = PadicNumber(ctx, v, s, k)
+        below, above = _fold_clipped(dropped, lo, hi, below, above)
         return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
 
     def mul_cut(self, other: "LaurentSeries", hi: int) -> "LaurentSeries":

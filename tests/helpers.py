@@ -10,6 +10,7 @@ from superchab.series import (
     MAX_WINDOW,
     LaurentSeries,
     TailBound,
+    _fold_clipped,
     _merge_tails,
     _product_floor,
     branch_root_series,
@@ -69,8 +70,8 @@ def fraction_divmod(
 
 
 def fraction_euclid(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """The monic gcd by Euclid over Fraction, as ratpoly.gcd computed it
-    before the integer form; f and g have no trailing zero."""
+    """The monic gcd by Euclid over Fraction, the oracle for
+    ratpoly._int_gcd made monic; f and g have no trailing zero."""
     a, b = f, g
     while b:
         a, b = b, fraction_divmod(a, b)[1]
@@ -217,26 +218,29 @@ def fused_product_stripped(a, b, top, floor, bottom=None, tail=None) -> LaurentS
             val[n] = v
             unit[n] = s
             known[n] = window
+    skipped = top is not None and top < hi
     for x, y in ((a, b), (b, a)):
         if x.tail_above is None and y.tail_above is not None:
             hi = y.hi + min(x.coefficients, default=0)
         if x.tail_below is None and y.tail_below is not None:
             lo = y.lo + max(x.coefficients, default=0)
-    above = _product_floor(a, a.tail_above, b, b.tail_above)
-    if top is not None and top < hi:
-        hi = top
-        above = _merge_tails(above, TailBound(Fraction(0), floor))
-    below = _product_floor(a, a.tail_below, b, b.tail_below)
-    if bottom is not None and bottom >= lo:
+    if top is not None:
+        hi = min(hi, top)
+    cut_below = bottom is not None and bottom >= lo
+    if cut_below:
         lo = bottom
-        below = tail
     lo = max(lo, -MAX_WINDOW)
     hi = min(hi, MAX_WINDOW)
     if lo > hi:
         raise PrecisionError("product window collapsed")
-    coeffs = {
-        n + base: PadicNumber(ctx, val[n], unit[n], known[n])
-        for n in order
-        if val[n] is not None and lo <= n + base <= hi
-    }
+    above = _product_floor(a, b, hi, 1)
+    if skipped:
+        above = _merge_tails(above, TailBound(Fraction(0), floor))
+    below = tail if cut_below else _product_floor(a, b, lo, -1)
+    coeffs, dropped = {}, {}
+    for n in order:
+        if val[n] is not None:
+            e = n + base
+            (coeffs if lo <= e <= hi else dropped)[e] = PadicNumber(ctx, val[n], unit[n], known[n])
+    below, above = _fold_clipped(dropped, lo, hi, below, above)
     return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)

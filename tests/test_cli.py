@@ -3,6 +3,7 @@ canonical JSON, and batch ordering."""
 
 import hashlib
 import json
+import math
 import random
 import re
 import string
@@ -748,6 +749,37 @@ class TestGolden:
         assert main(["analyze", "--m", "3", "--f", f, "--precision", precision]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_seeded_analyze_corpus(self, capsys):
+        # twenty curves, m = 2 to 6 at the default primes: two or three
+        # residue classes of roots, each nested down to p^3, some roots of
+        # multiplicity above 1; their annuli are rotations and splits, with
+        # charts or with no points
+        rng = random.Random(2025)
+        start = time.process_time()
+        out, seen = [], Counter()
+        for i in range(20):
+            m = 2 + i % 5
+            p = chabauty_prime(m)[0]
+            roots = []
+            for b in rng.sample(range(p), rng.randint(2, 3)):
+                c1, c2, k = rng.randint(1, p - 1), rng.randint(1, p - 1), rng.randint(1, 2)
+                members = [b, b + p**k * c1, b + p**k * c1 + p ** (k + 1) * c2][: rng.randint(1, 3)]
+                roots += [(r, rng.randint(1, m - 1) if rng.random() < 0.3 else 1) for r in members]
+            if math.gcd(m, *(n for _, n in roots)) > 1:
+                roots[0] = (roots[0][0], 1)
+            f = "prod[" + ",".join(f"({r},{n})" for r, n in roots) + "]"
+            assert main(["analyze", "--m", str(m), "--f", f]) == 0
+            text = capsys.readouterr().out
+            out.append(text)
+            seen["repeated root"] += any(n > 1 for _, n in roots)
+            for a in json.loads(text)["annuli"]:
+                seen[a["case"], a["status"]] += 1
+                seen["nested"] += a["interval"][0] > 0
+        assert time.process_time() - start < 3.0
+        assert min(seen.values()) >= 5, seen
+        digest = hashlib.sha256("".join(out).encode()).hexdigest()
+        assert digest == "e40ebe260ff9be4ca726b002bb1e97c5401801619a46fdfc59f6b7e939adcdbd"
 
     def test_analyze_batch(self, tmp_path, capsys):
         batch = tmp_path / "curves.txt"

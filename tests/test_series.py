@@ -398,6 +398,131 @@ class TestBottomCut:
                 series(data).__pow__(3, 3, -1)
 
 
+# -- product tail floors against products of longer factors -------------------
+
+
+def _unit_at(rng, ctx, v):
+    """An exact coefficient of valuation v: a unit known to every digit."""
+    p = ctx.prime
+    unit = rng.randrange(1, p**ctx.precision)
+    return PadicNumber(ctx, v, unit + (unit % p == 0), ctx.precision)
+
+
+def _truncation(rng, ctx, side):
+    """A factor on [lo, hi] and a longer one that agrees with it there.
+    On the side drawn (1 above, -1 below) the factor is entire or carries a
+    tail floor that the longer one's extra coefficients meet, often with
+    equality; on the other side both are entire, so no pair of a lower and
+    an upper tail lands anywhere."""
+    lo, hi = rng.randint(-4, 0), rng.randint(0, 4)
+    stored = {n: _unit_at(rng, ctx, rng.randint(-2, 4)) for n in range(lo, hi + 1) if rng.random() < 0.8}
+    stored = stored or {lo: _unit_at(rng, ctx, 0)}
+    longer = dict(stored)
+    tail = None
+    if rng.random() < 0.7:
+        tail = TailBound(Fraction(rng.randint(0, 2)), Fraction(rng.randint(-3, 4)))
+        rim = hi if side > 0 else lo
+        for d in range(1, rng.randint(1, 6) + 1):
+            if rng.random() < 0.8:
+                v = tail.at(d) + (0 if rng.random() < 0.6 else rng.randint(1, 2))
+                longer[rim + side * d] = _unit_at(rng, ctx, int(v))
+    below, above = (None, tail) if side > 0 else (tail, None)
+    return (
+        LaurentSeries(ctx, stored, ANN1, lo, hi, below, above),
+        LaurentSeries.from_dict(longer, ctx, ANN1),
+    )
+
+
+def _floor_misses(got, whole, side):
+    """The coefficients of whole past got's window on one side (1 above,
+    -1 below) that sit under got's tail floor there, as (exponent,
+    valuation, floor at their distance)."""
+    tail, edge = (got.tail_above, got.hi) if side > 0 else (got.tail_below, got.lo)
+    return [
+        (n, c.valuation, tail and tail.at(d))
+        for n, c in whole.coefficients.items()
+        if (d := side * (n - edge)) > 0 and (tail is None or c.valuation < tail.at(d))
+    ]
+
+
+class TestProductFloors:
+    """Every tail floor of a product holds the coefficients that the
+    products of longer factors, consistent with the factors' own floors,
+    have past the product's window."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(20261020)
+        seen = Counter()
+        for _ in range(1500):
+            ctx = PadicContext(rng.choice((3, 5, 7)), 12)
+            side = rng.choice((1, -1))
+            (x, xl), (y, yl) = (_truncation(rng, ctx, side) for _ in range(2))
+            kind = rng.choice(("mul", "cut", "pow"))
+            try:
+                if kind == "mul":
+                    got, whole = x * y, xl * yl
+                elif kind == "cut":
+                    top = rng.randint(x.lo + y.lo, x.hi + y.hi)
+                    got, whole = x.mul_cut(y, top), xl * yl
+                else:
+                    e = rng.randint(2, 3)
+                    top = rng.randint(e * x.lo, e * x.hi)
+                    got, whole = pow(x, e, top), pow(xl, e, e * max(xl.coefficients))
+            except PrecisionError:
+                seen["collapsed"] += 1
+                continue
+            assert _floor_misses(got, whole, side) == []
+            edge = got.hi if side > 0 else got.lo
+            past = [n for n in whole.coefficients if side * (n - edge) > 0]
+            seen[kind] += bool(past)
+            tails = [s.tail_above if side > 0 else s.tail_below for s in (x, y)]
+            seen["two tails"] += kind != "pow" and None not in tails and bool(past)
+            natural = x.hi + y.hi if side > 0 else x.lo + y.lo
+            seen["pinned"] += kind == "mul" and edge != natural and bool(past)
+        assert min(seen["mul"], seen["cut"], seen["pow"]) >= 300, seen
+        assert seen["two tails"] >= 200 and seen["pinned"] >= 150, seen
+
+    def test_pinned_edge_folds_the_dropped_coefficients(self):
+        # a stores c_n of valuation n on [0, 5] with tail TailBound(1, 5);
+        # the entire b stores units on [-3, 0], so a * b is pinned at
+        # 5 - 3 = 2, and its coefficient at 3, c_3 b_0 + ... , has valuation 3
+        a = LaurentSeries(
+            Q7, {n: PadicNumber.from_int(7**n, Q7) for n in range(6)}, ANN1, 0, 5,
+            None, TailBound(Fraction(1), Fraction(5)),
+        )
+        b = series({n: 1 for n in range(-3, 1)})
+        longer = series({n: 7**n for n in range(9)})
+        got = a * b
+        assert (got.lo, got.hi) == (-3, 2)
+        assert (longer * b).coefficient(3).valuation == 3
+        assert _floor_misses(got, longer * b, 1) == []
+
+    def test_tail_measured_from_the_edge(self):
+        # an entire factor times one whose lower tail TailBound(1, 3) is met
+        # with equality: the product's coefficients at distance d past its
+        # edge have valuation 3 + d, which is its floor there
+        a = LaurentSeries(
+            Q7, {0: PadicNumber.from_int(1, Q7)}, ANN1, 0, 0, TailBound(Fraction(1), Fraction(3))
+        )
+        longer = series({0: 1, **{-d: 7 ** (3 + d) for d in range(1, 6)}})
+        one = series({0: 1})
+        got = a * one
+        assert got.tail_below == TailBound(Fraction(1), Fraction(3))
+        assert _floor_misses(got, longer * one, -1) == []
+
+    def test_two_tails_meet(self):
+        # p^5 + O(z): each unknown coefficient past the window may be a unit,
+        # so the product's coefficient at 2 may be a unit too, under the
+        # floor of 5 that a tail times the other's stored p^5 gives
+        a = LaurentSeries(
+            Q7, {0: PadicNumber.from_int(7**5, Q7)}, ANN1, 0, 0, None, TailBound(Fraction(0))
+        )
+        longer = series({0: 7**5, 1: 1, 2: 1})
+        got = a * a
+        assert (longer * longer).coefficient(2).valuation == 0
+        assert _floor_misses(got, longer * longer, 1) == []
+
+
 # -- the stripped-state kernel as the oracle for the unstripped one -------------
 
 
