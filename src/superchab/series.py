@@ -50,6 +50,20 @@ a pin, a cut or the sum of the factors' edges.  It covers each tail times
 the other factor's stored coefficients or tail, the pairs a cut skipped,
 and the coefficients computed past a pinned edge.
 
+Floors are plain integers wherever they are integral: branch-factor
+tails, cut floors and the constant floors that fold in clipped mass.  A
+Fraction remains only where a division makes one, as in the bottom cut's
+slope; a TailBound compares and hashes equal either way.  The least stored
+valuation of a series is found once, as an int.  A clip that moves a
+tailed edge inward rebases the tail onto the new edge.
+
+The public constructor checks every coefficient: its context, that it
+lies in the window, and it drops exact zeros.  Products, branch factors,
+`scaled`, `shifted`, `window_clipped` and `compose_monomial` make
+coefficients that pass those checks by construction, and build their
+result through `LaurentSeries._valid`, which keeps only the window checks
+and the disc-tail rule.
+
 A branch factor's side is its point's valuation and nothing else:
 branch_root_series expands (1 - theta/x)^(1/m) in inverse powers when
 v(theta) > 0 and (1 - x/theta)^(1/m) otherwise, by an integer binomial
@@ -60,6 +74,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,10 +135,10 @@ class TailBound:
     offset + slope * d.
     """
 
-    slope: Fraction
-    offset: Fraction = Fraction(0)
+    slope: Fraction | int
+    offset: Fraction | int = 0
 
-    def at(self, d: int) -> Fraction:
+    def at(self, d: int) -> Fraction | int:
         return self.offset + self.slope * d
 
 
@@ -141,10 +156,18 @@ def _fold_clipped(coeffs: dict[int, PadicNumber], lo: int, hi: int, below, above
     dropped_lo = [c.valuation for n, c in coeffs.items() if n < lo]
     dropped_hi = [c.valuation for n, c in coeffs.items() if n > hi]
     if dropped_lo:
-        below = _merge_tails(below, TailBound(Fraction(0), Fraction(min(dropped_lo))))
+        below = _merge_tails(below, TailBound(0, min(dropped_lo)))
     if dropped_hi:
-        above = _merge_tails(above, TailBound(Fraction(0), Fraction(min(dropped_hi))))
+        above = _merge_tails(above, TailBound(0, min(dropped_hi)))
     return below, above
+
+
+def _rebased(t: TailBound | None, delta: int) -> TailBound | None:
+    """t measured from an edge moved delta >= 0 inward: a coefficient d
+    past the old edge lies d + delta past the new one."""
+    if t is None or not delta:
+        return t
+    return TailBound(t.slope, t.offset - t.slope * delta)
 
 
 def _negative_slope(s: "LaurentSeries") -> Fraction | None:
@@ -183,8 +206,19 @@ def _product_floor(
     return TailBound(slope, offset - slope * side * (rims - edge))
 
 
+def _check_window(domain: AnnulusSpec, lo: int, hi: int) -> None:
+    if lo > hi:
+        raise ValueError("empty window")
+    if hi - lo > MAX_WINDOW:
+        raise ValueError("window growth exceeds the hard cap")
+    if domain.is_disc and lo < 0:
+        raise ValueError("disc series cannot have negative exponents")
+
+
 class LaurentSeries:
-    """Immutable by convention; operations return fresh instances."""
+    """Immutable by convention; operations return fresh instances.  The
+    constructor checks every coefficient, `_valid` only the window (see
+    the module docstring)."""
 
     def __init__(
         self,
@@ -196,12 +230,7 @@ class LaurentSeries:
         tail_below: TailBound | None = None,
         tail_above: TailBound | None = None,
     ):
-        if lo > hi:
-            raise ValueError("empty window")
-        if hi - lo > MAX_WINDOW:
-            raise ValueError("window growth exceeds the hard cap")
-        if domain.is_disc and lo < 0:
-            raise ValueError("disc series cannot have negative exponents")
+        _check_window(domain, lo, hi)
         coeffs = {}
         for n, c in coefficients.items():
             if c.context != ctx:
@@ -211,6 +240,27 @@ class LaurentSeries:
             if not (lo <= n <= hi):
                 raise ValueError(f"coefficient exponent {n} outside window [{lo},{hi}]")
             coeffs[n] = c
+        self._store(ctx, coeffs, domain, lo, hi, tail_below, tail_above)
+
+    @classmethod
+    def _valid(
+        cls,
+        ctx: PadicContext,
+        coefficients: dict[int, PadicNumber],
+        domain: AnnulusSpec,
+        lo: int,
+        hi: int,
+        tail_below: TailBound | None = None,
+        tail_above: TailBound | None = None,
+    ) -> "LaurentSeries":
+        """A series from coefficients that are nonzero, in ctx and inside
+        [lo, hi] by construction; the dict is kept, not copied."""
+        _check_window(domain, lo, hi)
+        s = cls.__new__(cls)
+        s._store(ctx, coefficients, domain, lo, hi, tail_below, tail_above)
+        return s
+
+    def _store(self, ctx, coeffs, domain, lo, hi, tail_below, tail_above) -> None:
         self.context = ctx
         self.coefficients = coeffs
         self.domain = domain
@@ -218,6 +268,7 @@ class LaurentSeries:
         self.hi = hi
         self.tail_below = None if (domain.is_disc and lo == 0) else tail_below
         self.tail_above = tail_above
+        self._least: int | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -304,9 +355,9 @@ class LaurentSeries:
     def scaled(self, c: PadicNumber) -> "LaurentSeries":
         if c.is_zero:
             return LaurentSeries.zero(self.context, self.domain)
-        shift_val = Fraction(c.valuation)
+        shift_val = c.valuation
         bump = lambda t: None if t is None else TailBound(t.slope, t.offset + shift_val)
-        return LaurentSeries(
+        return LaurentSeries._valid(
             self.context,
             {n: coef * c for n, coef in self.coefficients.items()},
             self.domain,
@@ -321,7 +372,7 @@ class LaurentSeries:
         domain = self.domain
         if domain.is_disc and self.lo + k < 0:
             raise ValueError("shift would move known mass below a disc window")
-        return LaurentSeries(
+        return LaurentSeries._valid(
             self.context,
             {n + k: c for n, c in self.coefficients.items()},
             domain,
@@ -331,9 +382,12 @@ class LaurentSeries:
             self.tail_above,
         )
 
-    def _min_stored_valuation(self) -> Fraction:
-        vals = [c.valuation for c in self.coefficients.values()]
-        return Fraction(min(vals)) if vals else Fraction(0)
+    def _min_stored_valuation(self) -> int:
+        """The least stored valuation (0 when nothing is stored), found once
+        per series."""
+        if self._least is None:
+            self._least = min((c.valuation for c in self.coefficients.values()), default=0)
+        return self._least
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self._product(other, None, None)
@@ -342,7 +396,7 @@ class LaurentSeries:
         self,
         other: "LaurentSeries",
         top: int | None,
-        floor: Fraction | None,
+        floor: int | None,
         bottom: int | None = None,
         tail: TailBound | None = None,
     ) -> "LaurentSeries":
@@ -379,7 +433,9 @@ class LaurentSeries:
         # exact zero, is the `elif k` branch below, the one branch a
         # capped-absolute kernel changes.  Under a cut the pairs that land
         # above it, or below it, are skipped, row by row; every kept pair
-        # and exponent keeps its place in that order.
+        # and exponent keeps its place in that order.  When other's
+        # exponents are stored in ascending order, a cut row is a slice of
+        # them, found by bisection; otherwise it is filtered.
         powers = ctx.powers
         p = ctx.prime
         cut = (hi if top is None else min(hi, top)) - base
@@ -390,15 +446,20 @@ class LaurentSeries:
         prec: list[int | None] = [None] * size
         order: list[int] = []
         right = [(j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
-        j_lo = min(other.coefficients, default=0) - base
-        j_hi = max(other.coefficients, default=0) - base
+        js = [r[0] for r in right]
+        ascending = all(x < y for x, y in zip(js, js[1:]))
+        j_lo = min(js, default=-base)
+        j_hi = max(js, default=-base)
         for i, a in self.coefficients.items():
             room = cut - i
             least = start - i
             if room >= j_hi and least <= j_lo:
                 row = right
             elif room >= j_lo and least <= j_hi:
-                row = [r for r in right if least <= r[0] <= room]
+                if ascending:
+                    row = right[bisect_left(js, least):bisect_right(js, room)]
+                else:
+                    row = [r for r in right if least <= r[0] <= room]
             else:
                 continue
             va, ua, ka = a.valuation, a.unit, a.known
@@ -460,7 +521,7 @@ class LaurentSeries:
         above = _product_floor(self, other, hi, 1)
         if top is not None and top < self.hi + other.hi:
             # the kernel skipped the pairs above top, under a pin too
-            above = _merge_tails(above, TailBound(Fraction(0), floor))
+            above = _merge_tails(above, TailBound(0, floor))
         below = tail if cut_below else _product_floor(self, other, lo, -1)
         # a coefficient computed past a pinned edge folds into its floor
         coeffs, dropped = {}, {}
@@ -477,7 +538,7 @@ class LaurentSeries:
             e = n + base
             (coeffs if lo <= e <= hi else dropped)[e] = PadicNumber(ctx, v, s, k)
         below, above = _fold_clipped(dropped, lo, hi, below, above)
-        return LaurentSeries(ctx, coeffs, domain, lo, hi, below, above)
+        return LaurentSeries._valid(ctx, coeffs, domain, lo, hi, below, above)
 
     def mul_cut(self, other: "LaurentSeries", hi: int) -> "LaurentSeries":
         """self * other cut to exponents <= hi.
@@ -553,18 +614,44 @@ class LaurentSeries:
         self, c: PadicNumber, k: int, domain: AnnulusSpec
     ) -> "LaurentSeries":
         """Substitute z -> c * w^k (k > 0), remapping exponents exactly, onto
-        the domain of w."""
+        the domain of w.
+
+        Coefficient n becomes coef * c^n, the same PadicNumber as
+        `coef * c**n`: c^n is read off running powers of c's unit and of its
+        inverse, modulo p^known of c, and c^0 = 1 leaves coef's digits.
+        """
         if k <= 0:
             raise ValueError("monomial substitution needs a positive exponent")
         if c.is_zero:
             raise ValueError("monomial substitution needs a nonzero scale")
-        coeffs = {n * k: coef * c**n for n, coef in self.coefficients.items()}
+        ctx = self.context
+        powers = ctx.powers
+        kc, v = c.known, c.valuation
+        mod = powers[kc]
+        least = min(self.coefficients, default=0)
+        greatest = max(self.coefficients, default=0)
+        units = {0: 1}
+        run = 1
+        for n in range(1, greatest + 1):
+            run = run * c.unit % mod
+            units[n] = run
+        if least < 0:
+            inv, run = pow(c.unit, -1, mod), 1
+            for n in range(-1, least - 1, -1):
+                run = run * inv % mod
+                units[n] = run
+        coeffs = {}
+        for n, a in self.coefficients.items():
+            known = min(a.known, kc if n else ctx.precision)
+            coeffs[n * k] = PadicNumber(
+                ctx, a.valuation + n * v, a.unit * units[n] % powers[known], known
+            )
         scale = lambda t: None if t is None else TailBound(
-            Fraction(t.slope, k) if t.slope else Fraction(0),
-            t.offset + min(Fraction(0), Fraction(c.valuation)),
+            Fraction(t.slope, k) if t.slope else 0,
+            t.offset + min(0, v),
         )
-        return LaurentSeries(
-            self.context,
+        return LaurentSeries._valid(
+            ctx,
             coeffs,
             domain,
             self.lo * k,
@@ -599,7 +686,7 @@ class LaurentSeries:
             cut = (self.hi + 1) * in_lo - 1
             slope = Fraction(self.tail_above.slope, in_lo)
             off = self.tail_above.at(1) + (self.hi + 1) * min(
-                Fraction(0), inner._min_stored_valuation()
+                0, inner._min_stored_valuation()
             )
             result = result.window_clipped(result.lo, cut)
             result = LaurentSeries(
@@ -614,16 +701,22 @@ class LaurentSeries:
         return result
 
     def window_clipped(self, lo: int, hi: int) -> "LaurentSeries":
-        """Restrict to a subwindow, folding clipped mass into tail floors."""
+        """Restrict to a subwindow, folding clipped mass into tail floors.
+
+        A tailed edge only moves inward.  Its tail, measured from the new
+        edge, is rebased by slope times the move, so that it still bounds
+        every coefficient past the old edge; the stored coefficients
+        clipped on that side then join it as a constant floor."""
         lo = max(lo, self.lo) if self.tail_below is not None else lo
         hi = min(hi, self.hi) if self.tail_above is not None else hi
         lo = max(lo, -MAX_WINDOW)
         hi = min(hi, MAX_WINDOW)
         below, above = _fold_clipped(
-            self.coefficients, lo, hi, self.tail_below, self.tail_above
+            self.coefficients, lo, hi,
+            _rebased(self.tail_below, lo - self.lo), _rebased(self.tail_above, self.hi - hi),
         )
         coeffs = {n: c for n, c in self.coefficients.items() if lo <= n <= hi}
-        return LaurentSeries(self.context, coeffs, self.domain, lo, hi, below, above)
+        return LaurentSeries._valid(self.context, coeffs, self.domain, lo, hi, below, above)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -850,11 +943,10 @@ def branch_root_series(
     coeffs = {0: PadicNumber.from_int(1, ctx)}
     for k in range(1, len(units)):
         coeffs[sign * k] = PadicNumber(ctx, vals[k], units[k], known)
-    slope = Fraction(abs(tv))
-    tail = TailBound(slope, slope * order)
+    tail = TailBound(abs(tv), abs(tv) * order)
     if inner:
-        return LaurentSeries(ctx, coeffs, domain, -order, 0, tail, None)
-    return LaurentSeries(ctx, coeffs, domain, 0, order, None, tail)
+        return LaurentSeries._valid(ctx, coeffs, domain, -order, 0, tail, None)
+    return LaurentSeries._valid(ctx, coeffs, domain, 0, order, None, tail)
 
 
 # -- zero bounds ---------------------------------------------------------------

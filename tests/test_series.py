@@ -900,6 +900,122 @@ class TestBranchRootOracle:
         assert cases == 8 * 6 * 2
 
 
+class TestWindowClipped:
+    def test_inward_edge_keeps_a_sloped_floor(self):
+        # stored on [0, 5] in the window [0, 8] with upper tail
+        # TailBound(1, 8): the coefficient at 9 may have valuation 9.  Clipped
+        # to [0, 6], 9 lies 3 past the edge, and the floor there must not
+        # claim more than 9
+        s = LaurentSeries(
+            Q7, {n: PadicNumber.from_int(7**n, Q7) for n in range(6)}, ANN1, 0, 8,
+            None, TailBound(1, 8),
+        )
+        got = s.window_clipped(0, 6)
+        assert (got.lo, got.hi, got.tail_above) == (0, 6, TailBound(1, 6))
+        # an int floor is the same floor as its Fraction
+        assert got.tail_above == TailBound(Fraction(1), Fraction(6))
+        assert hash(got.tail_above) == hash(TailBound(Fraction(1), Fraction(6)))
+        for n in range(9, 20):
+            assert got.tail_above.at(n - 6) <= s.tail_above.at(n - 8)
+
+    def test_both_edges_rebase_then_fold(self):
+        # lower tail TailBound(2, 3) on [-6, 4], clipped to [-2, 1]: moved by
+        # 4 it reads 3 - 8 = -5, and the clipped z^-5 of valuation 1 and z^3
+        # of valuation 0 join each side as constant floors
+        s = LaurentSeries(
+            Q7, {-5: PadicNumber.from_int(7, Q7), 0: PadicNumber.from_int(1, Q7),
+                 3: PadicNumber.from_int(2, Q7)},
+            ANN1, -6, 4, TailBound(2, 3), TailBound(1, 2),
+        )
+        got = s.window_clipped(-2, 1)
+        assert got.tail_below == TailBound(0, -5)
+        assert got.tail_above == TailBound(0, -1)
+        for d in range(1, 12):
+            assert got.tail_below.at(d + 4) <= s.tail_below.at(d)
+            assert got.tail_above.at(d + 3) <= s.tail_above.at(d)
+
+
+def _state(s):
+    return (s.context, s.domain, s.lo, s.hi, s.tail_below, s.tail_above, [
+        (n, c.context, c.valuation, c.unit, c.known) for n, c in s.coefficients.items()
+    ])
+
+
+def _rebuilt(s):
+    """s through the public constructor, which checks every coefficient."""
+    return LaurentSeries(
+        s.context, s.coefficients, s.domain, s.lo, s.hi, s.tail_below, s.tail_above
+    )
+
+
+def _random_scale(rng, ctx):
+    known = ctx.precision if rng.random() < 0.6 else rng.randint(0, ctx.precision)
+    unit = rng.randrange(1, ctx.prime ** (known + 1))
+    unit += unit % ctx.prime == 0
+    return PadicNumber(ctx, rng.randint(-2, 2), unit % ctx.prime**known, known)
+
+
+class TestValidByConstruction:
+    """The operations that build their result without the per-coefficient
+    checks give a series those checks pass unchanged: rebuilt through the
+    public constructor, it has the same state."""
+
+    def test_seeded_sweep(self):
+        rng = random.Random(20261027)
+        seen = Counter()
+
+        def check(kind, s):
+            assert _state(_rebuilt(s)) == _state(s), kind
+            seen[kind] += 1
+            for op, t in (
+                ("scaled", lambda: s.scaled(_random_scale(rng, s.context))),
+                ("shifted", lambda: s.shifted(rng.randint(0 if s.domain.is_disc else -3, 3))),
+                ("clipped", lambda: s.window_clipped(
+                    rng.randint(s.lo - 2, s.hi), rng.randint(s.lo, s.hi + 2))),
+            ):
+                try:
+                    got = t()
+                except (ValueError, PrecisionError):
+                    continue
+                assert _state(_rebuilt(got)) == _state(got), op
+                seen[op] += 1
+            if s.lo >= -8 and s.hi <= 40:
+                c, k = _random_scale(rng, s.context), rng.randint(1, 3)
+                got = s.compose_monomial(c, k, s.domain)
+                assert _state(_rebuilt(got)) == _state(got), "compose"
+                want = [(n * k, coef * c**n) for n, coef in s.coefficients.items()]
+                assert _triples(got.coefficients.items()) == _triples(want)
+                seen["compose"] += 1
+
+        for _ in range(300):
+            domain = rng.choice((ANN1, DISC))
+            x, y = _random_pair(rng, domain, (0, 6) if domain.is_disc else (-5, 5))
+            try:
+                check("mul", x * y)
+                check("cut", x.mul_cut(y, rng.randint(x.lo + y.lo, x.hi + y.hi)))
+                e = rng.randint(2, 4)
+                check("pow", pow(x, e, rng.randint(e * x.lo, e * x.hi)))
+            except PrecisionError:
+                seen["raised"] += 1
+        for _ in range(100):
+            s = _inner_like(rng)
+            m = rng.randint(2, 5)
+            hi = rng.randint(0, m * s.hi)
+            full = pow(s, m, hi)
+            check("pow both cuts", s.__pow__(m, hi, rng.randint(full.lo - 2, min(0, hi))))
+        for _ in range(60):
+            m = rng.randint(2, 6)
+            p = rng.choice([q for q in (3, 5, 7, 11, 13) if m % q])
+            ctx = PadicContext(p, rng.randint(2, 30))
+            theta = _random_scale(rng, ctx)
+            if theta.known:
+                check("branch", branch_root_series(
+                    theta, m, rng.randint(0, 30), ANN1 if theta.valuation > 0 else DISC
+                ))
+        assert min(seen[k] for k in ("mul", "cut", "pow", "pow both cuts", "branch")) >= 40, seen
+        assert min(seen[k] for k in ("scaled", "shifted", "clipped", "compose")) >= 300, seen
+
+
 class TestComposeInvert:
     def test_compose_monomial(self):
         theta = PadicNumber.from_int(2, Q7)
