@@ -1,8 +1,7 @@
 """Residue geometry over Q_p: cluster trees of branch points, maximal
 annuli, their classification, and explicit verified chart maps.  The
-branch points themselves are the Q_p roots that padic.qp_roots finds,
-searched once per curve and context (curve_branch_points keeps them in a
-map keyed weakly by the curve); this module arranges them.
+branch points themselves are the Q_p roots that padic.qp_roots finds;
+this module arranges them.
 
 Every chart, on an annulus or on a disc, recentres f at an origin o and
 reads the curve through one identity,
@@ -34,7 +33,6 @@ ChartVerificationError, never a silent result.
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,29 +87,17 @@ __all__ = [
 MAX_PRIME = 1_000_000
 
 
-# The branch points found for each curve, by context.  A curve is keyed
-# weakly, so its entry lives and dies with it, as a cached_property would.
-_BRANCH_POINTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def curve_branch_points(
     curve: SuperellipticCurve, ctx: PadicContext
 ) -> tuple[list[tuple[PadicNumber, int]], bool]:
     """Branch points of f in Q_p with multiplicities; the flag reports
-    whether every branch point was found (full splitting).
-
-    The roots are searched once per curve and context; each call gets a
-    fresh list of them."""
-    by_ctx = _BRANCH_POINTS.setdefault(curve, {})
-    found = by_ctx.get(ctx)
-    if found is None:
-        points = [
-            (r, mult)
-            for block, mult in curve.branch_blocks()
-            for r in qp_roots(block, ctx)[0]
-        ]
-        found = by_ctx[ctx] = (points, len(points) == curve.branch_point_count)
-    return list(found[0]), found[1]
+    whether every branch point was found (full splitting)."""
+    points = [
+        (r, mult)
+        for block, mult in curve.branch_blocks()
+        for r in qp_roots(block, ctx)[0]
+    ]
+    return points, len(points) == curve.branch_point_count
 
 
 # -- cluster trees --------------------------------------------------------------

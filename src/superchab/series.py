@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -433,9 +432,7 @@ class LaurentSeries:
         # exact zero, is the `elif k` branch below, the one branch a
         # capped-absolute kernel changes.  Under a cut the pairs that land
         # above it, or below it, are skipped, row by row; every kept pair
-        # and exponent keeps its place in that order.  When other's
-        # exponents are stored in ascending order, a cut row is a slice of
-        # them, found by bisection; otherwise it is filtered.
+        # and exponent keeps its place in that order.
         powers = ctx.powers
         p = ctx.prime
         cut = (hi if top is None else min(hi, top)) - base
@@ -446,20 +443,15 @@ class LaurentSeries:
         prec: list[int | None] = [None] * size
         order: list[int] = []
         right = [(j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
-        js = [r[0] for r in right]
-        ascending = all(x < y for x, y in zip(js, js[1:]))
-        j_lo = min(js, default=-base)
-        j_hi = max(js, default=-base)
+        j_lo = min(other.coefficients, default=0) - base
+        j_hi = max(other.coefficients, default=0) - base
         for i, a in self.coefficients.items():
             room = cut - i
             least = start - i
             if room >= j_hi and least <= j_lo:
                 row = right
             elif room >= j_lo and least <= j_hi:
-                if ascending:
-                    row = right[bisect_left(js, least):bisect_right(js, room)]
-                else:
-                    row = [r for r in right if least <= r[0] <= room]
+                row = [r for r in right if least <= r[0] <= room]
             else:
                 continue
             va, ua, ka = a.valuation, a.unit, a.known

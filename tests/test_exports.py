@@ -311,9 +311,7 @@ def test_no_state_outlives_a_call():
     or lru_cache, and no module-level dict, list or set that a function
     changes.  The benchmark repeats its items, so a cache that outlives a
     call would measure the repeats rather than the work.  A cached_property
-    lives and dies with its instance, and stays allowed; so does a map keyed
-    weakly by an instance (a weakref.WeakKeyDictionary), whose entries go
-    with their key."""
+    lives and dies with its instance, and stays allowed."""
     found = []
     paths = sorted(Path(superchab.__file__).parent.glob("*.py"))
     for path, tree in zip(paths, _parse(paths)):

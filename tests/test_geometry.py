@@ -749,33 +749,6 @@ class TestDiscCharts:
                 assert analysis.charts == []
 
 
-class TestBranchPointsOnce:
-    def test_one_root_search_per_block_and_context(self, monkeypatch):
-        # y^3 = x (x - 1) (x - 3)^2 (x - 9), from its coefficients: two
-        # square-free blocks, one point in each of four residue discs mod 7
-        roots = [(0, 1), (1, 1), (3, 2), (9, 1)]
-        curve = SuperellipticCurve(3, SuperellipticCurve.from_branch_points(3, 1, roots).f)
-        assert len(curve.branch_blocks()) == 2
-        searched = []
-        honest = superchab.geometry.qp_roots
-
-        def counting(block, ctx):
-            searched.append(ctx)
-            return honest(block, ctx)
-
-        monkeypatch.setattr(superchab.geometry, "qp_roots", counting)
-        statuses = [parameterize_disc(DiscSpec(Fraction(x)), curve, Q7).status for x in range(7)]
-        assert "charts" in statuses
-        assert searched == [Q7, Q7]
-        # each call gets its own list, and another context searches again
-        points, complete = curve_branch_points(curve, Q7)
-        points.clear()
-        assert len(curve_branch_points(curve, Q7)[0]) == 4 and complete
-        other = PadicContext(7, 12)
-        assert len(curve_branch_points(curve, other)[0]) == 4
-        assert searched == [Q7, Q7, other, other]
-
-
 def _binomial_shift(coeffs, c, ctx):
     """f(c + t) by binomial expansion, term by term: the reference for the
     Taylor shift."""
