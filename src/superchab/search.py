@@ -289,10 +289,11 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     [-H, H] of the a with (a : b) passing (see _row); it depends on b only
     through b mod q, so it is built the first time its class appears and
     kept until the call returns.  A b whose AND of the rows (see
-    _row_masks) is 0 is skipped; otherwise the Horner coefficients
-    den*f_k b^(d-k) come from a running power of b, and each set bit,
-    stepped as the lowest set bit of what is left, gives an a.  Each such
-    a with gcd(a, b) = 1 gets G(a, b) by integer Horner.  It is dropped
+    _row_masks) is 0 is skipped; otherwise each set bit, stepped as the
+    lowest set bit of what is left, gives an a.  Each such a with
+    gcd(a, b) = 1 gets G(a, b) by integer Horner, whose coefficients
+    den*f_k b^(d-k) come from a running power of b, built with the
+    pre-test scales when the row's first such a comes up.  It is dropped
     unless G (den*b^d)^(m-1) is an m-th power residue (0 counted) at every
     pre-test prime q: when G / (den*b^d) = y^m that number is the integer
     (y den b^d)^m.  The rest get an exact root test of G / (den*b^d) in
@@ -316,21 +317,21 @@ def enumerate_points(curve: SuperellipticCurve, height: int) -> SearchReport:
     pretests = [(q, _power_residues(m, q)) for q in pretest_primes]
     found: list[RationalPoint] = []
     for b, mask in _row_masks(tables, height):
-        if not mask:
-            continue
-        # the coefficients of G(a, b) as a polynomial in a, highest first
-        horner, power = [ints[-1]], 1
-        for c in lower:
-            power *= b
-            horner.append(c * power)
-        scaled_den = den * power
-        scales = [(q, powers, pow(scaled_den, m - 1, q)) for q, powers in pretests]
+        horner = None
         while mask:
             low = mask & -mask
             mask ^= low
             a = low.bit_length() - 1 - height
             if math.gcd(a, b) != 1:
                 continue
+            if horner is None:
+                # the coefficients of G(a, b) as a polynomial in a, highest first
+                horner, power = [ints[-1]], 1
+                for c in lower:
+                    power *= b
+                    horner.append(c * power)
+                scaled_den = den * power
+                scales = [(q, powers, pow(scaled_den, m - 1, q)) for q, powers in pretests]
             g = 0
             for c in horner:
                 g = g * a + c

@@ -9,20 +9,45 @@ is the standard domain; a disc is the same with nonnegative exponents only.
 The window never silently swallows known-nonzero mass: shifting or growing
 past the hard cap raises instead of truncating.
 
-Products convolve plain (valuation, unit, known) integers in one fused
-loop over flat per-exponent lists and build one PadicNumber per output
-coefficient.  Each pair's product keeps the lesser `known`, as
-`PadicNumber.__mul__` does; each sum applies the p-adic sum rule of
-`PadicNumber.__add__` inline, with moduli read from the context's power
-table.  The state of an exponent is the least valuation summed into it,
-a unit not yet stripped of p, and the absolute precision; p is stripped
-once, when the output coefficient is built.  The pairs are summed in the
-order of a double loop over the two coefficient dicts, so every `known`,
-every collapse to exact zero, every "additive window exhausted" and the
-key order of the result are the ones PadicNumber arithmetic would give.
-The collapse (a sum that vanishes modulo its whole window is taken for
-exact zero and the exponent starts afresh) is one explicit branch of the
-loop, the one a capped-absolute kernel would change.
+Products convolve plain (valuation, unit, known) integers and build one
+PadicNumber per output coefficient.  The pair loop sums the pairs in the
+order of a double loop over the two coefficient dicts: each pair's product
+keeps the lesser `known`, as `PadicNumber.__mul__` does, and each sum
+applies the p-adic sum rule of `PadicNumber.__add__` inline, with moduli
+read from the context's power table.  The state of an exponent is the
+least valuation summed into it, a unit not yet stripped of p, and the
+absolute precision; p is stripped once, when the output coefficient is
+built.  So every `known`, every collapse to exact zero, every "additive
+window exhausted" and the key order of the result are the ones PadicNumber
+arithmetic would give.  The collapse (a sum that vanishes modulo its whole
+window is taken for exact zero and the exponent starts afresh) is one
+explicit branch of the loop, the one a capped-absolute kernel would change.
+
+Where it provably gives what the pair loop gives, a product takes every
+sum from one bigint multiply instead: a Kronecker substitution (Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution").
+The rule, checked in time linear in the terms, has three parts: every
+stored coefficient is known to at least one digit; the first factor lists
+its exponents in ascending order and the second a run of consecutive
+exponents in ascending order; and at every computed exponent n the last
+pair the loop reaches, (i, n - i) with i the greatest key of the first
+factor such that n - i is a key of the second, has absolute precision
+v_i + v_j + min(k_i, k_j) equal to the product's floor L.  L is the least
+v + k of one factor plus the least v of the other, the lesser of the two
+ways round, and no pair goes below it.  Under the rule the loop reaches
+the exponents in ascending order, and its coefficient at n is the column
+sum S_n read modulo p^L: dropped when S_n = 0 mod p^L, otherwise of
+valuation v = v_p(S_n), unit S_n / p^v mod p^(L - v) and `known` L - v.
+With `known` >= 1 no additive window empties.  A collapse restarts the
+column, which changes its result only when every pair after the restart
+lies above the column's floor, and the last pair lies at L.  Each factor
+packs u * p^(v - its least v) mod p^(L - the two least v) into slots wide
+enough for a column sum.  In the charts the disc's power-series products
+mostly pass.  A disc branch product whose factor holds a coefficient above
+L runs the pair loop, and so does every annulus product, whose keys come
+in first-reached order, and with it all of `analyze`, which charts annuli
+only.  A product that fails the rule anywhere runs the whole pair loop;
+the window, tail, pin and clipped-mass code after the sums is one for both.
 
 Powers are truncated: `pow(s, m, hi)` is s^m cut to exponents <= hi, the
 truncated power series of the capped model (Caruso, Roe and Vaccon,
@@ -203,6 +228,70 @@ def _product_floor(
     )
     rims = a.hi + b.hi if side > 0 else a.lo + b.lo
     return TailBound(slope, offset - slope * side * (rims - edge))
+
+
+def _packed(s: "LaurentSeries", keys: list[int], least: int, digits: int, width: int) -> int:
+    """The Kronecker integer of s, whose keys come in ascending order: slot
+    n - keys[0], width bytes wide, holds u * p^(v - least) mod p^digits of
+    the coefficient at n."""
+    powers = s.context.powers
+    mod = powers[digits]
+    slots = [0] * (keys[-1] - keys[0] + 1)
+    for n, c in s.coefficients.items():
+        d = c.valuation - least
+        if d < digits:
+            slots[n - keys[0]] = c.unit * powers[d] % mod
+    return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in slots), "little")
+
+
+def _one_multiply(
+    a: "LaurentSeries", b: "LaurentSeries", base: int, start: int, cut: int
+) -> tuple | None:
+    """The states (order, val, unit, prec) that the pair loop of
+    LaurentSeries._product leaves at exponents base + start .. base + cut,
+    read off one bigint multiply; None when a * b fails the rule under
+    which the two agree (see the module docstring)."""
+    keys_a, keys_b = list(a.coefficients), list(b.coefficients)
+    if not keys_a or not keys_b:
+        return None
+    j_lo, count = keys_b[0], len(keys_b)
+    if keys_b != list(range(j_lo, j_lo + count)) or keys_a != sorted(keys_a):
+        return None
+    xs, ys = list(a.coefficients.values()), list(b.coefficients.values())
+    if min(c.known for c in xs) < 1 or min(c.known for c in ys) < 1:
+        return None
+    va, vb = a._min_stored_valuation(), b._min_stored_valuation()
+    floor = min(
+        min(c.valuation + c.known for c in xs) + vb,
+        va + min(c.valuation + c.known for c in ys),
+    )
+    # The last pair of column e is (i, e - i) for e - i from j_lo until the
+    # next key of a takes over or b ends, at every e in [lo, hi].
+    lo, hi = base + start, base + cut
+    for i, c, after in zip(keys_a, xs, keys_a[1:] + [keys_a[-1] + count]):
+        for j in range(max(j_lo, lo - i), min(j_lo + after - i, j_lo + count, hi - i + 1)):
+            d = b.coefficients[j]
+            if c.valuation + d.valuation + min(c.known, d.known) != floor:
+                return None
+    digits = floor - va - vb
+    mod = a.context.powers[digits]
+    # a column sums at most min(len(xs), count) products, each below mod^2
+    width = (2 * mod.bit_length() + min(len(xs), count).bit_length() + 8) // 8
+    x = _packed(a, keys_a, va, digits, width)
+    z = x * x if b is a else x * _packed(b, keys_b, vb, digits, width)
+    columns = z.to_bytes(width * (keys_a[-1] - keys_a[0] + count), "little")
+    first = keys_a[0] + j_lo - base
+    size = max(cut + 1, 0)
+    val: list[int | None] = [None] * size
+    unit = [0] * size
+    order = range(max(start, first), min(cut, keys_a[-1] + keys_b[-1] - base) + 1)
+    for n in order:
+        at = (n - first) * width
+        s = int.from_bytes(columns[at:at + width], "little") % mod
+        if s:
+            val[n] = va + vb
+            unit[n] = s
+    return order, val, unit, [floor] * size
 
 
 def _check_window(domain: AnnulusSpec, lo: int, hi: int) -> None:
@@ -433,67 +522,77 @@ class LaurentSeries:
         # capped-absolute kernel changes.  Under a cut the pairs that land
         # above it, or below it, are skipped, row by row; every kept pair
         # and exponent keeps its place in that order.
+        #
+        # A product that passes the rule of _one_multiply takes its states
+        # from one bigint multiply instead, the same ones this loop leaves.
         powers = ctx.powers
         p = ctx.prime
         cut = (hi if top is None else min(hi, top)) - base
         start = 0 if bottom is None else bottom - base
-        size = max(cut + 1, 0)
-        val: list[int | None] = [None] * size
-        unit = [0] * size
-        prec: list[int | None] = [None] * size
-        order: list[int] = []
-        right = [(j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()]
-        j_lo = min(other.coefficients, default=0) - base
-        j_hi = max(other.coefficients, default=0) - base
-        for i, a in self.coefficients.items():
-            room = cut - i
-            least = start - i
-            if room >= j_hi and least <= j_lo:
-                row = right
-            elif room >= j_lo and least <= j_hi:
-                row = [r for r in right if least <= r[0] <= room]
-            else:
-                continue
-            va, ua, ka = a.valuation, a.unit, a.known
-            for j, vb, ub, kb in row:
-                n = i + j
-                k = ka if ka < kb else kb
-                v = va + vb
-                u = ua * ub
-                w = val[n]
-                if w is None:
-                    if prec[n] is None:
-                        order.append(n)
-                    val[n] = v
-                    unit[n] = u % powers[k]
-                    prec[n] = v + k
+        sums = _one_multiply(self, other, base, start, cut)
+        if sums is not None:
+            order, val, unit, prec = sums
+        else:
+            size = max(cut + 1, 0)
+            val: list[int | None] = [None] * size
+            unit = [0] * size
+            prec: list[int | None] = [None] * size
+            order: list[int] = []
+            right = [
+                (j - base, c.valuation, c.unit, c.known) for j, c in other.coefficients.items()
+            ]
+            j_lo = min(other.coefficients, default=0) - base
+            j_hi = max(other.coefficients, default=0) - base
+            for i, a in self.coefficients.items():
+                room = cut - i
+                least = start - i
+                if room >= j_hi and least <= j_lo:
+                    row = right
+                elif room >= j_lo and least <= j_hi:
+                    row = [r for r in right if least <= r[0] <= room]
+                else:
                     continue
-                ap = v + k
-                if prec[n] < ap:
-                    ap = prec[n]
-                if v < w:
-                    d = w - v
-                    w = v
-                    window = ap - v
-                    s = u + unit[n] * powers[d] if d < window else u
-                else:
-                    d = v - w
-                    window = ap - w
-                    s = unit[n] + u * powers[d] if d < window else unit[n]
-                if window <= 0:
-                    raise PrecisionError("additive window exhausted")
-                s %= powers[window]
-                if s:
-                    val[n] = w
-                    unit[n] = s
-                    prec[n] = ap
-                elif k:
-                    val[n] = None
-                else:
-                    # With k = 0 the pair adds no digit, so the sum vanishes
-                    # only when the pair lands at or below the state's
-                    # stripped valuation, where its window is exhausted.
-                    raise PrecisionError("additive window exhausted")
+                va, ua, ka = a.valuation, a.unit, a.known
+                for j, vb, ub, kb in row:
+                    n = i + j
+                    k = ka if ka < kb else kb
+                    v = va + vb
+                    u = ua * ub
+                    w = val[n]
+                    if w is None:
+                        if prec[n] is None:
+                            order.append(n)
+                        val[n] = v
+                        unit[n] = u % powers[k]
+                        prec[n] = v + k
+                        continue
+                    ap = v + k
+                    if prec[n] < ap:
+                        ap = prec[n]
+                    if v < w:
+                        d = w - v
+                        w = v
+                        window = ap - v
+                        s = u + unit[n] * powers[d] if d < window else u
+                    else:
+                        d = v - w
+                        window = ap - w
+                        s = unit[n] + u * powers[d] if d < window else unit[n]
+                    if window <= 0:
+                        raise PrecisionError("additive window exhausted")
+                    s %= powers[window]
+                    if s:
+                        val[n] = w
+                        unit[n] = s
+                        prec[n] = ap
+                    elif k:
+                        val[n] = None
+                    else:
+                        # With k = 0 the pair adds no digit, so the sum
+                        # vanishes only when the pair lands at or below the
+                        # state's stripped valuation, where its window is
+                        # exhausted.
+                        raise PrecisionError("additive window exhausted")
         # Knowledge boundaries: an entire side of one factor extends the other
         # factor's window by its extreme stored exponent; a truncated side pins
         # the result at the sum of the truncated edges.

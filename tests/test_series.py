@@ -647,27 +647,27 @@ def _kernel_sweep(kernel, seed, cases):
     return seen
 
 
+def _product_mutant(anchor, lines):
+    """LaurentSeries._product with lines put in before its one line that
+    ends in anchor, at that line's indent."""
+    source = textwrap.dedent(inspect.getsource(LaurentSeries._product))
+    assert source.count(anchor) == 1
+    indent = source[: source.index(anchor)].rsplit("\n", 1)[1]
+    inserted = "".join(indent + line + "\n" for line in lines)
+    mutated = source.replace(indent + anchor, inserted + indent + anchor)
+    namespace = dict(vars(superchab.series))
+    exec(mutated, namespace)
+    return namespace["_product"]
+
+
 def _strip_first_mutant():
     """LaurentSeries._product with p stripped from each sum before the
     collapse test, the window shrunk by the digits stripped: a sum that
     vanishes to more digits than its window no longer collapses."""
-    source = textwrap.dedent(inspect.getsource(LaurentSeries._product))
-    anchor = "s %= powers[window]\n"
-    assert source.count(anchor) == 1
-    indent = source[: source.index(anchor)].rsplit("\n", 1)[1]
-    strip = "".join(
-        indent + line + "\n"
-        for line in (
-            "while s and s % p == 0:",
-            "    s //= p",
-            "    w += 1",
-            "    window -= 1",
-        )
+    return _product_mutant(
+        "s %= powers[window]\n",
+        ("while s and s % p == 0:", "    s //= p", "    w += 1", "    window -= 1"),
     )
-    mutated = source.replace(indent + anchor, strip + indent + anchor)
-    namespace = dict(vars(superchab.series))
-    exec(mutated, namespace)
-    return namespace["_product"]
 
 
 class TestKernelOracle:
@@ -709,6 +709,214 @@ class TestKernelOracle:
         else:
             c = (x * y).coefficients[1]
             assert (c.valuation, c.known) == want
+
+
+# -- one bigint multiply where it gives what the pair loop gives ---------------
+
+
+def _run_series(rng, ctx, domain, first, count, gaps, uniform):
+    """A power series stored at first .. first + count - 1 in ascending key
+    order, less the keys in gaps.  Valuations sit at a base in [-3, 2],
+    some 1 to 3 above it in some series.  When uniform every coefficient is
+    known to one absolute precision where it can be, else each to 1 to the
+    precision digits.  Each side has no tail, a drawn tail, or the
+    sentinel floor of geometry._pseudo_entire."""
+    p, prec = ctx.prime, ctx.precision
+    base = rng.randint(-3, 2)
+    absolute = base + rng.randint(3, prec)
+    bumps = rng.choice((0, 0, 0.1, 0.3))
+    coeffs = {}
+    for n in range(first, first + count):
+        if n in gaps:
+            continue
+        v = base + (rng.randint(1, 3) if rng.random() < bumps else 0)
+        known = min(max(absolute - v, 1), prec) if uniform else rng.randint(1, prec)
+        unit = rng.randrange(1, p**known)
+        coeffs[n] = PadicNumber(ctx, v, unit + (unit % p == 0), known)
+    lo = first - rng.randint(0, 2)
+    if domain.is_disc:
+        lo = max(lo, 0)
+    tails = [rng.choice((None, TailBound(rng.randint(0, 2), base + rng.randint(0, 4)),
+                         TailBound(0, 10**9))) for _ in range(2)]
+    return LaurentSeries(ctx, coeffs, domain, lo, first + count - 1 + rng.randint(0, 2), *tails)
+
+
+def _shuffled(rng, s):
+    """s with its keys in a drawn order."""
+    items = list(s.coefficients.items())
+    rng.shuffle(items)
+    return LaurentSeries(s.context, dict(items), s.domain, s.lo, s.hi, s.tail_below, s.tail_above)
+
+
+def _one_multiply_case(rng):
+    """Two power series shaped like a disc chart's factors, x often with
+    exact zeros inside its run and y (when it is not x itself) mostly a
+    run without gaps, now and then one factor's keys out of order, and the
+    cut arguments of one _product call: a top cut with its floor, a bottom
+    cut with its tail, both or neither."""
+    ctx = PadicContext(rng.choice((3, 5, 7, 13)), rng.randint(4, 30))
+    domain = DISC if rng.random() < 0.5 else AnnulusSpec.annulus(rng.randint(1, 3))
+    uniform = rng.random() < 0.8
+    count = rng.randint(1, 30)
+    gaps = set()
+    if count > 2 and rng.random() < 0.4:
+        gaps = set(rng.sample(range(1, count - 1), rng.randint(1, max(1, count // 5))))
+    x = _run_series(rng, ctx, domain, rng.randint(0, 3), count, gaps, uniform)
+    if not gaps and rng.random() < 0.2:
+        y = x
+    else:
+        count = rng.randint(3, 30)
+        gaps = {rng.randrange(1, count - 1)} if rng.random() < 0.1 else set()
+        y = _run_series(rng, ctx, domain, rng.randint(0, 3), count, gaps, uniform)
+        if rng.random() < 0.1:
+            x, y = rng.choice(((_shuffled(rng, x), y), (x, _shuffled(rng, y))))
+    lo, hi = x.lo + y.lo, x.hi + y.hi
+    top = floor = bottom = tail = None
+    if rng.random() < 0.5:
+        top = rng.randint((lo + hi) // 2, hi + 2)
+        floor = x._min_stored_valuation() + y._min_stored_valuation()
+    if not domain.is_disc and rng.random() < 0.4:
+        upper = hi if top is None else min(hi, top)
+        bottom = rng.randint(lo - 2, (lo + upper) // 2)
+        tail = TailBound(rng.randint(1, 3), rng.randint(-4, 8))
+    return x, y, (top, floor, bottom, tail)
+
+
+def _count_paths(monkeypatch):
+    """A Counter, for the rest of the test, of the products that take one
+    multiply (True) and those left to the pair loop (False)."""
+    taken = Counter()
+    real = superchab.series._one_multiply
+
+    def counted(*args):
+        sums = real(*args)
+        taken[sums is not None] += 1
+        return sums
+
+    monkeypatch.setattr(superchab.series, "_one_multiply", counted)
+    return taken
+
+
+def _in_rule_order(x, y):
+    """True when x lists its keys in ascending order and y a run of
+    consecutive keys in ascending order."""
+    keys = list(y.coefficients)
+    return list(x.coefficients) == sorted(x.coefficients) and keys == list(
+        range(keys[0], keys[0] + len(keys))
+    )
+
+
+def _pinned(x, y):
+    """True when one factor's entire side pins the product's window."""
+    return any(
+        (u.tail_above is None and w.tail_above is not None)
+        or (u.tail_below is None and w.tail_below is not None)
+        for u, w in ((x, y), (y, x))
+    )
+
+
+class TestOneMultiply:
+    """Products that pass the rule of series._one_multiply take their sums
+    from one bigint multiply: every triple, the key order, the window and
+    both tails must be what the pair loop gives
+    (`helpers.fused_product_stripped`), and every product that fails the
+    rule must run the pair loop."""
+
+    def test_seeded_sweep(self, monkeypatch):
+        taken = _count_paths(monkeypatch)
+        rng = random.Random(20261021)
+        seen = Counter()
+        for _ in range(400):
+            x, y, cut = _one_multiply_case(rng)
+            want = _outcome(fused_product_stripped, x, y, cut)
+            before = taken[True]
+            assert _outcome(LaurentSeries._product, x, y, cut) == want
+            if not _in_rule_order(x, y):
+                assert taken[True] == before
+                seen["out of order"] += 1
+            if taken[True] == before:
+                continue
+            stored = [*x.coefficients.values(), *y.coefficients.values()]
+            seen["taken"] += 1
+            seen["square"] += x is y
+            seen["negative"] += any(c.valuation < 0 for c in stored)
+            seen["partial"] += any(c.known < x.context.precision for c in stored)
+            seen["one digit"] += any(c.known == 1 for c in stored)
+            seen["zeros"] += len(x.coefficients) < max(x.coefficients) - min(x.coefficients) + 1
+            seen["top"] += cut[0] is not None
+            seen["bottom"] += cut[2] is not None
+            seen["pinned"] += _pinned(x, y)
+            seen["sentinel"] += TailBound(0, 10**9) in (
+                x.tail_below, x.tail_above, y.tail_below, y.tail_above
+            )
+            seen["raised"] += want[0] == "raised"
+        assert seen["taken"] >= 150 and taken[False] >= 100
+        for case in ("square", "negative", "partial", "zeros", "top", "bottom", "pinned",
+                     "sentinel"):
+            assert seen[case] >= 30, case
+        assert seen["one digit"] >= 5 and seen["raised"] >= 3 and seen["out of order"] >= 30
+
+    def test_collapse_before_a_last_pair_above_the_floor(self, monkeypatch):
+        # At z^2 the pairs come as 1 * 1 (to 7^20), then 1 * -1 (to 7^3),
+        # whose sum vanishes to its window and collapses, then 1 * 1 (to
+        # 7^20) starts afresh: the pair loop keeps 1 to 20 digits where the
+        # column sum read modulo the floor 7^3 would keep 3.  The last pair
+        # lies above the floor, so the product runs the pair loop.
+        taken = _count_paths(monkeypatch)
+        one, minus = PadicNumber.from_int(1, Q7), PadicNumber.from_int(-1, Q7)
+        x = LaurentSeries(Q7, {0: one, 1: PadicNumber(Q7, 0, 1, 3), 2: one}, DISC, 0, 2)
+        y = LaurentSeries(Q7, {0: one, 1: minus, 2: one}, DISC, 0, 2)
+        args = (x, y, (None, None, None, None))
+        assert _outcome(LaurentSeries._product, *args) == _outcome(fused_product_stripped, *args)
+        assert taken == {False: 1}
+        c = (x * y).coefficients[2]
+        assert (c.valuation, c.unit, c.known) == (0, 1, 20)
+
+    def test_column_vanishing_to_the_floor_is_dropped(self, monkeypatch):
+        # z^1 sums 1 * (7^20 - 1) + 1 * 1 = 7^20, zero modulo the floor
+        # 7^20: the pair loop collapses it, and one multiply drops it.
+        taken = _count_paths(monkeypatch)
+        one = PadicNumber.from_int(1, Q7)
+        x = LaurentSeries(Q7, {0: one, 1: one}, DISC, 0, 1)
+        y = LaurentSeries(Q7, {0: one, 1: PadicNumber.from_int(-1, Q7)}, DISC, 0, 1)
+        args = (x, y, (None, None, None, None))
+        assert _outcome(LaurentSeries._product, *args) == _outcome(fused_product_stripped, *args)
+        assert taken == {True: 1}
+        assert list((x * y).coefficients) == [0, 2]
+
+    def test_digitless_coefficient_takes_the_pair_loop(self, monkeypatch):
+        # Every pair reaches 7^5 and no further, but x_1 = O(7^5) has no
+        # digit: the pair loop keeps z^1 as a digitless 7^5, where the
+        # column sum read modulo 7^5 would drop it.
+        taken = _count_paths(monkeypatch)
+        x = LaurentSeries(
+            Q7, {0: PadicNumber(Q7, 0, 2, 5), 1: PadicNumber(Q7, 5, 0, 0)}, DISC, 0, 1
+        )
+        y = LaurentSeries(Q7, {0: PadicNumber(Q7, 0, 1, 5)}, DISC, 0, 0)
+        args = (x, y, (None, None, None, None))
+        assert _outcome(LaurentSeries._product, *args) == _outcome(fused_product_stripped, *args)
+        assert taken == {False: 1}
+        c = (x * y).coefficients[1]
+        assert (c.valuation, c.unit, c.known) == (5, 0, 0)
+
+    def test_outer_branch_factors_skip_the_pair_loop(self, monkeypatch):
+        # Two outer factors at p = 101, whose coefficients are units
+        # through z^34, multiply under the top cut, and their product is cubed,
+        # with the pair loop made to raise: both take one multiply and
+        # equal the oracle kernel run in _product's place.
+        ctx = PadicContext(101, 20)
+        f, g = (branch_root_series(PadicNumber.from_int(t, ctx), 3, 20, DISC) for t in (3, 5))
+        with monkeypatch.context() as oracle:
+            oracle.setattr(LaurentSeries, "_product", fused_product_stripped)
+            want = f.mul_cut(g, 20)
+            want_cube = pow(want, 3, 20)
+        monkeypatch.setattr(LaurentSeries, "_product", _product_mutant(
+            "val: list[int | None] = [None] * size\n",
+            ('raise AssertionError("the pair loop ran")',),
+        ))
+        h = f.mul_cut(g, 20)
+        assert _state(h) == _state(want)
+        assert _state(pow(h, 3, 20)) == _state(want_cube)
 
 
 class TestNewtonPolygon:
