@@ -12,10 +12,12 @@ with t the recentred coordinate, k the branch points (with multiplicity) at
 the origin, h the unit product of the branch factors, (1 - theta/t)^(n/m)
 for v(theta) > 0 (inside) and (1 - t/theta)^(n/m) for v(theta) <= 0
 (outside), and Q the leading coefficient times prod (-theta)^n over the
-outside points.  On an annulus k counts the points inside; a disc's origin
-is its one branch point, with k its multiplicity, or its center, with
-k = 0.  The callers pick (o, Q, k) and the budget, and one set-up,
-_build_charts, does the rest.  With d = gcd(k, m) it records
+outside points.  On an annulus k counts the points inside, and h is the
+product of its factors; a disc's origin is its one branch point, with k
+its multiplicity, or its center, with k = 0, and every other point is
+outside, so h is the one m-th root (f(o + t) / (Q t^k))^(1/m).  The
+callers pick (o, Q, k) and the budget, and one set-up, _build_charts,
+does the rest.  With d = gcd(k, m) it records
 no_points when Q is not a d-th power; otherwise it finds a scale U with
 gamma^m = Q * U^k and records the d sheets t = U z^(m/d),
 y_j = zeta_m^j gamma z^(k/d) h(U z^(m/d)).  The check reads gamma^m - Q * U^k
@@ -55,6 +57,7 @@ from .series import (
     TailBound,
     _negative_slope,
     branch_root_series,
+    mth_root_series,
 )
 
 __all__ = [
@@ -350,7 +353,9 @@ def _branch_series_product(
     positive valuation and (1 - x/theta)^(n/m) for the rest; converges on
     the open annulus, or on the open disc when no point has positive
     valuation.  Each partial product is kept to exponents [-order, order]
-    on an annulus, [0, order] on a disc.
+    on an annulus, [0, order] on a disc.  Annulus charts build h here; a
+    disc chart takes it as one mth_root_series, and the disc case stays
+    as the oracle the tests hold that root to.
 
     An outer factor (v(theta) <= 0, window [0, order]) multiplies under
     the series kernel's top cut, which skips every pair landing above
@@ -454,8 +459,10 @@ def _build_charts(
 
     The chart coordinate is origin + t: x on a disc, and x' on an annulus,
     whose origin is 0.  f_coeffs is f in t over Q_p, and h the unit branch
-    product of the recentred points on domain, clipped at order; each
-    factor takes its side from the point's valuation.  With
+    product of the recentred points on domain, clipped at order.  On an
+    annulus it is the product of the branch factors, each taking its side
+    from the point's valuation; on a disc, where every point is outside,
+    it is u^(1/m) for u = f_coeffs[k:] / Q, one mth_root_series.  With
     d = gcd(k, m) there are no rational points unless Q is a d-th power.
     Otherwise a scale U makes Q * U^k = gamma^m, each sheet's x_series is
     origin + U z^(m/d), and the d sheets are
@@ -491,7 +498,10 @@ def _build_charts(
     analysis.power_tests["m_th_power(Q0*U^k0)"] = "True"
     qu = q * scale**k
     gamma = mth_root(qu, m)
-    h = _branch_series_product(points, m, order, domain, ctx)
+    if domain.is_disc:
+        h = mth_root_series([c / q for c in f_coeffs[k:]], m, order, ctx)
+    else:
+        h = _branch_series_product(points, m, order, domain, ctx)
     lo = None if domain.is_disc else _bottom_cut(h, m, q, k, cap)
     hm = h.__pow__(m, cut, lo)
     f = dict(enumerate(f_coeffs))
@@ -630,10 +640,13 @@ def parameterize_disc(
     (case 2), or the center, with k = 0 (case 1).  Recentred at o, x = o + t,
     the curve reads y^m = Q * t^k * h(t)^m with h the unit product over the
     other branch points and Q the leading coefficient times prod (o - theta)^n
-    over them.  _build_charts decides from (Q, k) as on an annulus: no
-    rational points over the disc unless Q is a d-th power, d = gcd(k, m),
-    and otherwise d sheets x = o + U z^(m/d).  Case 3 (two branch points,
-    m even) is reported unanalyzed, with no charts.
+    over them.  Those points all lie outside, so h is
+    (f(o + t) / (Q t^k))^(1/m), which _build_charts takes as one m-th root
+    of the recentred f; the points enter h only through Q.  _build_charts
+    decides from (Q, k) as on an annulus: no rational points over the disc
+    unless Q is a d-th power, d = gcd(k, m), and otherwise d sheets
+    x = o + U z^(m/d).  Case 3 (two branch points, m even) is reported
+    unanalyzed, with no charts.
     """
     m = curve.m
     points, complete = curve_branch_points(curve, ctx)

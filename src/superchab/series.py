@@ -42,12 +42,13 @@ With `known` >= 1 no additive window empties.  A collapse restarts the
 column, which changes its result only when every pair after the restart
 lies above the column's floor, and the last pair lies at L.  Each factor
 packs u * p^(v - its least v) mod p^(L - the two least v) into slots wide
-enough for a column sum.  In the charts the disc's power-series products
-mostly pass.  A disc branch product whose factor holds a coefficient above
-L runs the pair loop, and so does every annulus product, whose keys come
-in first-reached order, and with it all of `analyze`, which charts annuli
-only.  A product that fails the rule anywhere runs the whole pair loop;
-the window, tail, pin and clipped-mass code after the sums is one for both.
+enough for a column sum.  In the charts only the disc powers h^m take it,
+26 products per pass: a disc's h is one m-th root (below), not a product
+of branch factors.  Every annulus product runs the pair loop, its keys
+coming in first-reached order, and with it all of `analyze`, which charts
+annuli only.  A product that fails the rule anywhere runs the whole pair
+loop; the window, tail, pin and clipped-mass code after the sums is one
+for both.
 
 Powers are truncated: `pow(s, m, hi)` is s^m cut to exponents <= hi, the
 truncated power series of the capped model (Caruso, Roe and Vaccon,
@@ -67,7 +68,7 @@ annulus chart cuts h^m where that floor already clears its check's cap.
 
 The same cut serves branch products: `s.mul_cut(t, hi)` is s * t cut to
 exponents <= hi, its dropped side floored at the sum of the two least
-stored valuations.  The chart set-up multiplies each power-series branch
+stored valuations.  An annulus chart multiplies each power-series branch
 factor this way, at the top of its window.
 
 A product's tail floor on a side is measured from its final edge, be it
@@ -93,6 +94,21 @@ A branch factor's side is its point's valuation and nothing else:
 branch_root_series expands (1 - theta/x)^(1/m) in inverse powers when
 v(theta) > 0 and (1 - x/theta)^(1/m) otherwise, by an integer binomial
 recurrence modulo p^known with one modular inverse per factor.
+
+On a disc every branch point outside is an outer one, and the product of
+their factors is a root: prod (1 - t/theta)^(n/m) = (f(o + t) / (Q t^k))^(1/m).
+`mth_root_series` takes it from the polynomial u = f(o + t) / (Q t^k) in
+one pass of J.C.P. Miller's recurrence for a power of a series (see Brent
+and Kung, "Fast algorithms for manipulating formal power series"), in time
+order times deg u, with no product and no branch point.  Its precision is
+capped absolute, as in Caruso, Roe and Vaccon: u known modulo p^N fixes
+the root modulo p^N, so every coefficient is known to N - v digits, or is
+dropped when it vanishes modulo p^N.  The recurrence divides by the
+exponent n, so it runs modulo p^(N + v_p(order!)): those guard digits pay
+for every division by p, and each sum's divisibility by p^v_p(n) is
+checked.  A product of branch factors keeps relative precision instead,
+so where every pair summed into a coefficient has positive valuation it
+can claim more digits than the root; it never claims fewer.
 """
 
 from __future__ import annotations
@@ -114,6 +130,7 @@ __all__ = [
     "branch_root_series",
     "count_zeros_annulus",
     "formal_antiderivative",
+    "mth_root_series",
     "mu_factor",
     "newton_polygon",
     "rolle_zero_bound",
@@ -1038,6 +1055,78 @@ def branch_root_series(
     if inner:
         return LaurentSeries._valid(ctx, coeffs, domain, -order, 0, tail, None)
     return LaurentSeries._valid(ctx, coeffs, domain, 0, order, None, tail)
+
+
+def mth_root_series(
+    coeffs: list[PadicNumber], m: int, order: int, ctx: PadicContext
+) -> LaurentSeries:
+    """h = u^(1/m) on the disc, on exponents [0, order], for the polynomial
+    u = sum coeffs[j] t^j with u_0 a unit: the root with h_0 = 1 of u/u_0.
+
+    J.C.P. Miller's recurrence for a power of a series, m u h' = u' h read
+    at t^(n-1):
+
+        m * n * u_0 * h_n = sum over 1 <= j <= min(n, deg u) of
+                            (j * (m + 1) - m * n) * u_j * h_(n-j).
+
+    Every u_j is p-integral and u_0 a unit, so h is p-integral, and u known
+    modulo p^N, N the least v + known over u, fixes h modulo p^N.  The
+    recurrence runs on plain integers modulo p^(N + G), G = v_p(order!):
+    dividing by n loses v_p(n) digits of every later term, at most G by
+    exponent order, so each h_n comes out right modulo p^N.  Each kept
+    coefficient is PadicNumber(ctx, v, unit, N - v), one capped absolute
+    precision for the series (Caruso, Roe and Vaccon); one that vanishes
+    modulo p^N is not stored.  Above order every coefficient of h is
+    p-integral, the upper tail floor TailBound(0, 0).
+
+    Raises:
+        ValueError: if p divides m.
+        PrecisionError: if u_0 is not a unit, a coefficient of u is not
+            p-integral, or a recurrence sum is not divisible by p^v_p(n),
+            which the exact sum always is.
+    """
+    p = ctx.prime
+    if m < 1 or math.gcd(p, m) != 1:
+        raise ValueError("p divides m")
+    if not coeffs or coeffs[0].is_zero or coeffs[0].valuation != 0:
+        raise PrecisionError("the constant term of u is not a unit")
+    terms = [(j, c) for j, c in enumerate(coeffs) if not c.is_zero]
+    if min(c.valuation for _, c in terms) < 0:
+        raise PrecisionError("u has a coefficient that is not p-integral")
+    digits = min(c.valuation + c.known for _, c in terms)
+    guard, q = 0, order
+    while q:
+        q //= p
+        guard += q
+    mod = p ** (digits + guard)
+    rest = [(j, c.unit * p**c.valuation % mod) for j, c in terms[1:] if j <= order]
+    inv = pow(m * coeffs[0].unit, -1, mod)
+    h = [1]
+    for n in range(1, order + 1):
+        s = 0
+        for j, uj in rest:
+            if j > n:
+                break
+            s += (j * (m + 1) - m * n) * uj * h[n - j]
+        s %= mod
+        w = n
+        while w % p == 0:
+            w //= p
+            if s % p:
+                raise PrecisionError(f"Miller sum at exponent {n} is not divisible by {p}^v_p({n})")
+            s //= p
+        h.append(s * pow(w, -1, mod) * inv % mod)
+    top = ctx.powers[digits]
+    out = {}
+    for n, x in enumerate(h):
+        x %= top
+        if x:
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            out[n] = PadicNumber(ctx, v, x, digits - v)
+    return LaurentSeries._valid(ctx, out, AnnulusSpec.disc(), 0, order, None, TailBound(0, 0))
 
 
 # -- zero bounds ---------------------------------------------------------------

@@ -125,7 +125,8 @@ def full_branch_product(points, m, order, domain, ctx) -> LaurentSeries:
     multiplied under the kernel's top cut: every factor over its full
     window, then the product clipped to [lo, order], with the least
     valuation of the coefficients clipped above folded into its tail
-    floor.  The oracle for the cut."""
+    floor.  The oracle for the cut, and on a disc for the m-th root
+    (series.mth_root_series) that disc charts take h as."""
     lo = 0 if domain.is_disc else -order
     h = LaurentSeries.one(ctx, domain)
     for th, n in points:

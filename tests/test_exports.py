@@ -165,7 +165,8 @@ def test_cli_envelope_written_once():
 
 
 @pytest.mark.parametrize(
-    "helper", ["_verified_digits", "_branch_series_product", "mth_root", "_chart_scale"]
+    "helper",
+    ["_verified_digits", "_branch_series_product", "mth_root_series", "mth_root", "_chart_scale"],
 )
 def test_one_chart_builder(helper):
     """Annuli and both disc cases verify y^m = Q * t^k * h(t)^m through one

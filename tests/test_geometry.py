@@ -1,7 +1,9 @@
+import importlib
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -973,23 +975,32 @@ class TestChartGolden:
 
     @pytest.mark.parametrize("name", sorted(CHART_CASES))
     def test_planted_branch_fault_is_caught(self, name, monkeypatch):
-        # a branch factor wrong by p^3 in its first-order coefficient, or in
-        # its last one (exponent order, the top of every window a chart
-        # reports), must make the residual check fail at exactly three digits
-        honest = superchab.geometry.branch_root_series
+        # h wrong by p^3 in its first-order coefficient, or in its last one
+        # (exponent order, the top of every window a chart reports), must
+        # make the residual check fail at exactly three digits.  An annulus
+        # takes the fault through one of its branch factors, a disc through
+        # the m-th root that is its h.
+        def planted(s, n):
+            ctx = s.context
+            coeffs = dict(s.coefficients)
+            coeffs[n] = coeffs.get(n, PadicNumber.zero(ctx)) + PadicNumber.from_int(ctx.prime**3, ctx)
+            return LaurentSeries(ctx, coeffs, s.domain, s.lo, s.hi, s.tail_below, s.tail_above)
+
+        root, factor = superchab.geometry.mth_root_series, superchab.geometry.branch_root_series
         for last in (False, True):
+            if name.startswith("disc"):
 
-            def faulty(theta, m, order, domain):
-                s = honest(theta, m, order=order, domain=domain)
-                ctx = s.context
-                n = (order if last else 1) * (-1 if theta.valuation > 0 else 1)
-                coeffs = dict(s.coefficients)
-                coeffs[n] = coeffs[n] + PadicNumber.from_int(ctx.prime**3, ctx)
-                return LaurentSeries(
-                    ctx, coeffs, s.domain, s.lo, s.hi, s.tail_below, s.tail_above
-                )
+                def faulty(coeffs, m, order, ctx):
+                    return planted(root(coeffs, m, order, ctx), order if last else 1)
 
-            monkeypatch.setattr(superchab.geometry, "branch_root_series", faulty)
+                monkeypatch.setattr(superchab.geometry, "mth_root_series", faulty)
+            else:
+
+                def faulty(theta, m, order, domain):
+                    s = factor(theta, m, order=order, domain=domain)
+                    return planted(s, (order if last else 1) * (-1 if theta.valuation > 0 else 1))
+
+                monkeypatch.setattr(superchab.geometry, "branch_root_series", faulty)
             with pytest.raises(ChartVerificationError, match="attains 3, below target 10"):
                 CHART_CASES[name]()
 
@@ -1006,3 +1017,80 @@ class TestChartGolden:
         monkeypatch.setattr(superchab.geometry, "mth_root", faulty)
         with pytest.raises(ChartVerificationError, match="attains 3, below target 10"):
             CHART_CASES[name]()
+
+
+def _disc_roots(monkeypatch):
+    """Record, for every disc chart built from here on, the h it used (the
+    m-th root of the recentred f) beside the product of its branch factors
+    (helpers.full_branch_product), as (chain, root) pairs."""
+    pairs, disc = [], []
+    build, root = superchab.geometry._build_charts, superchab.geometry.mth_root_series
+
+    def recorded_build(analysis, m, q, k, origin, points, domain, *rest, **kwargs):
+        disc[:] = [points, domain]
+        return build(analysis, m, q, k, origin, points, domain, *rest, **kwargs)
+
+    def recorded_root(coeffs, m, order, ctx):
+        h = root(coeffs, m, order, ctx)
+        pairs.append((full_branch_product(disc[0], m, order, disc[1], ctx), h))
+        return h
+
+    monkeypatch.setattr(superchab.geometry, "_build_charts", recorded_build)
+    monkeypatch.setattr(superchab.geometry, "mth_root_series", recorded_root)
+    return pairs
+
+
+def _root_state(s):
+    return (s.lo, s.hi, s.tail_below, s.tail_above,
+            [(n, c.valuation, c.unit, c.known) for n, c in s.coefficients.items()])
+
+
+class TestDiscRoot:
+    """A disc chart takes h as one m-th root of the recentred f; on the
+    benchmark's charts corpus and the golden discs that is the branch
+    product, to every (valuation, unit, known) and the key order."""
+
+    def test_equals_the_chain_on_the_charts_corpus(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        corpus = importlib.import_module("corpus")
+        pairs = _disc_roots(monkeypatch)
+        for seed in (1, 401, 402, 777, 901, 902):
+            for c in corpus.charts_corpus(seed):
+                curve = SuperellipticCurve.from_branch_points(c.m, c.lead, list(c.roots))
+                ctx = PadicContext(c.p, corpus.CHARTS_PRECISION)
+                for x in range(c.p):
+                    if [n for t, n in c.roots if (t - x) % c.p == 0] in ([], [1]):
+                        parameterize_disc(DiscSpec(Fraction(x)), curve, ctx)
+        assert len(pairs) == 42
+        assert all(_root_state(chain) == _root_state(root) for chain, root in pairs)
+
+    @pytest.mark.parametrize("name", ["disc_case_one", "disc_case_two"])
+    def test_equals_the_chain_on_the_golden_discs(self, name, monkeypatch):
+        pairs = _disc_roots(monkeypatch)
+        CHART_CASES[name]()
+        [(chain, root)] = pairs
+        assert _root_state(chain) == _root_state(root)
+
+    def test_pinned_divergence(self, monkeypatch):
+        """Branch points 0, 1/49, 3/7 and 2 of y^3 = f(x) at p = 7: on the
+        disc at 0, where the outer points have valuations -2, -1 and 0,
+        every pair summed into h_6, h_13 and h_20 has positive valuation.
+        The chain keeps 20 relative digits there, the root the 19 that
+        u's 20 absolute digits fix; the chart's y keeps those 19 at
+        exponents 19, 40 and 61, and the residual still attains 20."""
+        pairs = _disc_roots(monkeypatch)
+        curve = SuperellipticCurve.from_branch_points(
+            3, 1, [(0, 1), (Fraction(1, 49), 1), (Fraction(3, 7), 1), (2, 1)]
+        )
+        analysis = parameterize_disc(DiscSpec(Fraction(0)), curve, Q7)
+        [(chain, root)] = pairs
+        differ = [n for n in range(25) if chain.coefficient(n) != root.coefficient(n)]
+        assert differ == [6, 13, 20]
+        for n in differ:
+            a, b = chain.coefficients[n], root.coefficients[n]
+            assert (a.valuation, a.known, b.valuation, b.known) == (1, 20, 1, 19)
+            assert a.unit % 7**19 == b.unit
+        assert _root_state(chain)[:4] == _root_state(root)[:4]
+        assert analysis.attained == 20
+        y = analysis.charts[0].y_series.coefficients
+        assert [y[n].known for n in (19, 40, 61)] == [19, 19, 19]

@@ -2,6 +2,7 @@
 counts, branch factors and Coleman integration on a single chart."""
 
 import inspect
+import math
 import random
 import textwrap
 import warnings
@@ -13,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superchab.series
-from helpers import abs_precision, fused_product_stripped, lift_fraction, series_agree
+from helpers import (
+    abs_precision,
+    full_branch_product,
+    fused_product_stripped,
+    lift_fraction,
+    padic_agree,
+    series_agree,
+)
 from superchab.padic import PadicContext, PadicNumber, PrecisionError, _vp, iwasawa_log
 from superchab.series import (
     AnnulusSpec,
@@ -23,6 +31,7 @@ from superchab.series import (
     branch_root_series,
     count_zeros_annulus,
     formal_antiderivative,
+    mth_root_series,
     mu_factor,
     newton_polygon,
     rolle_zero_bound,
@@ -1106,6 +1115,121 @@ class TestBranchRootOracle:
                     assert _triples(got.coefficients.items()) == _triples(want.coefficients.items())
                     cases += 1
         assert cases == 8 * 6 * 2
+
+
+def _disc_root_case(rng, m, p, precision):
+    """One seeded disc recentred at its origin: f(t) = lead * t^k * prod
+    (t - theta)^n over one to three outer points theta of valuation -2..0,
+    multiplicity 1..3, with a leading coefficient that p divides in half of
+    the cases.  Returns the context, k, the points in Q_p and u = f / (Q t^k)
+    in Q_p, Q = lead * prod (-theta)^n."""
+    ctx = PadicContext(p, precision)
+    k = rng.choice((0, 0, 1, 2, 3))
+    lead = rng.choice([a for a in range(1, 3 * p) if a % p]) * p ** rng.choice((0, 0, 1, 2))
+    points = []
+    for _ in range(rng.randint(1, 3)):
+        u = Fraction(rng.choice([a for a in range(1, 4 * p) if a % p]), rng.choice((1, 2, 3, 4)))
+        points.append((rng.choice((1, -1)) * u * Fraction(p) ** rng.randint(-2, 0), rng.randint(1, 3)))
+    f = [Fraction(0)] * k + [Fraction(lead)]
+    for theta, n in points:
+        for _ in range(n):
+            f = [a - theta * b for a, b in zip([Fraction(0), *f], [*f, Fraction(0)])]
+    points = [(PadicNumber.from_fraction(theta, ctx), n) for theta, n in points]
+    q = math.prod(((-theta) ** n for theta, n in points), start=PadicNumber.from_int(lead, ctx))
+    return ctx, k, lead, points, [PadicNumber.from_fraction(c, ctx) / q for c in f[k:]]
+
+
+# (m, p, precision) of the sweep's discs where the root claims fewer digits
+# than the chain, with how many exponents it does so at.  All the chain's
+# extra digits are relative ones: there every pair summed into a coefficient
+# has positive valuation, so the chain's absolute precision exceeds u's.
+_ROOT_BELOW_CHAIN = {
+    (2, 5, 20): 18, (2, 5, 40): 13, (2, 5, 80): 48, (2, 7, 20): 3, (2, 7, 40): 9,
+    (2, 11, 20): 18, (2, 11, 80): 12, (2, 13, 20): 9, (2, 13, 40): 19, (2, 13, 80): 48,
+    (3, 5, 40): 1, (3, 7, 20): 3, (3, 7, 80): 19, (3, 11, 20): 1, (3, 11, 40): 1,
+    (3, 11, 80): 8, (3, 13, 20): 1, (3, 13, 40): 19, (3, 13, 80): 1, (4, 5, 20): 8,
+    (4, 5, 40): 28, (4, 7, 40): 28, (4, 11, 20): 9, (4, 11, 40): 28, (4, 11, 80): 4,
+    (4, 13, 20): 9, (4, 13, 80): 39, (5, 7, 20): 18, (5, 7, 40): 28, (5, 7, 80): 48,
+    (5, 11, 20): 18, (5, 11, 80): 48, (5, 13, 20): 19, (5, 13, 80): 48, (6, 5, 20): 15,
+    (6, 5, 40): 11, (6, 5, 80): 39, (6, 7, 40): 19, (6, 7, 80): 7, (6, 11, 20): 18,
+    (6, 11, 40): 20, (6, 11, 80): 8, (6, 13, 20): 19, (6, 13, 40): 28, (6, 13, 80): 48,
+}
+
+
+def _binomial_root(u, m, order):
+    """(sum u_j t^j)^(1/m) to t^order for u_0 = 1 over Fraction: the
+    binomial series sum binom(1/m, i) (u - 1)^i."""
+    w = [Fraction(0), *u[1:]]
+    h = [Fraction(0)] * (order + 1)
+    power, binom = [Fraction(1)] + [Fraction(0)] * order, Fraction(1)
+    for i in range(order + 1):
+        h = [a + binom * b for a, b in zip(h, power)]
+        power = [sum(power[n - j] * c for j, c in enumerate(w) if j <= n) for n in range(order + 1)]
+        binom *= (Fraction(1, m) - i) / (i + 1)
+    return h
+
+
+class TestMthRootSeries:
+    def test_agrees_with_the_branch_chain(self):
+        """mth_root_series on u = f(o + t) / (Q t^k) against the branch
+        factors multiplied one at a time (helpers.full_branch_product),
+        for m = 2..6 at p in {5, 7, 11, 13} not dividing m and precision
+        20, 40 and 80: at every exponent of [0, order] the two agree modulo
+        the lesser absolute precision, and the root never claims more
+        digits than the chain.  Where it claims fewer is pinned."""
+        rng = random.Random(29)
+        kinds, below = set(), {}
+        for m in range(2, 7):
+            for p in (5, 7, 11, 13):
+                if m % p == 0:
+                    continue
+                for precision in (20, 40, 80):
+                    ctx, k, lead, points, u = _disc_root_case(rng, m, p, precision)
+                    kinds |= {(k > 0, lead % p == 0, th.valuation < 0, n) for th, n in points}
+                    order = max(24, precision // 2 + 8)
+                    root = mth_root_series(u, m, order, ctx)
+                    chain = full_branch_product(points, m, order, DISC, ctx)
+                    digits = min(c.valuation + c.known for c in u if not c.is_zero)
+                    assert (root.lo, root.hi, root.tail_below, root.tail_above) == (
+                        0, order, None, TailBound(0, 0)
+                    )
+                    for n in range(order + 1):
+                        a, b = chain.coefficient(n), root.coefficient(n)
+                        assert padic_agree(a, b, min(digits, abs_precision(a) or digits))
+                        if not (a.is_zero or b.is_zero):
+                            assert b.known <= a.known
+                            if b.known < a.known:
+                                below[m, p, precision] = below.get((m, p, precision), 0) + 1
+        assert {k for k, *_ in kinds} == {False, True}
+        assert {div for _, div, *_ in kinds} == {False, True}
+        assert {neg for *_, neg, _ in kinds} == {False, True}
+        assert {n for *_, n in kinds} == {1, 2, 3}
+        assert below == _ROOT_BELOW_CHAIN
+
+    def test_guard_digits_cover_division_by_p_squared(self):
+        """At p = 5 the recurrence divides by 5 at every fifth exponent and
+        by 25 at exponent 25, which costs later terms up to v_5(30!) = 7
+        digits: the guard digits keep every coefficient to exponent 30 right
+        modulo p^N against the binomial series over Fraction."""
+        ctx = PadicContext(5, 12)
+        u = [Fraction(1), Fraction(3), Fraction(-7, 2), Fraction(4), Fraction(10)]
+        for m in (2, 3, 4, 6):
+            root = mth_root_series([PadicNumber.from_fraction(c, ctx) for c in u], m, 30, ctx)
+            exact = _binomial_root(u, m, 30)
+            assert all(
+                padic_agree(root.coefficient(n), PadicNumber.from_fraction(exact[n], ctx), 12)
+                for n in range(31)
+            )
+
+    def test_refuses_what_it_cannot_root(self):
+        ctx = PadicContext(5, 12)
+        one, fifth = PadicNumber.from_int(1, ctx), PadicNumber.from_fraction(Fraction(1, 5), ctx)
+        with pytest.raises(ValueError, match="p divides m"):
+            mth_root_series([one], 5, 4, ctx)
+        with pytest.raises(PrecisionError, match="not a unit"):
+            mth_root_series([PadicNumber.from_int(5, ctx), one], 3, 4, ctx)
+        with pytest.raises(PrecisionError, match="not p-integral"):
+            mth_root_series([one, fifth], 3, 4, ctx)
 
 
 class TestWindowClipped:
